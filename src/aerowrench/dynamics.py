@@ -191,50 +191,62 @@ class ObserverState:
 # ---------------------------------------------------------------------------
 
 def _body_z_inertial(q):
-    # Third column of R(q): direction of total thrust in the inertial frame.
+    """Third column of R(q): the inertial direction of total thrust.
+
+    q is one quaternion (4,) or a component-first stack (4, S).
+    """
     qw, qx, qy, qz = q
     return np.array([2.0 * (qx * qz + qw * qy),
                      2.0 * (qy * qz - qw * qx),
                      1.0 - 2.0 * (qx * qx + qy * qy)])
 
 
-def _system_derivative_vec(x, u, tau, p, j_inv=None):
+def _gyroscopic(w, jw):
+    """omega x (J omega) for component-first w and jw, (3,) or (3, S)."""
+    wx, wy, wz = w
+    return np.array([wy * jw[2] - wz * jw[1],
+                     wz * jw[0] - wx * jw[2],
+                     wx * jw[1] - wy * jw[0]])
+
+
+def _matvec(m, x):
+    # m @ x for one vector, or column by column for a (c, S) stack. Each
+    # column reaches BLAS as a contiguous vector, as a lone vector does; a
+    # strided operand may round differently.
+    if x.ndim == 1:
+        return m @ x
+    return (m @ np.ascontiguousarray(x.T)[:, :, None])[:, :, 0].T
+
+
+def _rigid_body_derivative(x, u, tau, p, j_inv):
     """Time derivative of the 13-vector body state.
 
-    u = [F_th, U_tau(3)], tau = [F_h(3) inertial, M_h(3) body]. The external
-    force acts through the system mass; the external moment through the
-    inertia. Quaternion kinematics use the body-rate convention
-    qdot = q * (0, omega) / 2.
+    x is one state (13,) or a component-first stack (13, S) of S runs with
+    controls u (4,) or (4, S); tau = [F_h(3) inertial, M_h(3) body] is
+    (6,), or (6, 1) for a stack. The external force acts through the system
+    mass; the external moment through the inertia. Quaternion kinematics
+    use the body-rate convention qdot = q * (0, omega) / 2.
     """
-    q = x[0:4]
-    v = x[7:10]
+    qw, qx, qy, qz = x[0:4]
     w = x[10:13]
-    qw, qx, qy, qz = q
     wx, wy, wz = w
-    out = np.empty(13)
+    out = np.empty(x.shape)
     out[0] = 0.5 * (-qx * wx - qy * wy - qz * wz)
     out[1] = 0.5 * (qw * wx + qy * wz - qz * wy)
     out[2] = 0.5 * (qw * wy + qz * wx - qx * wz)
     out[3] = 0.5 * (qw * wz + qx * wy - qy * wx)
-    out[4:7] = v
-    out[7:10] = _body_z_inertial(q) * (u[0] / p.mass) + tau[:3] / p.mass
+    out[4:7] = x[7:10]
+    out[7:10] = _body_z_inertial(x[0:4]) * (u[0] / p.mass) + tau[:3] / p.mass
     out[9] -= p.gravity
-    jw = p.inertia @ w
-    gyro = np.array([wy * jw[2] - wz * jw[1],
-                     wz * jw[0] - wx * jw[2],
-                     wx * jw[1] - wy * jw[0]])
-    rhs = u[1:4] - gyro + tau[3:]
-    if j_inv is None:
-        out[10:13] = np.linalg.solve(p.inertia, rhs)
-    else:
-        out[10:13] = j_inv @ rhs
+    rhs = u[1:4] - _gyroscopic(w, _matvec(p.inertia, w)) + tau[3:]
+    out[10:13] = _matvec(j_inv, rhs)
     return out
 
 
 def system_derivative(state, u, tau_h, p):
-    """Combined-body derivative; see _system_derivative_vec for layout."""
-    return _system_derivative_vec(state.as_vector(), u.as_vector(),
-                                  tau_h.as_vector(), p)
+    """Combined-body derivative; see _rigid_body_derivative for layout."""
+    return _rigid_body_derivative(state.as_vector(), u.as_vector(),
+                                  tau_h.as_vector(), p, np.linalg.inv(p.inertia))
 
 
 def quadrotor_derivative(q, v_i, omega, u_i, f_link, t_link, m_i, j_i, gravity):
@@ -275,23 +287,35 @@ def payload_derivative(q, v_l, omega, f_links, t_links, arms, tau_h, m_l, j_l, g
     return np.concatenate([qdot, v_l, vdot, wdot])
 
 
+def rigid_body_rk4(x, u, tau, p, dt, j_inv):
+    """Classic fixed-step RK4 on body-state vectors, quaternion renormalized.
+
+    Shapes as in _rigid_body_derivative: one state or a component-first
+    stack, whose runs each get the arithmetic of a lone state.
+    """
+    k1 = _rigid_body_derivative(x, u, tau, p, j_inv)
+    k2 = _rigid_body_derivative(x + 0.5 * dt * k1, u, tau, p, j_inv)
+    k3 = _rigid_body_derivative(x + 0.5 * dt * k2, u, tau, p, j_inv)
+    k4 = _rigid_body_derivative(x + dt * k3, u, tau, p, j_inv)
+    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    q = out[0:4]
+    if q.ndim == 1:
+        out[0:4] = quat_normalize(q)
+    else:
+        rows = np.ascontiguousarray(q.T)
+        out[0:4] = q / np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
+    return out
+
+
 def rk4_step(state, u, tau_h, p, dt, j_inv=None):
-    """Classic fixed-step RK4 on the body state, quaternion renormalized.
+    """One rigid_body_rk4 step of a BodyState.
 
     j_inv may carry a precomputed inverse inertia for tight loops.
     """
-    x = state.as_vector()
-    uv = u.as_vector()
-    tv = tau_h.as_vector()
     if j_inv is None:
         j_inv = np.linalg.inv(p.inertia)
-    k1 = _system_derivative_vec(x, uv, tv, p, j_inv)
-    k2 = _system_derivative_vec(x + 0.5 * dt * k1, uv, tv, p, j_inv)
-    k3 = _system_derivative_vec(x + 0.5 * dt * k2, uv, tv, p, j_inv)
-    k4 = _system_derivative_vec(x + dt * k3, uv, tv, p, j_inv)
-    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    out[0:4] = quat_normalize(out[0:4])
-    return BodyState.from_vector(out)
+    return BodyState.from_vector(rigid_body_rk4(
+        state.as_vector(), u.as_vector(), tau_h.as_vector(), p, dt, j_inv))
 
 
 def mechanical_energy(state, p):
@@ -349,45 +373,57 @@ def build_config_matrix(p):
     return c
 
 
-def allocate(demand, p, weights=None, cond_limit=1e12):
-    """Cost-weighted minimum-norm allocation of a system wrench demand.
+def _mix_pair(p):
+    """Block-diagonal 8x8 rotor mix of both quadrotors, and its inverse."""
+    mix = np.zeros((8, 8))
+    mix[0:4, 0:4] = mix[4:8, 4:8] = mixing_matrix(p)
+    return mix, np.linalg.inv(mix)
 
-    Solves min ||diag(w) u|| subject to C u = demand via the weighted
-    pseudoinverse u = W^-2 C^T (C W^-2 C^T)^-1 demand. Raises
+
+class RotorAllocation:
+    """The allocation pipeline of one parameter set, factored once.
+
+    ``alloc`` maps a system wrench demand d to the stacked per-quadrotor
+    demands u minimizing ||diag(w) u|| subject to C u = d: the weighted
+    pseudoinverse W^-2 C^T (C W^-2 C^T)^-1. ``to_rotors`` continues it to
+    the 8 rotor thrusts and ``to_wrench`` maps rotor thrusts to the system
+    wrench; the loop clips each rotor to [0, cap] in between. Raises
     SingularAllocation when the 4x4 Gram matrix is ill-conditioned beyond
     cond_limit.
     """
-    demand = np.asarray(demand, dtype=float)
-    w = p.alloc_weights if weights is None else np.asarray(weights, dtype=float)
-    c = build_config_matrix(p)
-    cw = c / (w * w)
-    gram = cw @ c.T
-    if np.linalg.cond(gram) > cond_limit:
-        raise SingularAllocation("allocation Gram matrix condition exceeds %g" % cond_limit)
-    return cw.T @ np.linalg.solve(gram, demand)
+
+    def __init__(self, p, weights=None, cond_limit=1e12):
+        w = p.alloc_weights if weights is None else np.asarray(weights, dtype=float)
+        c = build_config_matrix(p)
+        cw = c / (w * w)
+        gram = cw @ c.T
+        if np.linalg.cond(gram) > cond_limit:
+            raise SingularAllocation("allocation Gram matrix condition exceeds %g" % cond_limit)
+        self.alloc = cw.T @ np.linalg.inv(gram)
+        mix, unmix = _mix_pair(p)
+        self.to_rotors = unmix @ self.alloc
+        self.to_wrench = c @ mix
+        self.cap = p.u_max / 4.0
+
+
+def allocate(demand, p, weights=None, cond_limit=1e12):
+    """Cost-weighted minimum-norm allocation of a system wrench demand;
+    see RotorAllocation."""
+    return RotorAllocation(p, weights, cond_limit).alloc @ np.asarray(demand, dtype=float)
 
 
 def saturate_rotors(u_c, p):
     """Clip the allocation to per-rotor limits and re-mix.
 
-    Each quadrotor's [thrust, moments] demand is converted to 4 rotor
-    thrusts, clipped to [0, u_max / 4], and converted back. Returns the
-    achievable stacked demand, the 8 clipped rotor thrusts, and whether any
-    rotor saturated.
+    The stacked per-quadrotor [thrust, moments] demand is converted to 8
+    rotor thrusts, clipped to [0, u_max / 4], and converted back. Returns
+    the achievable stacked demand, the 8 clipped rotor thrusts, and whether
+    any rotor saturated.
     """
-    u_c = np.asarray(u_c, dtype=float)
-    mix = mixing_matrix(p)
-    cap = p.u_max / 4.0
-    out = np.empty(8)
-    thrusts = np.empty(8)
-    hit = False
-    for k in range(2):
-        f = np.linalg.solve(mix, u_c[4 * k:4 * k + 4])
-        f_clip = np.clip(f, 0.0, cap)
-        hit = hit or bool(np.any(f_clip != f))
-        thrusts[4 * k:4 * k + 4] = f_clip
-        out[4 * k:4 * k + 4] = mix @ f_clip
-    return out, thrusts, hit
+    mix, unmix = _mix_pair(p)
+    f = unmix @ np.asarray(u_c, dtype=float)
+    thrusts = np.clip(f, 0.0, p.u_max / 4.0)
+    return mix @ thrusts, thrusts, bool(np.any(thrusts != f))
 
 
 # ---------------------------------------------------------------------------
@@ -510,19 +546,12 @@ def propagate_batch(xs, u, ctx):
     ups = xs[:, IU]
     dummy = xs[:, IDUMMY]
 
-    qw, qx, qy, qz = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    bz = np.empty((k, 3))
-    bz[:, 0] = 2.0 * (qx * qz + qw * qy)
-    bz[:, 1] = 2.0 * (qy * qz - qw * qx)
-    bz[:, 2] = 1.0 - 2.0 * (qx * qx + qy * qy)
-
+    bz = _body_z_inertial(q.T).T
     a_v = bz * (thrust / p.mass)
     a_v[:, 2] -= p.gravity
     j_om = om @ ctx.inertia.T
-    gyro = np.empty((k, 3))
-    gyro[:, 0] = om[:, 1] * j_om[:, 2] - om[:, 2] * j_om[:, 1]
-    gyro[:, 1] = om[:, 2] * j_om[:, 0] - om[:, 0] * j_om[:, 2]
-    gyro[:, 2] = om[:, 0] * j_om[:, 1] - om[:, 1] * j_om[:, 0]
+    # Row-major, so that torque reaches BLAS in the layout a row stack has.
+    gyro = np.ascontiguousarray(_gyroscopic(om.T, j_om.T).T)
     torque = moments - gyro
     a_om = torque @ ctx.inertia_inv.T
 
@@ -553,7 +582,8 @@ def propagate_batch(xs, u, ctx):
     dq[:, 0] = cw
     dq[:, 1:] = om * factor[:, None]
 
-    dw, dx, dy, dz = dq[:, 0], dq[:, 1], dq[:, 2], dq[:, 3]
+    qw, qx, qy, qz = q.T
+    dw, dx, dy, dz = dq.T
     qn = out[:, IQ]
     qn[:, 0] = qw * dw - qx * dx - qy * dy - qz * dz
     qn[:, 1] = qw * dx + dw * qx + qy * dz - qz * dy

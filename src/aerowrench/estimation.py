@@ -288,7 +288,7 @@ class QuaternionUkf:
     # -- filter steps ------------------------------------------------------
 
     def predict(self, control):
-        u_vec = control.as_vector() if hasattr(control, "as_vector") else np.asarray(control, dtype=float)
+        u_vec = control.as_vector()
         s = cov_sqrt(self.P)
         deltas = np.zeros((2 * self.n + 1, self.n))
         cols = self.scale * s.T
@@ -420,7 +420,7 @@ class ExtendedKalman:
                                    self.params)
 
     def predict(self, control):
-        u_vec = control.as_vector() if hasattr(control, "as_vector") else np.asarray(control, dtype=float)
+        u_vec = control.as_vector()
         h = self.fd_step
         self.x[0:4] = qt.quat_normalize(self.x[0:4])
         batch = np.tile(np.concatenate([self.x, [1.0]]), (39, 1))

@@ -1,11 +1,16 @@
 """Seed-stacked kernels for the lockstep study engine.
 
 :func:`aerowrench.simulation.run_study` advances S closed loops at once:
-every array here carries a leading axis over the S runs. Each kernel
+every array here carries a leading axis over the S runs. The kernels here
+mirror the scalar code that has no stacked form of its own: ``quat``,
+``QuaternionUkf``, ``ExtendedKalman`` and ``tracking_controller``. Each
 performs, run by run, the same floating-point operations in the same order
-as its scalar counterpart (``quat``, ``dynamics.rk4_step``,
-``QuaternionUkf``, ``ExtendedKalman``, ``tracking_controller``), so a
-stacked run reproduces the scalar one. That rules out a few shortcuts:
+as its scalar counterpart, so a stacked run reproduces the scalar one. The
+rest is shared rather than mirrored: the truth goes through
+``dynamics.rigid_body_rk4`` on a component-first stack, the controller's
+gyroscopic term through ``dynamics._gyroscopic``, and both filters' rows
+through one ``dynamics.propagate_batch`` call. That rules out a few
+shortcuts:
 
 * A 1-D ``a @ b`` and a matrix-vector ``m @ x`` reach BLAS dot and gemv,
   which may fuse and reorder differently from an elementwise product and
@@ -27,6 +32,7 @@ import math
 
 import numpy as np
 
+from . import dynamics as dyn
 from . import estimation as est
 from . import quat as qt
 from .errors import AerowrenchError, SingularInnovation
@@ -103,46 +109,6 @@ def quat_to_rotvec(q):
 def quat_diff(q1, q2):
     conj = q2 * np.array([1.0, -1.0, -1.0, -1.0])
     return quat_to_rotvec(quat_mul(q1, conj / rowdot(q2, q2)[:, None]))
-
-
-# ---------------------------------------------------------------------------
-# Truth integration, in the operation order of dynamics.rk4_step
-# ---------------------------------------------------------------------------
-
-def _derivative(x, u, tau, p, j_inv):
-    qw, qx, qy, qz = x[:, 0:4].T
-    wx, wy, wz = x[:, 10:13].T
-    out = np.empty(x.shape)
-    out[:, 0] = 0.5 * (-qx * wx - qy * wy - qz * wz)
-    out[:, 1] = 0.5 * (qw * wx + qy * wz - qz * wy)
-    out[:, 2] = 0.5 * (qw * wy + qz * wx - qx * wz)
-    out[:, 3] = 0.5 * (qw * wz + qx * wy - qy * wx)
-    out[:, 4:7] = x[:, 7:10]
-    bz = np.empty((x.shape[0], 3))
-    bz[:, 0] = 2.0 * (qx * qz + qw * qy)
-    bz[:, 1] = 2.0 * (qy * qz - qw * qx)
-    bz[:, 2] = 1.0 - 2.0 * (qx * qx + qy * qy)
-    out[:, 7:10] = bz * (u[:, 0:1] / p.mass) + tau[:3] / p.mass
-    out[:, 9] -= p.gravity
-    jw = matvec(p.inertia, x[:, 10:13])
-    gyro = np.empty((x.shape[0], 3))
-    gyro[:, 0] = wy * jw[:, 2] - wz * jw[:, 1]
-    gyro[:, 1] = wz * jw[:, 0] - wx * jw[:, 2]
-    gyro[:, 2] = wx * jw[:, 1] - wy * jw[:, 0]
-    out[:, 10:13] = matvec(j_inv, u[:, 1:4] - gyro + tau[3:])
-    return out
-
-
-def rk4_step(x, u, tau, p, dt, j_inv):
-    """One RK4 step of S body states (S, 13) under controls (S, 4) and one
-    shared wrench tau (6,); see dynamics.rk4_step."""
-    k1 = _derivative(x, u, tau, p, j_inv)
-    k2 = _derivative(x + 0.5 * dt * k1, u, tau, p, j_inv)
-    k3 = _derivative(x + 0.5 * dt * k2, u, tau, p, j_inv)
-    k4 = _derivative(x + dt * k3, u, tau, p, j_inv)
-    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    out[:, 0:4] = quat_normalize(out[:, 0:4])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +360,6 @@ def tracking_controller(x, ref_r, ref_v, params, g):
         q_des[tilted] = rotvec_to_quat(tilt[tilted])
 
     e_rot = quat_diff(q_des, x[:, 0:4])
-    jw = matvec(params.inertia, w)
-    gyro = np.empty((x.shape[0], 3))
-    gyro[:, 0] = w[:, 1] * jw[:, 2] - w[:, 2] * jw[:, 1]
-    gyro[:, 1] = w[:, 2] * jw[:, 0] - w[:, 0] * jw[:, 2]
-    gyro[:, 2] = w[:, 0] * jw[:, 1] - w[:, 1] * jw[:, 0]
+    gyro = dyn._gyroscopic(w.T, matvec(params.inertia, w).T).T
     out[:, 1:4] = matvec(params.inertia, g.kp_att * e_rot - g.kd_att * w) + gyro
     return out

@@ -4,8 +4,8 @@ Wires the pieces into the loop the package exists to exercise: integrate the
 truth, corrupt what the sensors would see, run both estimators on the same
 measurements, steer a virtual reference with the estimated interaction
 force, track it, and allocate the demanded wrench to rotors. Everything is
-deterministic given a seed; telemetry is recorded as flat arrays and only
-materialized into records on demand.
+deterministic given a seed; telemetry is recorded as flat arrays, which
+the telemetry module writes as they are.
 """
 
 import math
@@ -19,7 +19,7 @@ from . import dynamics as dyn
 from . import estimation as est
 from . import lockstep as ls
 from . import quat as qt
-from .errors import DivergenceDetected, SingularAllocation, ValidationError
+from .errors import DivergenceDetected, ValidationError
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -27,7 +27,7 @@ __all__ = [
     "ForceSegment", "ForceProfile", "default_profile", "force_profile_eval",
     "smoothstep", "AdmittanceParams", "ReferenceState", "admittance_reference",
     "ControllerGains", "tracking_controller", "NoiseStreams", "inject_noise",
-    "TelemetryRecord", "EstimatorTrack", "ScenarioRun", "run_scenario",
+    "EstimatorTrack", "ScenarioRun", "run_scenario",
     "run_study", "convergence_time", "MetricsReport", "compute_metrics",
 ]
 
@@ -100,22 +100,11 @@ def default_profile():
 
 def force_profile_eval(profile, t):
     """Wrench applied at time t: ramped inside segments, zero elsewhere."""
-    f = np.zeros(3)
-    m = np.zeros(3)
-    for seg in profile.segments:
-        if t < seg.start or t > seg.end:
-            continue
-        w = 1.0
-        if seg.ramp > 0.0:
-            w = float(smoothstep((t - seg.start) / seg.ramp)
-                      * smoothstep((seg.end - t) / seg.ramp))
-        f = f + w * seg.force
-        m = m + w * seg.torque
-    return dyn.Wrench(force=f, torque=m)
+    return dyn.Wrench.from_vector(_profile_table(profile, np.array([t], dtype=float))[0])
 
 
 def _profile_table(profile, times):
-    # Same arithmetic as force_profile_eval, evaluated for a whole time grid.
+    # force_profile_eval for each time of a grid, as rows [force, torque].
     out = np.zeros((times.shape[0], 6))
     for seg in profile.segments:
         m = (times >= seg.start) & (times <= seg.end)
@@ -201,13 +190,13 @@ def _admittance_phi(params, dt):
 def admittance_reference(tau_hat, ref, params, dt):
     """Advance the reference one step under the estimated force.
 
-    tau_hat may be a Wrench or a 6-vector; only the force part drives the
-    virtual dynamics. The step is the exact solution of the linear system
-    with the force held over dt, so stiff virtual parameters cost nothing.
+    tau_hat is the estimated wrench as a 6-vector [force, torque]; only the
+    force part drives the virtual dynamics. The step is the exact solution
+    of the linear system with the force held over dt, so stiff virtual
+    parameters cost nothing.
     """
-    force = tau_hat.force if hasattr(tau_hat, "force") else np.asarray(tau_hat, dtype=float)[:3]
     phi = _admittance_phi(params, dt)
-    z = phi[:6, 0:3] @ ref.r + phi[:6, 3:6] @ ref.v + phi[:6, 6:9] @ force
+    z = phi[:6, 0:3] @ ref.r + phi[:6, 3:6] @ ref.v + phi[:6, 6:9] @ tau_hat[:3]
     return ReferenceState(r=z[0:3], v=z[3:6])
 
 
@@ -266,10 +255,7 @@ def tracking_controller(state, ref, params, gains=None):
 
     e_rot = qt.quat_diff(q_des, state.q)
     w = state.omega
-    jw = params.inertia @ w
-    gyro = np.array([w[1] * jw[2] - w[2] * jw[1],
-                     w[2] * jw[0] - w[0] * jw[2],
-                     w[0] * jw[1] - w[1] * jw[0]])
+    gyro = dyn._gyroscopic(w, params.inertia @ w)
     moments = params.inertia @ (g.kp_att * e_rot - g.kd_att * w) + gyro
     return dyn.ControlInput(thrust=thrust, moments=moments)
 
@@ -322,25 +308,6 @@ class EstimatorTrack:
 
 
 @dataclass
-class TelemetryRecord:
-    t: float
-    truth: dyn.BodyState
-    wrench: dyn.Wrench
-    measurement: est.Measurement
-    estimates: dict
-    control: dyn.ControlInput
-    rotors: np.ndarray
-    saturated: bool
-
-
-@dataclass
-class EstimateSnapshot:
-    state: est.AugmentedState
-    wrench: dyn.Wrench
-    nis: float
-
-
-@dataclass
 class ScenarioRun:
     """Array-backed result of one closed-loop run."""
 
@@ -356,38 +323,6 @@ class ScenarioRun:
     saturated: np.ndarray
     tracks: dict
 
-    @property
-    def records(self):
-        """Materialize TelemetryRecord objects from the arrays."""
-        out = []
-        for k in range(self.t.shape[0]):
-            estimates = {}
-            for name, tr in self.tracks.items():
-                s = tr.states[k]
-                aug = est.AugmentedState(
-                    body=dyn.BodyState(q=s[0:4].copy(), r=s[4:7].copy(),
-                                       v=s[7:10].copy(), omega=s[10:13].copy()),
-                    observer=dyn.ObserverState(upsilon=s[13:19].copy()))
-                estimates[name] = EstimateSnapshot(
-                    state=aug,
-                    wrench=dyn.Wrench(force=tr.wrench[k, 0:3].copy(),
-                                      torque=tr.wrench[k, 3:6].copy()),
-                    nis=float(tr.nis[k]))
-            z = self.measurements[k]
-            out.append(TelemetryRecord(
-                t=float(self.t[k]),
-                truth=dyn.BodyState.from_vector(self.truth[k]),
-                wrench=dyn.Wrench(force=self.wrench_true[k, 0:3].copy(),
-                                  torque=self.wrench_true[k, 3:6].copy()),
-                measurement=est.Measurement(q=z[0:4].copy(), r=z[4:7].copy(),
-                                            omega=z[7:10].copy()),
-                estimates=estimates,
-                control=dyn.ControlInput(thrust=float(self.controls[k, 0]),
-                                         moments=self.controls[k, 1:4].copy()),
-                rotors=self.rotors[k].copy(),
-                saturated=bool(self.saturated[k])))
-        return out
-
 
 def _check_finite(name, x, k):
     # NaN fails the comparison, so a single reduction covers both cases.
@@ -396,7 +331,7 @@ def _check_finite(name, x, k):
 
 
 def _scenario_setup(profile, params, noise, admittance, dt, duration,
-                    estimators, scaling, p0_diag, pad_dims=0):
+                    estimators, scaling, p0_diag):
     """Validated inputs, the filters and the profile tables of a scenario."""
     params = params if params is not None else dyn.SystemParams()
     noise = noise if noise is not None else est.NoiseConfig()
@@ -418,8 +353,7 @@ def _scenario_setup(profile, params, noise, admittance, dt, duration,
     if "qukf" in names:
         kw = dict(zip(("phi", "gamma", "sigma"), scaling)) if scaling else {}
         filters["qukf"] = est.QuaternionUkf(params=params, noise=noise, dt=dt,
-                                            p0_diag=p0_diag,
-                                            pad_dims=pad_dims, **kw)
+                                            p0_diag=p0_diag, **kw)
     if "ekf" in names:
         filters["ekf"] = est.ExtendedKalman(params=params, noise=noise, dt=dt,
                                             p0_diag=p0_diag)
@@ -442,30 +376,10 @@ def _draw_noise(seed, n_steps, noise):
     return noise_q, noise_r, noise_w
 
 
-def _rotor_maps(params):
-    """(demand -> rotor thrusts, rotor thrusts -> system wrench, rotor cap).
-
-    The allocation pipeline is fixed by the parameters, so it is factored
-    once per run.
-    """
-    cfg_mat = dyn.build_config_matrix(params)
-    w2 = params.alloc_weights * params.alloc_weights
-    cw = cfg_mat / w2
-    gram = cw @ cfg_mat.T
-    if np.linalg.cond(gram) > 1e12:
-        raise SingularAllocation("configuration matrix is rank deficient "
-                                 "under the allocation weights")
-    alloc_map = cw.T @ np.linalg.inv(gram)
-    mix8 = np.zeros((8, 8))
-    mix8[0:4, 0:4] = dyn.mixing_matrix(params)
-    mix8[4:8, 4:8] = mix8[0:4, 0:4]
-    return np.linalg.inv(mix8) @ alloc_map, cfg_mat @ mix8, params.u_max / 4.0
-
-
 def run_scenario(profile=None, *, params=None, noise=None, admittance=None,
                  gains=None, dt=0.01, duration=70.0, seed=0,
                  estimators=("qukf", "ekf"), scaling=None, p0_diag=None,
-                 pad_dims=0, collect_timing=False):
+                 collect_timing=False):
     """Run the closed loop and return a ScenarioRun.
 
     Per step: integrate the truth over [t, t+dt] under the previous control
@@ -478,7 +392,7 @@ def run_scenario(profile=None, *, params=None, noise=None, admittance=None,
     """
     (params, noise, admittance, n_steps, names, filters, grid, tau_arr,
      tau_mid) = _scenario_setup(profile, params, noise, admittance, dt,
-                                duration, estimators, scaling, p0_diag, pad_dims)
+                                duration, estimators, scaling, p0_diag)
     feed = "qukf" if "qukf" in filters else "ekf"
 
     truth = dyn.BodyState.hover()
@@ -486,7 +400,7 @@ def run_scenario(profile=None, *, params=None, noise=None, admittance=None,
     u = dyn.ControlInput.hover(params)
     j_inv = np.linalg.inv(params.inertia)
     noise_q, noise_r, noise_w = _draw_noise(seed, n_steps, noise)
-    rotor_map, cfg_mix, rotor_cap = _rotor_maps(params)
+    alloc = dyn.RotorAllocation(params)
 
     truth_arr = np.empty((n_steps, 13))
     meas_arr = np.empty((n_steps, 10))
@@ -534,11 +448,11 @@ def run_scenario(profile=None, *, params=None, noise=None, admittance=None,
         demand = np.empty(4)
         demand[0] = cmd.thrust
         demand[1:4] = cmd.moments
-        thrusts = rotor_map @ demand
-        if thrusts.min() < 0.0 or thrusts.max() > rotor_cap:
+        thrusts = alloc.to_rotors @ demand
+        if thrusts.min() < 0.0 or thrusts.max() > alloc.cap:
             sat_arr[k] = True
-            np.clip(thrusts, 0.0, rotor_cap, out=thrusts)
-        u4 = cfg_mix @ thrusts
+            np.clip(thrusts, 0.0, alloc.cap, out=thrusts)
+        u4 = alloc.to_wrench @ thrusts
         u = dyn.ControlInput(thrust=u4[0], moments=u4[1:4])
 
         meas_arr[k, 0:4] = meas.q
@@ -566,9 +480,11 @@ def run_study(seeds, profile=None, *, duration=70.0, estimators=("qukf", "ekf"))
     Returns, in the order of ``seeds``, the ScenarioRun that
     ``run_scenario(profile, seed=seed, duration=duration,
     estimators=estimators)`` gives for each (without step timing); every
-    other scenario setting is run_scenario's default. Every array of the loop carries a
-    leading axis over the seeds and the kernels in :mod:`.lockstep` repeat
-    the scalar arithmetic run by run; each seed draws its own NoiseStreams.
+    other scenario setting is run_scenario's default. Every array of the
+    loop carries a leading axis over the seeds, the truth goes through
+    run_scenario's own RK4 (dyn.rigid_body_rk4) and the kernels in
+    :mod:`.lockstep` repeat the rest of the scalar arithmetic run by run;
+    each seed draws its own NoiseStreams.
     A failure stops the whole study at the first step where any seed fails,
     and the error names that seed.
     """
@@ -590,7 +506,7 @@ def run_study(seeds, profile=None, *, duration=70.0, estimators=("qukf", "ekf"))
 
     draws = [_draw_noise(s, n_steps, noise) for s in seeds]
     noise_q, noise_r, noise_w = (np.stack(d, axis=1) for d in zip(*draws))
-    rotor_map, cfg_mix, rotor_cap = _rotor_maps(params)
+    alloc = dyn.RotorAllocation(params)
     phi = _admittance_phi(admittance, dt)
     j_inv = np.linalg.inv(params.inertia)
 
@@ -608,7 +524,7 @@ def run_study(seeds, profile=None, *, duration=70.0, estimators=("qukf", "ekf"))
                      np.empty((n_runs, n_steps))) for name in names}
 
     for k in range(n_steps):
-        x = ls.rk4_step(x, u, tau_mid[k], params, dt, j_inv)
+        x = dyn.rigid_body_rk4(x.T, u.T, tau_mid[k, :, None], params, dt, j_inv).T
         _check_finite_rows("truth", x, k, labels)
         truth_arr[:, k] = x
         mq = ls.quat_mul(noise_q[k], x[:, 0:4])
@@ -638,12 +554,12 @@ def run_study(seeds, profile=None, *, duration=70.0, estimators=("qukf", "ekf"))
              + ls.matvec(phi[:6, 6:9], fd.wrench[:, 0:3]))
         ref_r, ref_v = z[:, 0:3], z[:, 3:6]
         demand = ls.tracking_controller(fd.x, ref_r, ref_v, params, gains)
-        thrusts = ls.matvec(rotor_map, demand)
-        sat = (thrusts.min(axis=1) < 0.0) | (thrusts.max(axis=1) > rotor_cap)
+        thrusts = ls.matvec(alloc.to_rotors, demand)
+        sat = (thrusts.min(axis=1) < 0.0) | (thrusts.max(axis=1) > alloc.cap)
         if sat.any():
             sat_arr[:, k] = sat
-            thrusts[sat] = np.clip(thrusts[sat], 0.0, rotor_cap)
-        u = ls.matvec(cfg_mix, thrusts)
+            thrusts[sat] = np.clip(thrusts[sat], 0.0, alloc.cap)
+        u = ls.matvec(alloc.to_wrench, thrusts)
 
         meas_arr[:, k, 0:4] = mq
         meas_arr[:, k, 4:7] = mr

@@ -13,7 +13,6 @@ import json
 import numpy as np
 
 from . import __version__
-from . import simulation as sim
 
 __all__ = [
     "telemetry_columns", "write_telemetry", "read_telemetry",
@@ -67,43 +66,13 @@ def flatten_run(run):
     return cols, data
 
 
-def _rows_from_records(records):
-    """Flatten TelemetryRecord objects into the same layout as flatten_run."""
-    names = _estimator_order(records[0].estimates)
-    cols = telemetry_columns(names)
-    rows = np.empty((len(records), len(cols)))
-    for i, rec in enumerate(records):
-        vals = [rec.t]
-        vals += list(rec.truth.as_vector())
-        vals += list(rec.wrench.as_vector())
-        vals += list(rec.measurement.q) + list(rec.measurement.r)
-        vals += list(rec.measurement.omega)
-        for name in names:
-            snap = rec.estimates[name]
-            vals += list(snap.state.as_vector()[:19])
-            vals += list(snap.wrench.as_vector())
-            vals.append(snap.nis)
-        vals += [rec.control.thrust] + list(rec.control.moments)
-        vals += list(rec.rotors)
-        vals.append(float(rec.saturated))
-        rows[i] = vals
-    return cols, rows
-
-
 def write_telemetry(run, path, format="csv"):
-    """Write a ScenarioRun or a list of TelemetryRecord to path.
+    """Write a ScenarioRun's telemetry to path, one row per step.
 
     format is 'csv' or 'jsonl'. Read-back via read_telemetry reproduces
     every value bit for bit.
     """
-    if isinstance(run, sim.ScenarioRun):
-        cols, data = flatten_run(run)
-    else:
-        records = list(run)
-        if not records:
-            raise ValueError("no telemetry records to write")
-        cols, data = _rows_from_records(records)
-
+    cols, data = flatten_run(run)
     if format == "csv":
         lines = [UNITS_COMMENT, ",".join(cols)]
         for row in data:
