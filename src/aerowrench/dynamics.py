@@ -227,8 +227,9 @@ def _rigid_body_derivative(x, u, tau, p, j_inv):
     mass; the external moment through the inertia. Quaternion kinematics
     use the body-rate convention qdot = q * (0, omega) / 2.
     """
-    qw, qx, qy, qz = x[0:4]
+    q = x[0:4]
     w = x[10:13]
+    qw, qx, qy, qz = q
     wx, wy, wz = w
     out = np.empty(x.shape)
     out[0] = 0.5 * (-qx * wx - qy * wy - qz * wz)
@@ -236,7 +237,7 @@ def _rigid_body_derivative(x, u, tau, p, j_inv):
     out[2] = 0.5 * (qw * wy + qz * wx - qx * wz)
     out[3] = 0.5 * (qw * wz + qx * wy - qy * wx)
     out[4:7] = x[7:10]
-    out[7:10] = _body_z_inertial(x[0:4]) * (u[0] / p.mass) + tau[:3] / p.mass
+    out[7:10] = _body_z_inertial(q) * (u[0] / p.mass) + tau[:3] / p.mass
     out[9] -= p.gravity
     rhs = u[1:4] - _gyroscopic(w, _matvec(p.inertia, w)) + tau[3:]
     out[10:13] = _matvec(j_inv, rhs)
