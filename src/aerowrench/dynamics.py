@@ -193,7 +193,8 @@ class ObserverState:
 def _body_z_inertial(q):
     """Third column of R(q): the inertial direction of total thrust.
 
-    q is one quaternion (4,) or a component-first stack (4, S).
+    q is one quaternion (4,), a component-first stack (4, S), or the tuple
+    of its components.
     """
     qw, qx, qy, qz = q
     return np.array([2.0 * (qx * qz + qw * qy),
@@ -202,19 +203,21 @@ def _body_z_inertial(q):
 
 
 def _gyroscopic(w, jw):
-    """omega x (J omega) for component-first w and jw, (3,) or (3, S)."""
+    """omega x (J omega) for component-first w and jw, (3,) or (3, S).
+
+    w may also be the tuple of its components (cheaper to unpack than an
+    array, for a caller that has them already).
+    """
     wx, wy, wz = w
     return np.array([wy * jw[2] - wz * jw[1],
                      wz * jw[0] - wx * jw[2],
                      wx * jw[1] - wy * jw[0]])
 
 
-def _matvec(m, x):
-    # m @ x for one vector, or column by column for a (c, S) stack. Each
-    # column reaches BLAS as a contiguous vector, as a lone vector does; a
-    # strided operand may round differently.
-    if x.ndim == 1:
-        return m @ x
+def _stack_matvec(m, x):
+    # m @ x column by column for a (c, S) stack. Each column reaches BLAS as
+    # a contiguous vector, as a lone vector does; a strided operand may
+    # round differently.
     return (m @ np.ascontiguousarray(x.T)[:, :, None])[:, :, 0].T
 
 
@@ -227,6 +230,7 @@ def _rigid_body_derivative(x, u, tau, p, j_inv):
     mass; the external moment through the inertia. Quaternion kinematics
     use the body-rate convention qdot = q * (0, omega) / 2.
     """
+    matvec = np.matmul if x.ndim == 1 else _stack_matvec
     q = x[0:4]
     w = x[10:13]
     qw, qx, qy, qz = q
@@ -239,8 +243,8 @@ def _rigid_body_derivative(x, u, tau, p, j_inv):
     out[4:7] = x[7:10]
     out[7:10] = _body_z_inertial(q) * (u[0] / p.mass) + tau[:3] / p.mass
     out[9] -= p.gravity
-    rhs = u[1:4] - _gyroscopic(w, _matvec(p.inertia, w)) + tau[3:]
-    out[10:13] = _matvec(j_inv, rhs)
+    rhs = u[1:4] - _gyroscopic((wx, wy, wz), matvec(p.inertia, w)) + tau[3:]
+    out[10:13] = matvec(j_inv, rhs)
     return out
 
 
@@ -547,11 +551,15 @@ def propagate_batch(xs, u, ctx):
     ups = xs[:, IU]
     dummy = xs[:, IDUMMY]
 
-    bz = _body_z_inertial(q.T).T
+    qw, qx, qy, qz = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    # The helpers return component-first stacks. Row-major copies keep the
+    # elementwise terms below on one layout (mixed layouts run slower), and
+    # hand torque to BLAS as a row stack (a transposed operand may round
+    # differently).
+    bz = np.ascontiguousarray(_body_z_inertial((qw, qx, qy, qz)).T)
     a_v = bz * (thrust / p.mass)
     a_v[:, 2] -= p.gravity
     j_om = om @ ctx.inertia.T
-    # Row-major, so that torque reaches BLAS in the layout a row stack has.
     gyro = np.ascontiguousarray(_gyroscopic(om.T, j_om.T).T)
     torque = moments - gyro
     a_om = torque @ ctx.inertia_inv.T
@@ -583,8 +591,7 @@ def propagate_batch(xs, u, ctx):
     dq[:, 0] = cw
     dq[:, 1:] = om * factor[:, None]
 
-    qw, qx, qy, qz = q.T
-    dw, dx, dy, dz = dq.T
+    dw, dx, dy, dz = dq[:, 0], dq[:, 1], dq[:, 2], dq[:, 3]
     qn = out[:, IQ]
     qn[:, 0] = qw * dw - qx * dx - qy * dy - qz * dz
     qn[:, 1] = qw * dx + dw * qx + qy * dz - qz * dy
