@@ -384,6 +384,14 @@ class ExtendedKalman:
     State is the raw 19-vector (quaternion, position, velocity, body rates,
     observer states); the transition Jacobian comes from central
     differences through the exact discrete propagation.
+
+    The differences divide the rounding of the propagated rows by fd_step,
+    so the filter magnifies a change in the last bits upstream of it by
+    about 1/fd_step. With the default 1e-6, a one-ulp change in three
+    entries of the admittance map moves the truth of a 10 s run (seed 0)
+    by 1.9e-15, the QUKF states by 4.8e-13 and the EKF states by 1.5e-8.
+    A change that reorders float arithmetic ahead of this filter should
+    expect EKF differences near 1e-8.
     """
 
     OBS_IDX = np.array([0, 1, 2, 3, 4, 5, 6, 10, 11, 12])

@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import dynamics as dyn
 from . import estimation as est
@@ -182,7 +181,7 @@ def _admittance_phi(params, dt):
         a[3:6, 0:3] = -m_inv @ params.k_v
         a[3:6, 3:6] = -m_inv @ params.c_v
         a[3:6, 6:9] = m_inv
-        phi = expm(a * dt)
+        phi = dyn.expm(a * dt)
         _admittance_cache[key] = phi
     return phi
 
@@ -324,10 +323,16 @@ class ScenarioRun:
     tracks: dict
 
 
+def _divergence_message(name, x, k):
+    # Formatted only after a check has failed: a healthy loop never pays.
+    i = int(np.argmin(np.abs(x) <= DIVERGENCE_LIMIT))
+    return "%s diverged at step %d: component %d = %.6g" % (name, k, i, x[i])
+
+
 def _check_finite(name, x, k):
     # NaN fails the comparison, so a single reduction covers both cases.
     if not np.abs(x).max() <= DIVERGENCE_LIMIT:
-        raise DivergenceDetected("%s diverged at step %d" % (name, k))
+        raise DivergenceDetected(_divergence_message(name, x, k))
 
 
 def _scenario_setup(profile, params, noise, admittance, dt, duration,
@@ -470,8 +475,9 @@ def run_scenario(profile=None, *, params=None, noise=None, admittance=None,
 def _check_finite_rows(name, x, k, labels):
     ok = np.abs(x).max(axis=1) <= DIVERGENCE_LIMIT
     if not ok.all():
-        raise DivergenceDetected("%s: %s diverged at step %d"
-                                 % (labels[int(np.argmin(ok))], name, k))
+        row = int(np.argmin(ok))
+        raise DivergenceDetected("%s: %s" % (labels[row],
+                                             _divergence_message(name, x[row], k)))
 
 
 def run_study(seeds, profile=None, *, duration=70.0, estimators=("qukf", "ekf")):

@@ -1,6 +1,10 @@
 """Command-line interface tests: flows and exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -100,3 +104,24 @@ class TestExitCodes:
         # --out points at an existing regular file: directory creation fails
         assert run_main(["run", "--duration", "0.5",
                          "--out", str(blocker)]) == cli.EXIT_IO
+
+
+class TestImportGraph:
+    def test_run_path_loads_no_scipy(self):
+        # The package's start-up time is mostly its import graph; scipy is a
+        # test-only dependency and must not come back onto the run path.
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        code = ("import sys\n"
+                "import aerowrench.cli\n"
+                "from aerowrench import simulation as sim\n"
+                "run = sim.run_scenario(duration=0.05, seed=0)\n"
+                "assert len(run.t) == 5, len(run.t)\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m == 'scipy' or m.startswith('scipy.')))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

@@ -408,6 +408,74 @@ class TestGenerator:
         assert np.allclose(out[7:10], v, atol=1e-12)
 
 
+def random_spd(rng, lo, hi):
+    basis, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return basis @ np.diag(rng.uniform(lo, hi, 3)) @ basis.T
+
+
+def rel_err(got, want):
+    return np.abs(got - want).sum(axis=0).max() / np.abs(want).sum(axis=0).max()
+
+
+class TestExpm:
+    """dyn.expm against scipy.linalg.expm on what the package exponentiates."""
+
+    def test_generator_at_random_states(self, rng):
+        p = dyn.SystemParams()
+        assert p.observer_gain_matrix()[4, 4] == pytest.approx(72.0 / 0.061)
+        for _ in range(100):
+            x = np.concatenate([random_quat(rng), rng.normal(size=6),
+                                rng.normal(scale=2.0, size=3), rng.normal(size=6), [1.0]])
+            u = np.array([rng.uniform(0.0, 40.0), *rng.normal(size=3)])
+            a = dyn.build_fc(x, u, p) * 0.01
+            assert rel_err(dyn.expm(a), expm(a)) < 1e-13
+
+    def test_admittance_generator(self, rng):
+        # [r, v, F] under M_v rddot + C_v rdot + K_v r = F, F held.
+        for i in range(100):
+            m_v = random_spd(rng, 0.2, 5.0)
+            c_v = random_spd(rng, 0.0, 20.0)
+            k_v = random_spd(rng, 0.0, 50.0) if i % 3 else np.zeros((3, 3))
+            m_inv = np.linalg.inv(m_v)
+            a = np.zeros((9, 9))
+            a[0:3, 3:6] = np.eye(3)
+            a[3:6, 0:3] = -m_inv @ k_v
+            a[3:6, 3:6] = -m_inv @ c_v
+            a[3:6, 6:9] = m_inv
+            assert rel_err(dyn.expm(a * 0.01), expm(a * 0.01)) < 1e-13
+
+    def test_observer_decay_for_random_inertias(self, rng):
+        for _ in range(100):
+            p = dyn.SystemParams(inertia=random_spd(rng, 0.05, 4.0))
+            a = -p.observer_gain_matrix() * 0.01
+            assert rel_err(dyn.expm(a), expm(a)) < 1e-13
+            assert np.array_equal(dyn.TransitionContext(p, 0.01).decay, dyn.expm(a))
+
+    def test_every_pade_order(self, rng):
+        # Scales chosen so the draws use orders 3, 5, 7, 9 and 13, the
+        # last with and without squaring.
+        for scale in (0.002, 0.05, 0.2, 0.5, 1.0, 3.0):
+            for _ in range(20):
+                a = rng.normal(scale=scale / np.sqrt(6.0), size=(6, 6))
+                assert rel_err(dyn.expm(a), expm(a)) < 1e-12
+
+    def test_diagonal_is_exact(self, rng):
+        d = rng.normal(scale=5.0, size=7)
+        assert np.array_equal(dyn.expm(np.diag(d)), np.diag(np.exp(d)))
+        a = dyn.SystemParams().observer_gain_matrix()
+        assert np.array_equal(dyn.TransitionContext(dyn.SystemParams(), 0.01).decay,
+                              np.diag(np.exp(np.diag(-a * 0.01))))
+
+    def test_nilpotent_is_exact(self):
+        a = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 3.0], [0.0, 0.0, 0.0]])
+        assert np.allclose(dyn.expm(a), np.eye(3) + a + a @ a / 2.0, rtol=0.0, atol=1e-15)
+
+    def test_non_finite_raises(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                dyn.expm(np.array([[bad, 1.0], [0.0, 0.0]]))
+
+
 class TestDiscreteTransition:
     def test_equilibrium_fixed_point(self):
         p = dyn.SystemParams()

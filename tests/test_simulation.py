@@ -257,6 +257,20 @@ class TestRunScenario:
         with pytest.raises(DivergenceDetected):
             sim.run_scenario(prof, duration=5.0, seed=0)
 
+    def test_divergence_names_component_value_and_step(self):
+        x = np.zeros(19)
+        x[7] = -2.5e6
+        with pytest.raises(DivergenceDetected,
+                           match=r"^ekf diverged at step 41: component 7 = -2\.5e\+06$"):
+            sim._check_finite("ekf", x, 41)
+        rows = np.zeros((3, 13))
+        rows[2, 11] = np.nan
+        rows[2, 12] = 1e9
+        with pytest.raises(DivergenceDetected,
+                           match=r"^run c: truth diverged at step 5: component 11 = nan$"):
+            sim._check_finite_rows("truth", rows, 5, ["run a", "run b", "run c"])
+        sim._check_finite("ekf", np.full(19, sim.DIVERGENCE_LIMIT), 0)
+
     def test_estimator_subset_and_bad_names(self):
         run = sim.run_scenario(duration=0.5, seed=0, estimators=("ekf",))
         assert set(run.tracks) == {"ekf"} and run.feed == "ekf"
