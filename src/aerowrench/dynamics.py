@@ -500,13 +500,14 @@ def _norm1(a):
 
 def _extra_squarings(a, m):
     """ell_m(A): squarings still needed where |A| is far from normal."""
-    col = np.ones(len(a))
     abs_a = np.abs(a)
+    col = np.ones(len(a))
     for _ in range(2 * m + 1):
         col = col @ abs_a
-    if not col.max():
+    norm_pow = col.max()                  # ||abs(A)^(2m+1)||_1
+    if not norm_pow:
         return 0
-    alpha = col.max() / (_norm1(a) * _PADE_BOUNDS[m][1])
+    alpha = norm_pow / (_norm1(a) * _PADE_BOUNDS[m][1])
     return max(math.ceil(math.log2(alpha / 2.0 ** -53) / (2 * m)), 0)
 
 
