@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularAllocation, ValidationError
-from .quat import quat_mul, quat_normalize, quat_to_rot, skew
+from .quat import (_QUAT_MUL_TERMS, _mul_terms, quat_mul, quat_normalize,
+                   quat_to_rot, skew)
 
 # Augmented-state slices (20-vector).
 IQ = slice(0, 4)
@@ -621,76 +622,73 @@ def propagate_batch(xs, u, ctx):
     """Advance a batch of augmented states one step, closed form.
 
     xs has shape (k, 20); u = [F_th, U_tau] is either one (4,) control
-    shared by the batch or a (k, 4) array of per-row controls, and a row's
-    result is the same either way. The update is the exact matrix
-    exponential of build_fc evaluated at each row, computed blockwise: the
-    quaternion block is a planar rotation, the translational chain is
-    nilpotent, and the observer block is a stable first-order decay toward
-    G + W u - Gamma. Affine terms scale with the trailing dummy component
-    so the map agrees with the dense exponential for any input.
+    shared by the batch or a (k, 4) array of per-row controls. The update
+    is the exact matrix exponential of build_fc evaluated at each row,
+    computed blockwise: the quaternion block is a planar rotation, the
+    translational chain is nilpotent, and the observer block is a stable
+    first-order decay toward G + W u - Gamma. Affine terms scale with the
+    trailing dummy component so the map agrees with the dense exponential
+    for any input.
+
+    The work runs on one contiguous component-first copy (20, k) of the
+    rows, so each elementwise operation is one call on contiguous vectors,
+    and the matrix products are the constant matrices times (c, k) stacks.
+    The result is written back as rows (k, 20). Every row gets the same
+    operations whatever else is in the batch, so a row's result does not
+    depend on the batch around it, nor on whether its control is shared
+    or per row.
     """
     p = ctx.params
     dt = ctx.dt
     xs = np.asarray(xs, dtype=float)
-    if np.ndim(u) == 1:
-        thrust, moments = u[0], u[1:4]
+    u = np.asarray(u, dtype=float)
+    if u.ndim == 1:
+        thrust, moments = u[0], u[1:4, None]
     else:
-        u = np.asarray(u, dtype=float)
-        thrust, moments = u[:, 0:1], u[:, 1:4]
+        thrust, moments = u[:, 0], u[:, 1:4].T
     k = xs.shape[0]
-    q = xs[:, IQ]
-    r = xs[:, IR]
-    v = xs[:, IV]
-    om = xs[:, IW]
-    ups = xs[:, IU]
-    dummy = xs[:, IDUMMY]
+    c = np.ascontiguousarray(xs.T)
+    chi = c[IV.start:IW.stop]            # [v; omega]
+    om = c[IW]
+    scale = c[IDUMMY]
 
-    qw, qx, qy, qz = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    # The helpers return component-first stacks. Row-major copies keep the
-    # elementwise terms below on one layout (mixed layouts run slower), and
-    # hand torque to BLAS as a row stack (a transposed operand may round
-    # differently).
-    bz = np.ascontiguousarray(_body_z_inertial((qw, qx, qy, qz)).T)
-    a_v = bz * (thrust / p.mass)
-    a_v[:, 2] -= p.gravity
-    j_om = om @ ctx.inertia.T
-    gyro = np.ascontiguousarray(_gyroscopic(om.T, j_om.T).T)
-    torque = moments - gyro
-    a_om = torque @ ctx.inertia_inv.T
+    bz = _body_z_inertial(c[IQ])
+    acc = np.empty((6, k))               # [a_v; a_omega]
+    np.multiply(bz, thrust / p.mass, out=acc[0:3])
+    acc[2] -= p.gravity
+    gyro = _gyroscopic(om, ctx.inertia @ om)
+    np.matmul(ctx.inertia_inv, moments - gyro, out=acc[3:6])
 
     # G + W u - Gamma at each sigma point (frozen forcing of the observer).
-    gwu = np.empty((k, 6))
-    gwu[:, :3] = -bz * thrust - p.delta * v
-    gwu[:, 2] += p.mass * p.gravity
-    gwu[:, 3:] = gyro - moments - p.delta * om
+    gwu = np.empty((6, k))
+    np.multiply(-bz, thrust, out=gwu[0:3])
+    np.subtract(gyro, moments, out=gwu[3:6])
+    gwu -= p.delta * chi
+    gwu[2] += p.mass * p.gravity
 
     out = np.empty_like(xs)
-    scale = dummy[:, None]
-    out[:, IR] = r + dt * v + (0.5 * dt * dt) * a_v * scale
-    out[:, IV] = v + dt * a_v * scale
-    out[:, IW] = om + dt * a_om * scale
-    out[:, IU] = ups @ ctx.decay.T + (gwu * scale) @ ctx.forced.T
-    out[:, IDUMMY] = dummy
+    ot = out.T
+    ot[IR] = c[IR] + dt * c[IV] + (0.5 * dt * dt) * acc[0:3] * scale
+    ot[IV.start:IW.stop] = chi + dt * acc * scale
+    ot[IU] = ctx.decay @ c[IU] + ctx.forced @ (gwu * scale)
+    ot[IDUMMY] = scale
 
     # q <- q * q(omega dt): right multiplication integrates body rates.
-    ang = np.sqrt(np.einsum("ij,ij->i", om, om)) * dt
+    ang = np.sqrt(np.einsum("ij,ij->i", xs[:, IW], xs[:, IW])) * dt
     half = 0.5 * ang
-    cw = np.cos(half)
     small = ang < 1e-8
-    factor = np.empty(k)
-    factor[small] = (0.5 - ang[small] * ang[small] / 48.0) * dt
-    ns = ~small
-    factor[ns] = np.sin(half[ns]) / ang[ns] * dt
-    dq = np.empty((k, 4))
-    dq[:, 0] = cw
-    dq[:, 1:] = om * factor[:, None]
-
-    dw, dx, dy, dz = dq[:, 0], dq[:, 1], dq[:, 2], dq[:, 3]
+    if small.any():
+        factor = np.empty(k)
+        factor[small] = (0.5 - ang[small] * ang[small] / 48.0) * dt
+        ns = ~small
+        factor[ns] = np.sin(half[ns]) / ang[ns] * dt
+    else:
+        factor = np.sin(half) / ang * dt
+    dq = np.empty((4, k))
+    dq[0] = np.cos(half)
+    np.multiply(om, factor, out=dq[1:])
     qn = out[:, IQ]
-    qn[:, 0] = qw * dw - qx * dx - qy * dy - qz * dz
-    qn[:, 1] = qw * dx + dw * qx + qy * dz - qz * dy
-    qn[:, 2] = qw * dy + dw * qy + qz * dx - qx * dz
-    qn[:, 3] = qw * dz + dw * qz + qx * dy - qy * dx
+    qn[...] = _mul_terms(c[IQ], dq, _QUAT_MUL_TERMS).T
     qn /= np.sqrt(np.einsum("ij,ij->i", qn, qn))[:, None]
     return out
 

@@ -114,6 +114,18 @@ class AugmentedState:
         return np.concatenate([self.body.as_vector(), self.observer.upsilon, [1.0]])
 
 
+def _leading_cholesky(p, k):
+    # Cholesky factor of the leading k x k block, zero-padded to p's shape;
+    # None when that block is not positive definite.
+    try:
+        c = np.linalg.cholesky(p[:k, :k])
+    except np.linalg.LinAlgError:
+        return None
+    s = np.zeros_like(p)
+    s[:k, :k] = c
+    return s
+
+
 def cov_sqrt(p, clamp_tol=0.0):
     """Matrix square root factor S with S @ S.T == p for symmetric PSD p.
 
@@ -125,7 +137,13 @@ def cov_sqrt(p, clamp_tol=0.0):
     if not np.isfinite(p).all():
         raise FactorizationFailure("covariance contains non-finite entries")
     d = np.diagonal(p)
-    if np.all(d > 0.0):
+    k = len(d) - 1
+    s = None
+    if k >= 0 and not p[k].any() and (d[:k] > 0.0).all():
+        # The filters' healthy state, tested first: only the trailing scale
+        # anchor is pinned, so the live block is everything before it.
+        s = _leading_cholesky(p, k)
+    elif np.all(d > 0.0):
         try:
             return np.linalg.cholesky(p)
         except np.linalg.LinAlgError:
@@ -136,14 +154,9 @@ def cov_sqrt(p, clamp_tol=0.0):
         # anchor), so factoring the live leading block keeps the cheap path.
         k = int(np.argmin(d > 0.0))
         if np.all(d[:k] > 0.0) and not d[k:].any() and not p[k:, :].any():
-            try:
-                c = np.linalg.cholesky(p[:k, :k])
-            except np.linalg.LinAlgError:
-                c = None
-            if c is not None:
-                s = np.zeros_like(p)
-                s[:k, :k] = c
-                return s
+            s = _leading_cholesky(p, k)
+    if s is not None:
+        return s
     try:
         vals, vecs = np.linalg.eigh(p)
     except np.linalg.LinAlgError as err:
@@ -151,8 +164,19 @@ def cov_sqrt(p, clamp_tol=0.0):
     return vecs * np.sqrt(np.maximum(vals, clamp_tol))
 
 
-# Batched quaternion helpers for the sigma-point set.  Rows are independent,
-# so these match the scalar functions in quat.py exactly.
+# Batched quaternion helpers for the sigma-point set and the metrics. They
+# are not the scalar functions of quat.py applied row by row, and differ
+# from them in the last bits on a share of random rows. Each keeps the
+# arithmetic the QUKF has always used, because the filter's output, and
+# UkfStack's bit-for-bit copy of it, depend on those bits:
+# _batch_rotvec_to_quat takes the norm by einsum and does not renormalise
+# on its small-angle branch; _batch_quat_to_rotvec takes the norm by
+# einsum, with its own small-angle cut; and products go through
+# qt._mul_terms with _UKF_MUL_TERMS, whose components 2 and 3 sum their
+# terms in another order than qt.quat_mul.
+
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
 
 def _batch_rotvec_to_quat(p):
     ang = np.sqrt(np.einsum("ij,ij->i", p, p))
@@ -166,17 +190,6 @@ def _batch_rotvec_to_quat(p):
     return out
 
 
-def _batch_mul(a, b):
-    aw, ax, ay, az = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    bw, bx, by, bz = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
-    out = np.empty((a.shape[0], 4))
-    out[:, 0] = aw * bw - ax * bx - ay * by - az * bz
-    out[:, 1] = aw * bx + ax * bw + ay * bz - az * by
-    out[:, 2] = aw * by - ax * bz + ay * bw + az * bx
-    out[:, 3] = aw * bz + ax * by - ay * bx + az * bw
-    return out
-
-
 def _batch_quat_to_rotvec(q):
     q = np.where(q[:, :1] < 0.0, -q, q)
     v = q[:, 1:]
@@ -187,9 +200,13 @@ def _batch_quat_to_rotvec(q):
 
 
 def _quats_to_deltas(quats, center):
-    """Rotation-vector residuals of a batch of quaternions about a center."""
-    inv = np.concatenate([center[:1], -center[1:]])
-    return _batch_quat_to_rotvec(_batch_mul(quats, np.broadcast_to(inv, quats.shape)))
+    """Rotation-vector residuals of quaternion rows (..., m, 4) about
+    centres (..., 4), one per leading index; returns (..., m, 3)."""
+    inv = center * _CONJ
+    prod = qt._mul_terms(quats.T, inv[..., None, :].T, qt._UKF_MUL_TERMS)
+    rows = np.ascontiguousarray(prod.T)
+    return _batch_quat_to_rotvec(rows.reshape(-1, 4)).reshape(
+        quats.shape[:-1] + (3,))
 
 
 class QuaternionUkf:
@@ -199,6 +216,9 @@ class QuaternionUkf:
     noise) between the observer block and the pinned trailing component;
     they exist so the cost scaling of the linear algebra can be measured.
     """
+
+    # Error-state rows that the pose and rate measurement observes.
+    OBS_IDX = np.array([0, 1, 2, 3, 4, 5, 9, 10, 11])
 
     def __init__(self, params=None, noise=None, dt=0.01, initial=None,
                  p0_diag=None, phi=1.0, gamma=2.0, sigma=0.0, pad_dims=0):
@@ -243,25 +263,19 @@ class QuaternionUkf:
 
     def _apply_deltas(self, deltas):
         """Map error-space displacements onto the state manifold."""
-        m = deltas.shape[0]
-        pts = np.tile(self.x, (m, 1))
+        pts = np.empty((deltas.shape[0], self.x.shape[0]))
         dq = _batch_rotvec_to_quat(deltas[:, EQ])
-        pts[:, 0:4] = _batch_mul(dq, pts[:, 0:4])
-        pts[:, 4:13] = self.x[4:13] + deltas[:, 3:12]
-        pts[:, 13:19] = self.x[13:19] + deltas[:, EU]
-        if self.pad_dims:
-            pts[:, 19:-1] = self.x[19:-1] + deltas[:, 18:-1]
+        pts[:, 0:4] = qt._mul_terms(dq.T, self.x[0:4, None],
+                                    qt._UKF_MUL_TERMS).T
+        # State components 4:-1 (pads included) take error components 3:-1.
+        pts[:, 4:-1] = self.x[4:-1] + deltas[:, 3:-1]
         pts[:, -1] = 1.0
         return pts
 
     def _residuals(self, pts, mean):
         res = np.empty((pts.shape[0], self.n))
         res[:, EQ] = _quats_to_deltas(pts[:, 0:4], mean[0:4])
-        res[:, 3:12] = pts[:, 4:13] - mean[4:13]
-        res[:, EU] = pts[:, 13:19] - mean[13:19]
-        if self.pad_dims:
-            res[:, 18:-1] = pts[:, 19:-1] - mean[19:-1]
-        res[:, -1] = pts[:, -1] - mean[-1]
+        res[:, 3:] = pts[:, 4:] - mean[4:]
         return res
 
     def _propagate(self, pts, u_vec):
@@ -320,10 +334,9 @@ class QuaternionUkf:
         # residuals are a column subset of the state residuals the predict
         # step already formed about the same mean.
         rx = self._res
-        ry = np.empty((rx.shape[0], 9))
-        ry[:, 0:3] = rx[:, 0:3]
-        ry[:, 3:6] = rx[:, 3:6]
-        ry[:, 6:9] = rx[:, 9:12]
+        # The fancy index comes back column-major; BLAS gets a row-major
+        # copy, since a transposed operand may round differently.
+        ry = np.ascontiguousarray(rx[:, self.OBS_IDX])
 
         wc = self.w_cov[:, None]
         pyy = (ry * wc).T @ ry + self.r_mat
@@ -395,6 +408,10 @@ class ExtendedKalman:
     """
 
     OBS_IDX = np.array([0, 1, 2, 3, 4, 5, 6, 10, 11, 12])
+    # Rows of the central-difference batch that step coordinate i up (1 + i)
+    # and down (20 + i).
+    _PLUS = (np.arange(1, 20), np.arange(19))
+    _MINUS = (np.arange(20, 39), np.arange(19))
 
     def __init__(self, params=None, noise=None, dt=0.01, initial=None,
                  p0_diag=None, fd_step=1e-6):
@@ -432,9 +449,8 @@ class ExtendedKalman:
         h = self.fd_step
         self.x[0:4] = qt.quat_normalize(self.x[0:4])
         batch = np.tile(np.concatenate([self.x, [1.0]]), (39, 1))
-        for i in range(19):
-            batch[1 + i, i] += h
-            batch[20 + i, i] -= h
+        batch[self._PLUS] += h
+        batch[self._MINUS] -= h
         prop = dyn.propagate_batch(batch, u_vec, self.ctx)
         f = (prop[1:20, :19] - prop[20:39, :19]).T / (2.0 * h)
         self.x = prop[0, :19].copy()

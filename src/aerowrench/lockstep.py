@@ -8,9 +8,10 @@ performs, run by run, the same floating-point operations in the same order
 as its scalar counterpart, so a stacked run reproduces the scalar one. The
 rest is shared rather than mirrored: the truth goes through
 ``dynamics.rigid_body_rk4`` on a component-first stack, the controller's
-gyroscopic term through ``dynamics._gyroscopic``, and both filters' rows
-through one ``dynamics.propagate_batch`` call. That rules out a few
-shortcuts:
+gyroscopic term through ``dynamics._gyroscopic``, quaternion products
+through ``quat._mul_terms`` (in ``quat_mul``'s term order here, in the
+QUKF's for the sigma points), and both filters' rows through one
+``dynamics.propagate_batch`` call. That rules out a few shortcuts:
 
 * A 1-D ``a @ b`` and a matrix-vector ``m @ x`` reach BLAS dot and gemv,
   which may fuse and reorder differently from an elementwise product and
@@ -37,9 +38,6 @@ from . import estimation as est
 from . import quat as qt
 from .errors import AerowrenchError, SingularInnovation
 
-# Rows of the QUKF error state that the pose and rate measurement observes.
-_UKF_OBS = np.array([0, 1, 2, 3, 4, 5, 9, 10, 11])
-
 
 def rowdot(a, b):
     """Row-wise a @ b of two (S, m) stacks, as S separate BLAS dot calls."""
@@ -56,14 +54,8 @@ def matvec(m, x):
 # ---------------------------------------------------------------------------
 
 def quat_mul(q1, q2):
-    w1, x1, y1, z1 = q1.T
-    w2, x2, y2, z2 = q2.T
-    out = np.empty(q1.shape)
-    out[:, 0] = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
-    out[:, 1] = w1 * x2 + w2 * x1 + y1 * z2 - z1 * y2
-    out[:, 2] = w1 * y2 + w2 * y1 + z1 * x2 - x1 * z2
-    out[:, 3] = w1 * z2 + w2 * z1 + x1 * y2 - y1 * x2
-    return out
+    return np.ascontiguousarray(
+        qt._mul_terms(q1.T, q2.T, qt._QUAT_MUL_TERMS).T)
 
 
 def quat_normalize(q):
@@ -192,12 +184,11 @@ class UkfStack:
         deltas[:, n + 1:] = -cols
         deltas[:, :, -1] = 0.0
         x = self.x[:, None, :]
-        pts = np.repeat(x, 2 * n + 1, axis=1)
+        pts = np.empty((x.shape[0], 2 * n + 1, x.shape[2]))
         dq = est._batch_rotvec_to_quat(deltas[:, :, 0:3].reshape(-1, 3))
-        pts[:, :, 0:4] = est._batch_mul(dq, pts[:, :, 0:4].reshape(-1, 4)).reshape(
-            pts.shape[0], -1, 4)
-        pts[:, :, 4:13] = x[:, :, 4:13] + deltas[:, :, 3:12]
-        pts[:, :, 13:19] = x[:, :, 13:19] + deltas[:, :, 12:18]
+        pts[:, :, 0:4] = qt._mul_terms(dq.reshape(pts.shape[0], -1, 4).T,
+                                       x[:, :, 0:4].T, qt._UKF_MUL_TERMS).T
+        pts[:, :, 4:-1] = x[:, :, 4:-1] + deltas[:, :, 3:-1]
         pts[:, :, -1] = 1.0
         return pts
 
@@ -218,14 +209,9 @@ class UkfStack:
         mean[:, -1] = 1.0
         self.mean_q = mean[:, 0:4].copy()
 
-        m = pts.shape[1]
-        inv = mean[:, 0:4] * np.array([1.0, -1.0, -1.0, -1.0])
-        res = np.empty((pts.shape[0], m, f.n))
-        res[:, :, 0:3] = est._batch_quat_to_rotvec(est._batch_mul(
-            pts[:, :, 0:4].reshape(-1, 4), np.repeat(inv, m, axis=0))).reshape(-1, m, 3)
-        res[:, :, 3:12] = pts[:, :, 4:13] - mean[:, None, 4:13]
-        res[:, :, 12:18] = pts[:, :, 13:19] - mean[:, None, 13:19]
-        res[:, :, -1] = pts[:, :, -1] - mean[:, None, -1]
+        res = np.empty(pts.shape[:2] + (f.n,))
+        res[:, :, 0:3] = est._quats_to_deltas(pts[:, :, 0:4], mean[:, 0:4])
+        res[:, :, 3:] = pts[:, :, 4:] - mean[:, None, 4:]
         p = (res * f.w_cov[:, None]).transpose(0, 2, 1) @ res + f.q_disc
         p = 0.5 * (p + p.transpose(0, 2, 1))
         p[:, -1, :] = 0.0
@@ -236,7 +222,7 @@ class UkfStack:
         f = self.f
         n = f.n
         rx = self.res
-        ry = np.ascontiguousarray(rx[:, :, _UKF_OBS])
+        ry = np.ascontiguousarray(rx[:, :, f.OBS_IDX])
         wc = f.w_cov[:, None]
         pyy = (ry * wc).transpose(0, 2, 1) @ ry + f.r_mat
         pxy = (rx * wc).transpose(0, 2, 1) @ ry
@@ -279,9 +265,8 @@ class EkfStack:
         self.x = np.tile(template.x, (len(labels), 1))
         self.P = np.tile(template.P, (len(labels), 1, 1))
         self.nis = None
-        i = np.arange(19)
-        self._plus = (slice(None), 1 + i, i)
-        self._minus = (slice(None), 20 + i, i)
+        self._plus = (slice(None),) + est.ExtendedKalman._PLUS
+        self._minus = (slice(None),) + est.ExtendedKalman._MINUS
 
     @property
     def wrench(self):

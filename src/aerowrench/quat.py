@@ -14,7 +14,15 @@ Conventions used throughout the package:
   and differences ``quat_diff(q1, q2) = P(q1 * q2^-1)`` are its inverse.
 * Sign canonicalization picks the representative with ``w >= 0`` (first
   nonzero component positive on the ``w == 0`` boundary).
+
+The scalar helpers do their + - * / and square roots on Python floats:
+these are correctly rounded IEEE operations, bit for bit the same as on
+numpy scalars, at a fraction of the call cost. Transcendental functions
+and dot products stay in numpy, whose last bits may differ from ``math``
+and from a plain sum.
 """
+
+import math
 
 import numpy as np
 
@@ -51,7 +59,7 @@ def quat_identity():
 
 def quat_normalize(q):
     q = np.asarray(q, dtype=float)
-    n = np.sqrt(q @ q)
+    n = math.sqrt(q @ q)
     if n == 0.0:
         raise ValueError("cannot normalize zero quaternion")
     return q / n
@@ -74,14 +82,52 @@ def quat_canonical(q):
 
 def quat_mul(q1, q2):
     """Hamilton product q1 * q2 (i*j = k)."""
-    w1, x1, y1, z1 = q1
-    w2, x2, y2, z2 = q2
+    w1, x1, y1, z1 = np.asarray(q1, dtype=float).tolist()
+    w2, x2, y2, z2 = np.asarray(q2, dtype=float).tolist()
     return np.array([
         w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
         w1 * x2 + w2 * x1 + y1 * z2 - z1 * y2,
         w1 * y2 + w2 * y1 + z1 * x2 - x1 * z2,
         w1 * z2 + w2 * z1 + x1 * y2 - y1 * x2,
     ])
+
+
+def _term_table(ia, ib, sign):
+    # (component, term) tables to the term-major rows _mul_terms gathers.
+    return (np.array(ia).T.ravel(), np.array(ib).T.ravel(),
+            np.array(sign, dtype=float).T.ravel())
+
+
+# Term tables of the Hamilton product for _mul_terms. Output component i
+# sums the terms sign[i][j] * a[ia[i][j]] * b[ib[i][j]], j = 0..3, left to
+# right. Float addition does not associate, so a table fixes the bits of
+# its products: _QUAT_MUL_TERMS is quat_mul's order above; _UKF_MUL_TERMS
+# is the order in which the QUKF has always formed its sigma points and
+# residuals, which differs from quat_mul in the last bits of components 2
+# and 3 on some rows.
+_QUAT_MUL_TERMS = _term_table(
+    [[0, 1, 2, 3], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]],
+    [[0, 1, 2, 3], [1, 0, 3, 2], [2, 0, 1, 3], [3, 0, 2, 1]],
+    [[1, -1, -1, -1], [1, 1, 1, -1], [1, 1, 1, -1], [1, 1, 1, -1]])
+_UKF_MUL_TERMS = _term_table(
+    [[0, 1, 2, 3]] * 4,
+    [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
+    [[1, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]])
+
+
+def _mul_terms(a, b, terms):
+    """Hamilton products a * b of component-first quaternion stacks.
+
+    a and b are (4, ...) and broadcast against each other after the first
+    axis; the result is a contiguous (4, ...) whose components sum their
+    terms in the order of ``terms``. Each term's sign is folded into its b
+    factor. A sign flip is exact and x - y is x + (-y) bit for bit, so the
+    result equals the products written out in that order, from two
+    gathers, two multiplications and three additions.
+    """
+    ia, ib, sign = terms
+    t = a[ia] * (b[ib] * sign.reshape(sign.shape + (1,) * (b.ndim - 1)))
+    return t[0:4] + t[4:8] + t[8:12] + t[12:16]
 
 
 def quat_conj(q):
@@ -100,7 +146,7 @@ def quat_to_rot(q):
     I + 2 w [v]x + 2 [v]x^2 for unit norm. Rotates body coordinates into the
     inertial frame; R(q1*q2) = R(q1) R(q2).
     """
-    w, x, y, z = q
+    w, x, y, z = np.asarray(q, dtype=float).tolist()
     xx, yy, zz = x * x, y * y, z * z
     wx, wy, wz = w * x, w * y, w * z
     xy, xz, yz = x * y, x * z, y * z
@@ -179,14 +225,16 @@ def rot_to_rotvec(r, tol=1e-6):
 def rotvec_to_quat(p):
     """q(P) = [cos(|P|/2), (P/|P|) sin(|P|/2)]; series-stable near zero."""
     p = np.asarray(p, dtype=float)
-    a = np.sqrt(p @ p)
+    a = math.sqrt(p @ p)
     half = 0.5 * a
+    px, py, pz = p.tolist()
     if a < _SMALL_ANGLE:
         # sin(a/2)/a = 1/2 - a^2/48 + O(a^4)
         factor = 0.5 - a * a / 48.0
-        return quat_normalize(np.array([np.cos(half), *(factor * p)]))
-    factor = np.sin(half) / a
-    return np.array([np.cos(half), *(factor * p)])
+        return quat_normalize(np.array([np.cos(half), factor * px, factor * py,
+                                        factor * pz]))
+    factor = float(np.sin(half)) / a
+    return np.array([np.cos(half), factor * px, factor * py, factor * pz])
 
 
 def quat_to_rotvec(q):
@@ -194,7 +242,7 @@ def quat_to_rotvec(q):
     q = quat_canonical(q)
     w = q[0]
     v = q[1:]
-    s = np.sqrt(v @ v)
+    s = math.sqrt(v @ v)
     if s < _SMALL_ANGLE:
         # alpha/sin(alpha/2) ~ 2/w for small alpha at unit norm
         return v * (2.0 / w) if w > 0.0 else v * 2.0

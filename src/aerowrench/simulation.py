@@ -627,8 +627,7 @@ class MetricsReport:
 
 def _attitude_errors(est_q, truth_q):
     # Rowwise |quat_diff|: rotation angle between estimate and truth.
-    inv = truth_q * np.array([1.0, -1.0, -1.0, -1.0])
-    rv = est._batch_quat_to_rotvec(est._batch_mul(est_q, inv))
+    rv = est._quats_to_deltas(est_q[:, None, :], truth_q)[:, 0]
     return np.sqrt(np.einsum("ij,ij->i", rv, rv))
 
 

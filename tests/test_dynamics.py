@@ -553,14 +553,21 @@ class TestDiscreteTransition:
         ctx = dyn.TransitionContext(p, 0.01)
         xs = np.stack([np.concatenate([random_quat(rng), rng.normal(size=15), [1.0]])
                        for _ in range(17)])
+        # Zero rates, rates whose rotation over the step is below the 1e-8
+        # series cut, and ordinary rates in one batch: the small-angle
+        # branch runs only on such a mixed batch.
+        mixed = xs.copy()
+        mixed[0::3, 10:13] = 0.0
+        mixed[1::3, 10:13] *= 1e-7
         shared = np.array([20.0, 0.1, 0.0, -0.2])
         per_row = shared + rng.normal(size=(17, 4)) * np.array([5.0, 0.1, 0.1, 0.1])
-        for u in (shared, per_row):
-            batch = dyn.propagate_batch(xs, u, ctx)
-            for i in range(17):
-                u_i = u if u.ndim == 1 else u[i]
-                single = dyn.propagate_batch(xs[i][None, :], u_i, ctx)[0]
-                assert np.array_equal(batch[i], single)
+        for rows in (xs, mixed):
+            for u in (shared, per_row):
+                batch = dyn.propagate_batch(rows, u, ctx)
+                for i in range(17):
+                    u_i = u if u.ndim == 1 else u[i]
+                    single = dyn.propagate_batch(rows[i][None, :], u_i, ctx)[0]
+                    assert np.array_equal(batch[i], single)
 
 
 class TestTruthIntegration:

@@ -61,10 +61,20 @@ class TestCovSqrt:
         s = est.cov_sqrt(p)
         assert np.allclose(s @ s.T, p, atol=1e-10)
 
-    def test_zero_row_handled(self):
+    def test_zero_row_handled(self, rng):
         p = np.diag([1.0, 2.0, 0.0, 3.0])
         s = est.cov_sqrt(p)
         assert np.allclose(s @ s.T, p, atol=1e-14)
+        # A pinned tail of one or several rows (pads, then the scale anchor)
+        # takes the block path: the leading block's Cholesky factor, zero
+        # elsewhere.
+        a = rng.normal(size=(5, 5))
+        for tail in (1, 3):
+            p = np.zeros((5 + tail, 5 + tail))
+            p[:5, :5] = a @ a.T + np.eye(5)
+            s = est.cov_sqrt(p)
+            assert np.array_equal(s[:5, :5], np.linalg.cholesky(p[:5, :5]))
+            assert not s[5:].any() and not s[:, 5:].any()
 
     def test_negative_eigenvalue_clamped(self):
         p = np.diag([1.0, -1e-12, 2.0])
@@ -72,10 +82,24 @@ class TestCovSqrt:
         rec = s @ s.T
         assert rec[1, 1] >= 0.0
         assert np.allclose(rec[np.ix_([0, 2], [0, 2])], np.diag([1.0, 2.0]), atol=1e-14)
+        # An indefinite leading block with a positive diagonal ahead of a
+        # pinned tail fails the block Cholesky and reaches the clamp, which
+        # keeps its eigenvalue 3 (eigenvector [1, 1] / sqrt 2) and drops -1.
+        p = np.zeros((3, 3))
+        p[:2, :2] = [[1.0, 2.0], [2.0, 1.0]]
+        s = est.cov_sqrt(p)
+        expected = np.zeros((3, 3))
+        expected[:2, :2] = 1.5
+        assert np.allclose(s @ s.T, expected, atol=1e-14)
 
     def test_non_finite_rejected(self):
         p = np.eye(3)
         p[0, 0] = np.nan
+        with pytest.raises(FactorizationFailure):
+            est.cov_sqrt(p)
+        # A pinned tail whose zero row leaves a NaN in its column.
+        p = np.diag([1.0, 2.0, 0.0])
+        p[0, 2] = np.nan
         with pytest.raises(FactorizationFailure):
             est.cov_sqrt(p)
 

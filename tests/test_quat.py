@@ -83,6 +83,44 @@ class TestHamiltonProduct:
         q = random_quat(rng)
         assert_quat_close(qt.quat_mul(q, qt.quat_inverse(q)), qt.quat_identity(), 1e-14)
 
+    def test_term_kernel_matches_written_out_products(self, rng):
+        # Each term table reproduces its products written out term by term,
+        # bit for bit and signed zeros included, on non-unit rows, both row
+        # against row and rows against one quaternion.
+        def quat_order(p, q):
+            w1, x1, y1, z1 = p
+            w2, x2, y2, z2 = q
+            return [w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+                    w1 * x2 + w2 * x1 + y1 * z2 - z1 * y2,
+                    w1 * y2 + w2 * y1 + z1 * x2 - x1 * z2,
+                    w1 * z2 + w2 * z1 + x1 * y2 - y1 * x2]
+
+        def ukf_order(p, q):
+            aw, ax, ay, az = p
+            bw, bx, by, bz = q
+            return [aw * bw - ax * bx - ay * by - az * bz,
+                    aw * bx + ax * bw + ay * bz - az * by,
+                    aw * by - ax * bz + ay * bw + az * bx,
+                    aw * bz + ax * by - ay * bx + az * bw]
+
+        a = rng.normal(size=(400, 4)) * rng.uniform(0.1, 10.0, size=(400, 1))
+        b = rng.normal(size=(400, 4))
+        a[rng.random(a.shape) < 0.15] = -0.0
+        b[rng.random(b.shape) < 0.15] = 0.0
+        b[rng.random(b.shape) < 0.1] = -0.0
+        for terms, written in ((qt._QUAT_MUL_TERMS, quat_order),
+                               (qt._UKF_MUL_TERMS, ukf_order)):
+            rows = qt._mul_terms(a.T, b.T, terms).T
+            fixed = qt._mul_terms(a.T, b[0][:, None], terms).T
+            for i in range(len(a)):
+                want = np.array(written(a[i].tolist(), b[i].tolist()))
+                assert rows[i].tobytes() == want.tobytes()
+                want = np.array(written(a[i].tolist(), b[0].tolist()))
+                assert fixed[i].tobytes() == want.tobytes()
+        # The orders are not interchangeable: some rows differ in the last bits.
+        assert (qt._mul_terms(a.T, b.T, qt._QUAT_MUL_TERMS)
+                != qt._mul_terms(a.T, b.T, qt._UKF_MUL_TERMS)).any()
+
 
 class TestRotationMatrix:
     def test_identity(self):
