@@ -11,6 +11,11 @@ import time
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not available on every platform (Windows)
+    resource = None
+
 from . import config as cfgm
 from . import dynamics as dyn
 from . import estimation as est
@@ -102,10 +107,14 @@ def cmd_compare(args):
     return EXIT_OK
 
 
+def _bench_ukf(pad_dims, cfg):
+    return est.QuaternionUkf(params=cfg.system_params(), noise=cfg.noise_config(),
+                             dt=cfg.run.t_step, p0_diag=cfg.filter.p0_diag,
+                             pad_dims=pad_dims)
+
+
 def _bench_filter(pad_dims, steps, cfg):
-    f = est.QuaternionUkf(params=cfg.system_params(), noise=cfg.noise_config(),
-                          dt=cfg.run.t_step, p0_diag=cfg.filter.p0_diag,
-                          pad_dims=pad_dims)
+    f = _bench_ukf(pad_dims, cfg)
     u = dyn.ControlInput.hover(f.params)
     meas = est.Measurement.from_state(dyn.BodyState.hover())
     times = np.empty(steps)
@@ -114,6 +123,51 @@ def _bench_filter(pad_dims, steps, cfg):
         f.step(u, meas)
         times[i] = time.perf_counter() - tic
     return times
+
+
+def _minor_faults():
+    """This process's minor page-fault count; 0 without the resource module."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else 0
+
+
+# Steps each pad's filter takes per turn of the interleaved sweep.
+SWEEP_TURN = 10
+
+
+def _bench_sweep(pads, steps, cfg):
+    """QUKF step cost over padded error dimensions, with a cubic fit.
+
+    One filter per pad, the filters stepped in turns of SWEEP_TURN steps,
+    so a spell of host load falls on every pad alike; timed pad after
+    pad, a spell skews only the pads it overlaps, and the fit with them.
+    Turns of one step would distort the widest pads instead: their BLAS
+    calls are large enough to use worker threads, which then had to be
+    woken at every step. Returns (dims, median step seconds, minor page
+    faults per step or None, R^2 of the cubic fit or None for fewer than
+    four pads).
+    """
+    filters = [_bench_ukf(pad, cfg) for pad in pads]
+    u = dyn.ControlInput.hover(filters[0].params)
+    meas = est.Measurement.from_state(dyn.BodyState.hover())
+    times = np.empty((len(pads), steps))
+    faults = np.zeros(len(pads))
+    for start in range(0, steps, SWEEP_TURN):
+        for j, f in enumerate(filters):
+            for i in range(start, min(start + SWEEP_TURN, steps)):
+                before = _minor_faults()
+                tic = time.perf_counter()
+                f.step(u, meas)
+                times[j, i] = time.perf_counter() - tic
+                faults[j] += _minor_faults() - before
+    dims = 19.0 + np.array(pads, dtype=float)
+    costs = np.median(times, axis=1)
+    per_step = faults / steps if resource else None
+    if len(pads) < 4:
+        return dims, costs, per_step, None
+    fit = np.polyval(np.polyfit(dims, costs, 3), dims)
+    ss_res = float(np.sum((costs - fit) ** 2))
+    ss_tot = float(np.sum((costs - costs.mean()) ** 2))
+    return dims, costs, per_step, 1.0 - ss_res / ss_tot
 
 
 def cmd_bench(args):
@@ -126,24 +180,16 @@ def cmd_bench(args):
           % (iterations, mean_ms, p99_ms))
 
     pads = [int(p) for p in args.pads.split(",")]
-    dims = []
-    costs = []
-    for pad in pads:
-        t = _bench_filter(pad, args.sweep_steps, cfg)
-        dims.append(19 + pad)
-        costs.append(float(np.median(t)))
-        print("  error dim %2d: median step %.4f ms" % (dims[-1], costs[-1] * 1e3))
-    dims = np.array(dims, dtype=float)
-    costs = np.array(costs)
-    if len(pads) < 4:
+    dims, costs, faults, r2 = _bench_sweep(pads, args.sweep_steps, cfg)
+    for dim, cost in zip(dims, costs):
+        print("  error dim %2d: median step %.4f ms" % (dim, cost * 1e3))
+    if faults is not None:
+        print("  minor page faults per step: "
+              + ", ".join("dim %d %.2f" % df for df in zip(dims, faults)))
+    if r2 is None:
         # a cubic needs four points; report the sweep without a fit
         print("cubic fit skipped: need at least 4 sweep dimensions")
         return EXIT_OK
-    coeff = np.polyfit(dims, costs, 3)
-    fit = np.polyval(coeff, dims)
-    ss_res = float(np.sum((costs - fit) ** 2))
-    ss_tot = float(np.sum((costs - costs.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot
     print("cubic fit over state dimension: R^2 = %.4f" % r2)
     return EXIT_OK
 

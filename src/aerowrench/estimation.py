@@ -215,6 +215,16 @@ class QuaternionUkf:
     ``pad_dims`` appends inert error dimensions (identity dynamics, zero
     noise) between the observer block and the pinned trailing component;
     they exist so the cost scaling of the linear algebra can be measured.
+
+    Buffer ownership: the filter owns its four (2n+1)-row arrays (the
+    error-space displacements, the sigma points, the residuals and the
+    weighted residuals). ``__init__`` allocates them and every ``predict``
+    overwrites them. At n=99 each is about 155 KiB, above glibc's 128 KiB
+    mmap threshold; allocated afresh at each step, they would go back to
+    the OS when freed and be faulted in again on the next step. ``x`` and
+    ``P`` are new arrays after every ``predict`` and ``update``, so a
+    caller may keep them. ``_sigma`` and ``_res`` are views of the
+    buffers, valid until the next ``predict``.
     """
 
     # Error-state rows that the pose and rate measurement observes.
@@ -244,6 +254,11 @@ class QuaternionUkf:
         self.r_mat = self.noise.r_matrix()
         self.ctx = dyn.TransitionContext(self.params, self.dt)
         self.last_nis = None
+        rows = 2 * self.n + 1
+        self._deltas = np.zeros((rows, self.n))  # row 0 and column -1 stay 0
+        self._pts = np.empty((rows, self.x.shape[0]))
+        self._res_buf = np.empty((rows, self.n))
+        self._wres = np.empty((rows, self.n))    # _res_buf * w_cov[:, None]
         self._sigma = None
         self._res = None
         self._mean_q = self.x[0:4].copy()
@@ -261,32 +276,34 @@ class QuaternionUkf:
 
     # -- sigma point machinery --------------------------------------------
 
-    def _apply_deltas(self, deltas):
-        """Map error-space displacements onto the state manifold."""
-        pts = np.empty((deltas.shape[0], self.x.shape[0]))
+    def _apply_deltas(self, deltas, out=None):
+        """Map error-space displacements onto the state manifold, into
+        ``out`` (a new array when None)."""
+        pts = np.empty((deltas.shape[0], self.x.shape[0])) if out is None else out
         dq = _batch_rotvec_to_quat(deltas[:, EQ])
         pts[:, 0:4] = qt._mul_terms(dq.T, self.x[0:4, None],
                                     qt._UKF_MUL_TERMS).T
         # State components 4:-1 (pads included) take error components 3:-1.
-        pts[:, 4:-1] = self.x[4:-1] + deltas[:, 3:-1]
+        np.add(self.x[4:-1], deltas[:, 3:-1], out=pts[:, 4:-1])
         pts[:, -1] = 1.0
         return pts
 
-    def _residuals(self, pts, mean):
-        res = np.empty((pts.shape[0], self.n))
+    def _residuals(self, pts, mean, out=None):
+        res = np.empty((pts.shape[0], self.n)) if out is None else out
         res[:, EQ] = _quats_to_deltas(pts[:, 0:4], mean[0:4])
-        res[:, 3:] = pts[:, 4:] - mean[4:]
+        np.subtract(pts[:, 4:], mean[4:], out=res[:, 3:])
         return res
 
     def _propagate(self, pts, u_vec):
+        """Advance the sigma points in place; pad components keep their
+        values (identity dynamics)."""
+        core = pts
         if self.pad_dims:
             core = np.concatenate([pts[:, :19], pts[:, -1:]], axis=1)
-            out = pts.copy()
-            prop = dyn.propagate_batch(core, u_vec, self.ctx)
-            out[:, :19] = prop[:, :19]
-            out[:, -1] = prop[:, -1]
-            return out
-        return dyn.propagate_batch(pts, u_vec, self.ctx)
+        prop = dyn.propagate_batch(core, u_vec, self.ctx)
+        pts[:, :19] = prop[:, :19]
+        pts[:, -1] = prop[:, -1]
+        return pts
 
     def _mean_state(self, pts):
         try:
@@ -304,19 +321,19 @@ class QuaternionUkf:
     def predict(self, control):
         u_vec = control.as_vector()
         s = cov_sqrt(self.P)
-        deltas = np.zeros((2 * self.n + 1, self.n))
-        cols = self.scale * s.T
-        deltas[1:self.n + 1] = cols
-        deltas[self.n + 1:] = -cols
+        n, deltas = self.n, self._deltas
+        np.multiply(self.scale, s.T, out=deltas[1:n + 1])
+        np.negative(deltas[1:n + 1], out=deltas[n + 1:])
         deltas[:, -1] = 0.0
-        pts = self._propagate(self._apply_deltas(deltas), u_vec)
+        pts = self._propagate(self._apply_deltas(deltas, self._pts), u_vec)
 
         mean = self._mean_state(pts)
         mean[0:4] = qt.quat_normalize(mean[0:4])
         mean[-1] = 1.0
         self._mean_q = mean[0:4].copy()
-        res = self._residuals(pts, mean)
-        p = (res * self.w_cov[:, None]).T @ res + self.q_disc
+        res = self._residuals(pts, mean, self._res_buf)
+        np.multiply(res, self.w_cov[:, None], out=self._wres)
+        p = self._wres.T @ res + self.q_disc
         p = 0.5 * (p + p.T)
         p[-1, :] = 0.0
         p[:, -1] = 0.0
@@ -340,7 +357,7 @@ class QuaternionUkf:
 
         wc = self.w_cov[:, None]
         pyy = (ry * wc).T @ ry + self.r_mat
-        pxy = (rx * wc).T @ ry
+        pxy = self._wres.T @ ry  # _wres is rx * wc, formed in predict
 
         innov = np.concatenate([
             qt.quat_diff(qt.quat_normalize(meas.q), obs_mean_q),

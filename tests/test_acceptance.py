@@ -276,18 +276,8 @@ def test_09_step_latency_and_scaling():
     times = cli._bench_filter(0, N_CASES, cfg)
     mean_ms = float(times.mean()) * 1e3
 
-    dims = []
-    costs = []
-    for pad in (0, 20, 40, 60, 80):
-        t = cli._bench_filter(pad, 200, cfg)
-        dims.append(19.0 + pad)
-        costs.append(float(np.median(t)))
-    dims = np.array(dims)
-    costs = np.array(costs)
-    fit = np.polyval(np.polyfit(dims, costs, 3), dims)
-    ss_res = float(np.sum((costs - fit) ** 2))
-    ss_tot = float(np.sum((costs - costs.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot
+    # The pads are timed in interleaved turns (see cli._bench_sweep).
+    _, _, _, r2 = cli._bench_sweep((0, 20, 40, 60, 80), 200, cfg)
     report(9, "step latency and cubic scaling", mean_ms < 10.0 and r2 > 0.95,
            "mean %.3f ms over %d steps, sweep R^2 %.4f" % (mean_ms, N_CASES, r2))
 

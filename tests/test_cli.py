@@ -68,6 +68,8 @@ class TestBench:
         out = capsys.readouterr().out
         assert "mean" in out and "p99" in out
         assert "R^2" in out
+        if cli.resource is not None:
+            assert "minor page faults per step: dim 19" in out
 
 
 class TestExitCodes:

@@ -593,6 +593,66 @@ class TestFilterHealthUnderNoise:
         assert np.linalg.eigvalsh(f.P).min() > -1e-9
 
 
+def noisy_measurements(rng, steps):
+    return [est.Measurement(q=qt.rotvec_to_quat(rng.normal(scale=0.01, size=3)),
+                            r=rng.normal(scale=0.01, size=3),
+                            omega=rng.normal(scale=0.03, size=3))
+            for _ in range(steps)]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+class TestBufferOwnership:
+    """The QUKF reuses its sigma-point buffers across steps; the states it
+    hands out must not alias them, nor be shared between filters."""
+
+    @pytest.mark.parametrize("pad_dims", [0, 80])
+    def test_kept_states_survive_later_steps(self, rng, pad_dims):
+        f = est.QuaternionUkf(pad_dims=pad_dims)
+        u = hover_control()
+        kept = []
+        for m in noisy_measurements(rng, 6):
+            f.predict(u)
+            kept.append((f.x, f.P, f.x.copy(), f.P.copy()))
+            f.update(m)
+            kept.append((f.x, f.P, f.x.copy(), f.P.copy()))
+        for x, p, x0, p0 in kept:
+            assert same_bits(x, x0) and same_bits(p, p0)
+
+    def test_alternate_stepping_matches_stepping_alone(self, rng):
+        u = hover_control()
+        seqs = [noisy_measurements(rng, 10), noisy_measurements(rng, 10)]
+        alone = []
+        for seq in seqs:
+            f = est.QuaternionUkf(pad_dims=5)
+            for m in seq:
+                f.step(u, m)
+            alone.append(f)
+        pair = [est.QuaternionUkf(pad_dims=5), est.QuaternionUkf(pad_dims=5)]
+        for ms in zip(*seqs):
+            for f, m in zip(pair, ms):
+                f.step(u, m)
+        for f, g in zip(pair, alone):
+            assert same_bits(f.x, g.x) and same_bits(f.P, g.P)
+            assert f.last_nis == g.last_nis
+
+    def test_steady_steps_reuse_sigma_buffers(self, rng):
+        f = est.QuaternionUkf(pad_dims=80)
+        u = hover_control()
+        seq = noisy_measurements(rng, 8)
+        f.step(u, seq[0])
+        # Holding the first views keeps their memory alive, so an array
+        # allocated afresh by a later step cannot land at the same address.
+        first = (f._sigma, f._res)
+        for m in seq[1:]:
+            f.step(u, m)
+            assert f._sigma.ctypes.data == first[0].ctypes.data
+            assert f._res.ctypes.data == first[1].ctypes.data
+
+
 class TestPaddedDimensions:
     """Pad dimensions exist to scale the sigma-point count for cost
     measurements. They carry no variance and no dynamics, so on a problem
