@@ -215,11 +215,15 @@ def _gyroscopic(w, jw):
                      wx * jw[1] - wy * jw[0]])
 
 
-def _stack_matvec(m, x):
-    # m @ x column by column for a (c, S) stack. Each column reaches BLAS as
-    # a contiguous vector, as a lone vector does; a strided operand may
-    # round differently.
-    return (m @ np.ascontiguousarray(x.T)[:, :, None])[:, :, 0].T
+def matvec(m, x):
+    """m @ x for one vector x (c,) or each row of a stack (..., c).
+
+    m is (r, c), or one matrix per row. Each run's product reaches BLAS as
+    its own matrix-vector call on a contiguous vector, as a lone vector's
+    does; an elementwise product and sum, or a strided operand, may round
+    differently.
+    """
+    return (m @ np.ascontiguousarray(x)[..., None])[..., 0]
 
 
 def _rigid_body_derivative(x, u, tau, p, j_inv):
@@ -231,7 +235,8 @@ def _rigid_body_derivative(x, u, tau, p, j_inv):
     mass; the external moment through the inertia. Quaternion kinematics
     use the body-rate convention qdot = q * (0, omega) / 2.
     """
-    matvec = np.matmul if x.ndim == 1 else _stack_matvec
+    # A component-first stack reaches matvec as its (S, c) transpose.
+    mv = np.matmul if x.ndim == 1 else lambda m, v: matvec(m, v.T).T
     q = x[0:4]
     w = x[10:13]
     qw, qx, qy, qz = q
@@ -244,8 +249,8 @@ def _rigid_body_derivative(x, u, tau, p, j_inv):
     out[4:7] = x[7:10]
     out[7:10] = _body_z_inertial(q) * (u[0] / p.mass) + tau[:3] / p.mass
     out[9] -= p.gravity
-    rhs = u[1:4] - _gyroscopic((wx, wy, wz), matvec(p.inertia, w)) + tau[3:]
-    out[10:13] = matvec(j_inv, rhs)
+    rhs = u[1:4] - _gyroscopic((wx, wy, wz), mv(p.inertia, w)) + tau[3:]
+    out[10:13] = mv(j_inv, rhs)
     return out
 
 
@@ -465,8 +470,9 @@ def observer_derivative(upsilon, state, u, p):
 
 
 def wrench_estimate(upsilon, v, omega, p):
-    """External-wrench estimate tau_hat = upsilon + delta [v, omega]."""
-    return upsilon + p.delta * np.concatenate([v, omega])
+    """External-wrench estimate tau_hat = upsilon + delta [v, omega], for
+    one state or for rows of a stack."""
+    return upsilon + p.delta * np.concatenate([v, omega], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,12 @@ Two filters share the same discrete process model from :mod:`.dynamics`:
   four ordinary coordinates, Jacobians come from central differences, and
   the norm is restored by renormalizing after each step.
 
+Their linear algebra (sigma points, residuals, predicted covariances, the
+gain solve with its NIS, the posterior covariance) is written once, in
+shape-generic kernels that take one filter's arrays or a stack of them
+with a leading seed axis; :mod:`.lockstep`'s stacked filters call the same
+kernels.
+
 Both estimate a 6-component external wrench through the momentum-observer
 states carried inside the process model.  The filters' velocity rows
 deliberately omit the wrench feed-through, and the process noise on
@@ -28,13 +34,9 @@ from . import quat as qt
 from .errors import (DegenerateScaling, DegenerateSpectrum,
                      FactorizationFailure, SingularInnovation)
 
-# Error-state layout: attitude deviation enters as a rotation vector, so the
-# error space has one dimension fewer than the state vector.
-EQ = slice(0, 3)
-ER = slice(3, 6)
-EV = slice(6, 9)
-EW = slice(9, 12)
-EU = slice(12, 18)
+# Error-state layout: attitude deviation enters as a rotation vector (0:3),
+# so the error space has one dimension fewer than the state vector; then
+# position, velocity, body rates, observer states and a pinned component.
 E_DIM = 19  # includes the pinned trailing component
 
 DEFAULT_Q_DIAG = np.array([1e-4] * 3 + [1e-4] * 3 + [1e-1] * 3
@@ -114,47 +116,43 @@ class AugmentedState:
         return np.concatenate([self.body.as_vector(), self.observer.upsilon, [1.0]])
 
 
-def _leading_cholesky(p, k):
-    # Cholesky factor of the leading k x k block, zero-padded to p's shape;
-    # None when that block is not positive definite.
+def _block_cholesky(p):
+    """The Cholesky case of cov_sqrt's factor rule, for one matrix or a
+    stack (..., n, n) of finite ones.
+
+    The live block is the leading run of diagonal entries that are
+    positive in every matrix. When every row after it is zero, the
+    block's Cholesky factor, zero-padded to p's shape, is a factor of p.
+    Returns None when a row after the block is not zero or the block is
+    not positive definite.
+    """
+    live = p.diagonal(0, -2, -1) > 0.0
+    live = live.all(axis=tuple(range(live.ndim - 1)))
+    k = np.count_nonzero(np.logical_and.accumulate(live))
+    if p[..., k:, :].any():
+        return None
     try:
-        c = np.linalg.cholesky(p[:k, :k])
+        c = np.linalg.cholesky(p[..., :k, :k])
     except np.linalg.LinAlgError:
         return None
     s = np.zeros_like(p)
-    s[:k, :k] = c
+    s[..., :k, :k] = c
     return s
 
 
 def cov_sqrt(p, clamp_tol=0.0):
     """Matrix square root factor S with S @ S.T == p for symmetric PSD p.
 
-    Cholesky when the matrix allows it; otherwise an eigendecomposition
-    with negative eigenvalues clamped to ``clamp_tol``.  A diagonal zero
-    (a pinned dimension) rules Cholesky out up front.
+    One rule: factor the leading block of positive diagonal entries by
+    Cholesky when every row after it is zero (pinned dimensions carry a
+    zero row, and a matrix with no pinned dimension is one block);
+    otherwise take an eigendecomposition with negative eigenvalues
+    clamped to ``clamp_tol``.
     """
     p = np.asarray(p, dtype=float)
     if not np.isfinite(p).all():
         raise FactorizationFailure("covariance contains non-finite entries")
-    d = np.diagonal(p)
-    k = len(d) - 1
-    s = None
-    if k >= 0 and not p[k].any() and (d[:k] > 0.0).all():
-        # The filters' healthy state, tested first: only the trailing scale
-        # anchor is pinned, so the live block is everything before it.
-        s = _leading_cholesky(p, k)
-    elif np.all(d > 0.0):
-        try:
-            return np.linalg.cholesky(p)
-        except np.linalg.LinAlgError:
-            pass
-    else:
-        # Pinned dimensions carry a zero diagonal and, when healthy, a zero
-        # row. They sit in a contiguous tail here (pads then the scale
-        # anchor), so factoring the live leading block keeps the cheap path.
-        k = int(np.argmin(d > 0.0))
-        if np.all(d[:k] > 0.0) and not d[k:].any() and not p[k:, :].any():
-            s = _leading_cholesky(p, k)
+    s = _block_cholesky(p)
     if s is not None:
         return s
     try:
@@ -167,8 +165,8 @@ def cov_sqrt(p, clamp_tol=0.0):
 # Batched quaternion helpers for the sigma-point set and the metrics. They
 # are not the scalar functions of quat.py applied row by row, and differ
 # from them in the last bits on a share of random rows. Each keeps the
-# arithmetic the QUKF has always used, because the filter's output, and
-# UkfStack's bit-for-bit copy of it, depend on those bits:
+# arithmetic the QUKF has always used, because the filter's output depends
+# on those bits:
 # _batch_rotvec_to_quat takes the norm by einsum and does not renormalise
 # on its small-angle branch; _batch_quat_to_rotvec takes the norm by
 # einsum, with its own small-angle cut; and products go through
@@ -207,6 +205,116 @@ def _quats_to_deltas(quats, center):
     rows = np.ascontiguousarray(prod.T)
     return _batch_quat_to_rotvec(rows.reshape(-1, 4)).reshape(
         quats.shape[:-1] + (3,))
+
+
+# Filter kernels. Each takes one filter's arrays or a stack of filters'
+# with a leading seed axis (written with ... and swapaxes), so
+# QuaternionUkf, ExtendedKalman and lockstep's UkfStack and EkfStack run
+# the same arithmetic. Their products hand BLAS the same operands and
+# layouts in either form: numpy's matmul makes one BLAS call per matrix of
+# a stack, and a vector enters as a (..., m, 1) column, as a lone vector
+# does.
+
+def _apply_deltas(x, deltas, out=None):
+    """Map error-space displacements (..., r, n) onto the state manifold
+    about states x (..., m): rows (..., r, m), into ``out`` when given."""
+    if out is None:
+        out = np.empty(deltas.shape[:-1] + x.shape[-1:])
+    dq = _batch_rotvec_to_quat(deltas[..., 0:3].reshape(-1, 3))
+    out[..., 0:4] = qt._mul_terms(dq.reshape(out.shape[:-1] + (4,)).T,
+                                  x[..., None, 0:4].T, qt._UKF_MUL_TERMS).T
+    # State components 4:-1 (pads included) take error components 3:-1.
+    np.add(x[..., None, 4:-1], deltas[..., 3:-1], out=out[..., 4:-1])
+    out[..., -1] = 1.0
+    return out
+
+
+def _sigma_points(x, s, scale, deltas, out):
+    """The 2n+1 sigma points about x from a covariance factor s (..., n, n),
+    written into out (..., 2n+1, m). deltas (..., 2n+1, n) receives the
+    displacements; its row 0 must be zero."""
+    n = s.shape[-1]
+    np.multiply(scale, s.swapaxes(-1, -2), out=deltas[..., 1:n + 1, :])
+    np.negative(deltas[..., 1:n + 1, :], out=deltas[..., n + 1:, :])
+    deltas[..., -1] = 0.0
+    return _apply_deltas(x, deltas, out)
+
+
+def _residuals(pts, mean, out=None):
+    """Error-space residuals (..., r, n) of sigma points (..., r, m) about
+    means (..., m), into ``out`` when given."""
+    if out is None:
+        out = np.empty(pts.shape[:-1] + (pts.shape[-1] - 1,))
+    out[..., 0:3] = _quats_to_deltas(pts[..., 0:4], mean[..., 0:4])
+    np.subtract(pts[..., 4:], mean[..., None, 4:], out=out[..., 3:])
+    return out
+
+
+def _pin(p):
+    """Zero the pinned trailing error component's row and column."""
+    p[..., -1, :] = 0.0
+    p[..., :, -1] = 0.0
+    return p
+
+
+def _sigma_cov(res, w_cov, q_disc, wres):
+    """Predicted covariance from residuals (..., r, n), pinned; wres
+    receives the weighted residuals res * w_cov, which update reuses."""
+    np.multiply(res, w_cov[:, None], out=wres)
+    p = wres.swapaxes(-1, -2) @ res + q_disc
+    return _pin(0.5 * (p + p.swapaxes(-1, -2)))
+
+
+def _observed_cov(res, wres, w_cov, r_mat):
+    """Innovation covariance Pyy and cross covariance Pxy of the QUKF's
+    observed error rows."""
+    # The fancy index comes back column-major; BLAS gets a row-major copy,
+    # since a transposed operand may round differently.
+    ry = np.ascontiguousarray(res[..., QuaternionUkf.OBS_IDX])
+    pyy = (ry * w_cov[:, None]).swapaxes(-1, -2) @ ry + r_mat
+    return pyy, wres.swapaxes(-1, -2) @ ry
+
+
+def _difference_rows(x, h):
+    """The EKF's centre and central-difference rows (..., 39, 20) about
+    states x (..., 19)."""
+    rows = np.empty(x.shape[:-1] + (39, 20))
+    rows[..., :19] = x[..., None, :]
+    rows[..., 19] = 1.0
+    rows[(Ellipsis,) + ExtendedKalman._PLUS] += h
+    rows[(Ellipsis,) + ExtendedKalman._MINUS] -= h
+    return rows
+
+
+def _jacobian_cov(prop, p, q_disc, h):
+    """The EKF's propagated centre and covariance from its propagated
+    difference rows (..., 39, 20)."""
+    jac = (prop[..., 1:20, :19] - prop[..., 20:39, :19]).swapaxes(-1, -2) / (2.0 * h)
+    p = jac @ p @ jac.swapaxes(-1, -2) + q_disc
+    return prop[..., 0, :19].copy(), 0.5 * (p + p.swapaxes(-1, -2))
+
+
+def _gain(pyy, pxy, innov):
+    """Kalman gain (..., n, m) and NIS (...) from the innovation covariance
+    (..., m, m), the cross covariance (..., n, m) and the innovation
+    (..., m), with one solve for both."""
+    try:
+        np.linalg.cholesky(pyy)
+    except np.linalg.LinAlgError:
+        raise SingularInnovation("innovation covariance is not positive definite") from None
+    n = pxy.shape[-2]
+    rhs = np.empty(pyy.shape[:-1] + (n + 1,))
+    rhs[..., :n] = pxy.swapaxes(-1, -2)
+    rhs[..., n] = innov
+    sol = np.linalg.solve(pyy, rhs)
+    nis = (innov[..., None, :] @ sol[..., n:])[..., 0, 0]
+    return sol[..., :n].swapaxes(-1, -2), nis
+
+
+def _posterior(p, gain, pyy):
+    """Posterior covariance P - K Pyy K^T, symmetrized."""
+    p = p - gain @ pyy @ gain.swapaxes(-1, -2)
+    return 0.5 * (p + p.swapaxes(-1, -2))
 
 
 class QuaternionUkf:
@@ -276,24 +384,6 @@ class QuaternionUkf:
 
     # -- sigma point machinery --------------------------------------------
 
-    def _apply_deltas(self, deltas, out=None):
-        """Map error-space displacements onto the state manifold, into
-        ``out`` (a new array when None)."""
-        pts = np.empty((deltas.shape[0], self.x.shape[0])) if out is None else out
-        dq = _batch_rotvec_to_quat(deltas[:, EQ])
-        pts[:, 0:4] = qt._mul_terms(dq.T, self.x[0:4, None],
-                                    qt._UKF_MUL_TERMS).T
-        # State components 4:-1 (pads included) take error components 3:-1.
-        np.add(self.x[4:-1], deltas[:, 3:-1], out=pts[:, 4:-1])
-        pts[:, -1] = 1.0
-        return pts
-
-    def _residuals(self, pts, mean, out=None):
-        res = np.empty((pts.shape[0], self.n)) if out is None else out
-        res[:, EQ] = _quats_to_deltas(pts[:, 0:4], mean[0:4])
-        np.subtract(pts[:, 4:], mean[4:], out=res[:, 3:])
-        return res
-
     def _propagate(self, pts, u_vec):
         """Advance the sigma points in place; pad components keep their
         values (identity dynamics)."""
@@ -320,60 +410,32 @@ class QuaternionUkf:
 
     def predict(self, control):
         u_vec = control.as_vector()
-        s = cov_sqrt(self.P)
-        n, deltas = self.n, self._deltas
-        np.multiply(self.scale, s.T, out=deltas[1:n + 1])
-        np.negative(deltas[1:n + 1], out=deltas[n + 1:])
-        deltas[:, -1] = 0.0
-        pts = self._propagate(self._apply_deltas(deltas, self._pts), u_vec)
-
+        pts = _sigma_points(self.x, cov_sqrt(self.P), self.scale, self._deltas,
+                            self._pts)
+        self._propagate(pts, u_vec)
         mean = self._mean_state(pts)
         mean[0:4] = qt.quat_normalize(mean[0:4])
         mean[-1] = 1.0
         self._mean_q = mean[0:4].copy()
-        res = self._residuals(pts, mean, self._res_buf)
-        np.multiply(res, self.w_cov[:, None], out=self._wres)
-        p = self._wres.T @ res + self.q_disc
-        p = 0.5 * (p + p.T)
-        p[-1, :] = 0.0
-        p[:, -1] = 0.0
-        self.x, self.P, self._sigma, self._res = mean, p, pts, res
+        res = _residuals(pts, mean, self._res_buf)
+        self.P = _sigma_cov(res, self.w_cov, self.q_disc, self._wres)
+        self.x, self._sigma, self._res = mean, pts, res
         return self
 
     def update(self, meas):
         if self._sigma is None:
             raise SingularInnovation("update called before any prediction")
-        obs_mean_q = self._mean_q
-        obs_mean_r = self.x[4:7]
-        obs_mean_w = self.x[10:13]
-
         # The propagated points are observed directly, so the observation
         # residuals are a column subset of the state residuals the predict
         # step already formed about the same mean.
-        rx = self._res
-        # The fancy index comes back column-major; BLAS gets a row-major
-        # copy, since a transposed operand may round differently.
-        ry = np.ascontiguousarray(rx[:, self.OBS_IDX])
-
-        wc = self.w_cov[:, None]
-        pyy = (ry * wc).T @ ry + self.r_mat
-        pxy = self._wres.T @ ry  # _wres is rx * wc, formed in predict
-
+        pyy, pxy = _observed_cov(self._res, self._wres, self.w_cov, self.r_mat)
         innov = np.concatenate([
-            qt.quat_diff(qt.quat_normalize(meas.q), obs_mean_q),
-            meas.r - obs_mean_r,
-            meas.omega - obs_mean_w,
+            qt.quat_diff(qt.quat_normalize(meas.q), self._mean_q),
+            meas.r - self.x[4:7],
+            meas.omega - self.x[10:13],
         ])
-        try:
-            np.linalg.cholesky(pyy)
-        except np.linalg.LinAlgError:
-            raise SingularInnovation("innovation covariance is not positive definite") from None
-        rhs = np.empty((9, self.n + 1))
-        rhs[:, :self.n] = pxy.T
-        rhs[:, self.n] = innov
-        sol = np.linalg.solve(pyy, rhs)
-        gain = sol[:, :self.n].T
-        self.last_nis = float(innov @ sol[:, self.n])
+        gain, nis = _gain(pyy, pxy, innov)
+        self.last_nis = float(nis)
 
         dx = gain @ innov
         dx[-1] = 0.0
@@ -381,14 +443,10 @@ class QuaternionUkf:
         x[0:4] = qt.quat_mul(qt.rotvec_to_quat(dx[0:3]), x[0:4])
         x[4:-1] += dx[3:-1]
         x[-1] = 1.0
+        x[0:4] = qt.quat_normalize(x[0:4])
         self.x = x
-        self.x[0:4] = qt.quat_normalize(self.x[0:4])
-        self._mean_q = self.x[0:4].copy()
-        p = self.P - gain @ pyy @ gain.T
-        p = 0.5 * (p + p.T)
-        p[-1, :] = 0.0
-        p[:, -1] = 0.0
-        self.P = p
+        self._mean_q = x[0:4].copy()
+        self.P = _pin(_posterior(self.P, gain, pyy))
         return self
 
     def step(self, control, meas):
@@ -462,17 +520,10 @@ class ExtendedKalman:
                                    self.params)
 
     def predict(self, control):
-        u_vec = control.as_vector()
-        h = self.fd_step
         self.x[0:4] = qt.quat_normalize(self.x[0:4])
-        batch = np.tile(np.concatenate([self.x, [1.0]]), (39, 1))
-        batch[self._PLUS] += h
-        batch[self._MINUS] -= h
-        prop = dyn.propagate_batch(batch, u_vec, self.ctx)
-        f = (prop[1:20, :19] - prop[20:39, :19]).T / (2.0 * h)
-        self.x = prop[0, :19].copy()
-        p = f @ self.P @ f.T + self.q_disc
-        self.P = 0.5 * (p + p.T)
+        prop = dyn.propagate_batch(_difference_rows(self.x, self.fd_step),
+                                   control.as_vector(), self.ctx)
+        self.x, self.P = _jacobian_cov(prop, self.P, self.q_disc, self.fd_step)
         return self
 
     def update(self, meas):
@@ -480,23 +531,13 @@ class ExtendedKalman:
         zq = qt.quat_normalize(meas.q)
         if zq @ self.x[0:4] < 0.0:
             zq = -zq  # keep the residual on the near side of the double cover
-        z = np.concatenate([zq, meas.r, meas.omega])
+        resid = np.concatenate([zq, meas.r, meas.omega]) - self.x[idx]
         pyy = self.P[np.ix_(idx, idx)] + self.r_mat
-        try:
-            np.linalg.cholesky(pyy)
-        except np.linalg.LinAlgError:
-            raise SingularInnovation("innovation covariance is not positive definite") from None
-        resid = z - self.x[idx]
-        rhs = np.empty((10, 20))
-        rhs[:, :19] = self.P[:, idx].T
-        rhs[:, 19] = resid
-        sol = np.linalg.solve(pyy, rhs)
-        gain = sol[:, :19].T
+        gain, nis = _gain(pyy, self.P[:, idx], resid)
         self.x = self.x + gain @ resid
         self.x[0:4] = qt.quat_normalize(self.x[0:4])
-        self.last_nis = float(resid @ sol[:, 19])
-        p = self.P - gain @ pyy @ gain.T
-        self.P = 0.5 * (p + p.T)
+        self.last_nis = float(nis)
+        self.P = _posterior(self.P, gain, pyy)
         return self
 
     def step(self, control, meas):

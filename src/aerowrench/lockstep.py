@@ -1,22 +1,22 @@
 """Seed-stacked kernels for the lockstep study engine.
 
 :func:`aerowrench.simulation.run_study` advances S closed loops at once:
-every array here carries a leading axis over the S runs. The kernels here
-mirror the scalar code that has no stacked form of its own: ``quat``,
-``QuaternionUkf``, ``ExtendedKalman`` and ``tracking_controller``. Each
-performs, run by run, the same floating-point operations in the same order
-as its scalar counterpart, so a stacked run reproduces the scalar one. The
-rest is shared rather than mirrored: the truth goes through
-``dynamics.rigid_body_rk4`` on a component-first stack, the controller's
-gyroscopic term through ``dynamics._gyroscopic``, quaternion products
-through ``quat._mul_terms`` (in ``quat_mul``'s term order here, in the
-QUKF's for the sigma points), and both filters' rows through one
-``dynamics.propagate_batch`` call. That rules out a few shortcuts:
+every array here carries a leading axis over the S runs. ``UkfStack`` and
+``EkfStack`` run the same shape-generic kernels of :mod:`.estimation` as
+the scalar filters; the truth goes through ``dynamics.rigid_body_rk4`` and
+both filters' rows through one ``dynamics.propagate_batch`` call. This
+module keeps what has no shared form: row versions of the ``quat`` helpers
+(the scalar filters use theirs on Python floats), the stacked quaternion
+mean, ``tracking_controller``, and the per-run labels and fallbacks. Each
+repeats, run by run, the floating-point operations of its scalar
+counterpart in the same order, so a stacked run reproduces the scalar one.
+That rules out a few shortcuts:
 
 * A 1-D ``a @ b`` and a matrix-vector ``m @ x`` reach BLAS dot and gemv,
   which may fuse and reorder differently from an elementwise product and
-  sum. :func:`rowdot` and :func:`matvec` make the same calls through stacked
-  ``matmul``, which hands each run's operands to BLAS as a separate call.
+  sum. :func:`rowdot` and ``dynamics.matvec`` make the same calls through
+  stacked ``matmul``, which hands each run's operands to BLAS as a separate
+  call.
 * BLAS also gets the scalar code's memory layouts: a fancy-indexed stack is
   made row-major first, because a transposed operand changes the rounding.
 * ``math.hypot`` and ``math.atan2`` may differ from their numpy versions in
@@ -24,7 +24,7 @@ QUKF's for the sigma points), and both filters' rows through one
 * Branches of the scalar code become masks, with the scalar's treatment of
   NaN kept (a failed comparison takes the ``else`` branch).
 
-Rare paths (a covariance that needs ``cov_sqrt``'s fallbacks, a failed
+Rare paths (a covariance outside ``cov_sqrt``'s Cholesky case, a failed
 factorization) run through the scalar code one run at a time. Errors name
 the run by its label, so a study reports which seed failed.
 """
@@ -42,11 +42,6 @@ from .errors import AerowrenchError, SingularInnovation
 def rowdot(a, b):
     """Row-wise a @ b of two (S, m) stacks, as S separate BLAS dot calls."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def matvec(m, x):
-    """Row-wise m @ x for a (r, c) or (S, r, c) matrix and an (S, c) stack."""
-    return (m @ x[:, :, None])[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -108,22 +103,24 @@ def quat_diff(q1, q2):
 # ---------------------------------------------------------------------------
 
 def _check_innovation(pyy, labels):
+    """Raise SingularInnovation naming the first run whose innovation
+    covariance is not positive definite."""
+    for label, m in zip(labels, pyy):
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            raise SingularInnovation(
+                "%s: innovation covariance is not positive definite"
+                % label) from None
+
+
+def _gain(pyy, pxy, innov, labels):
+    """est._gain on a stack; a singular innovation names its run."""
     try:
-        np.linalg.cholesky(pyy)
-    except np.linalg.LinAlgError:
-        for label, m in zip(labels, pyy):
-            try:
-                np.linalg.cholesky(m)
-            except np.linalg.LinAlgError:
-                raise SingularInnovation(
-                    "%s: innovation covariance is not positive definite"
-                    % label) from None
+        return est._gain(pyy, pxy, innov)
+    except SingularInnovation:
+        _check_innovation(pyy, labels)
         raise
-
-
-def _wrench(x, p):
-    """dynamics.wrench_estimate for each row of an (S, >=19) state stack."""
-    return x[:, 13:19] + p.delta * x[:, 7:13]
 
 
 class UkfStack:
@@ -133,7 +130,9 @@ class UkfStack:
 
     A predict is split around the propagation so that the caller can
     advance several filters' rows in one ``propagate_batch`` call:
-    ``predict_rows()``, propagate, ``finish_predict(rows)``.
+    ``predict_rows()``, propagate, ``finish_predict(rows)``. Like the
+    scalar filter, the stack owns its (S, 2n+1)-row buffers; the rows
+    ``predict_rows`` returns are valid until its next call.
     """
 
     def __init__(self, template, labels):
@@ -142,29 +141,26 @@ class UkfStack:
         self.x = np.tile(template.x, (len(labels), 1))
         self.P = np.tile(template.P, (len(labels), 1, 1))
         self.mean_q = self.x[:, 0:4].copy()
-        self.res = None
+        rows = (len(labels), 2 * template.n + 1)
+        self._deltas = np.zeros(rows + (template.n,))  # row 0 stays 0
+        self._pts = np.empty(rows + self.x.shape[1:])
+        self._res = np.empty(rows + (template.n,))
+        self._wres = np.empty(rows + (template.n,))
         self.nis = None
 
     @property
     def wrench(self):
-        return _wrench(self.x, self.f.params)
+        x = self.x
+        return dyn.wrench_estimate(x[:, 13:19], x[:, 7:10], x[:, 10:13], self.f.params)
 
     def _cov_sqrt(self):
-        # est.cov_sqrt takes its block-Cholesky path for a pinned trailing
-        # row, which is the healthy state here; anything else goes through
-        # est.cov_sqrt run by run for its checks and fallbacks.
+        # cov_sqrt's Cholesky case, stacked; a run outside it (a different
+        # live block, a failed factor) sends every run through est.cov_sqrt
+        # for its checks and fallbacks.
         p = self.P
-        k = p.shape[1] - 1
-        d = np.diagonal(p, axis1=1, axis2=2)
-        if (np.isfinite(p).all() and np.all(d[:, :k] > 0.0)
-                and not p[:, k:, :].any()):
-            try:
-                c = np.linalg.cholesky(p[:, :k, :k])
-            except np.linalg.LinAlgError:
-                c = None
-            if c is not None:
-                s = np.zeros_like(p)
-                s[:, :k, :k] = c
+        if np.isfinite(p).all():
+            s = est._block_cholesky(p)
+            if s is not None:
                 return s
         out = np.empty_like(p)
         for i, label in enumerate(self.labels):
@@ -176,21 +172,8 @@ class UkfStack:
 
     def predict_rows(self):
         """Sigma points (S, 2n+1, 20) about the current means."""
-        f = self.f
-        n = f.n
-        cols = f.scale * self._cov_sqrt().transpose(0, 2, 1)
-        deltas = np.zeros((self.x.shape[0], 2 * n + 1, n))
-        deltas[:, 1:n + 1] = cols
-        deltas[:, n + 1:] = -cols
-        deltas[:, :, -1] = 0.0
-        x = self.x[:, None, :]
-        pts = np.empty((x.shape[0], 2 * n + 1, x.shape[2]))
-        dq = est._batch_rotvec_to_quat(deltas[:, :, 0:3].reshape(-1, 3))
-        pts[:, :, 0:4] = qt._mul_terms(dq.reshape(pts.shape[0], -1, 4).T,
-                                       x[:, :, 0:4].T, qt._UKF_MUL_TERMS).T
-        pts[:, :, 4:-1] = x[:, :, 4:-1] + deltas[:, :, 3:-1]
-        pts[:, :, -1] = 1.0
-        return pts
+        return est._sigma_points(self.x, self._cov_sqrt(), self.f.scale,
+                                 self._deltas, self._pts)
 
     def finish_predict(self, pts):
         """Mean and covariance from the propagated sigma points."""
@@ -208,38 +191,19 @@ class UkfStack:
         mean[:, 0:4] = quat_normalize(mean[:, 0:4])
         mean[:, -1] = 1.0
         self.mean_q = mean[:, 0:4].copy()
-
-        res = np.empty(pts.shape[:2] + (f.n,))
-        res[:, :, 0:3] = est._quats_to_deltas(pts[:, :, 0:4], mean[:, 0:4])
-        res[:, :, 3:] = pts[:, :, 4:] - mean[:, None, 4:]
-        p = (res * f.w_cov[:, None]).transpose(0, 2, 1) @ res + f.q_disc
-        p = 0.5 * (p + p.transpose(0, 2, 1))
-        p[:, -1, :] = 0.0
-        p[:, :, -1] = 0.0
-        self.x, self.P, self.res = mean, p, res
+        res = est._residuals(pts, mean, self._res)
+        self.x, self.P = mean, est._sigma_cov(res, f.w_cov, f.q_disc, self._wres)
 
     def update(self, mq, mr, mw):
         f = self.f
-        n = f.n
-        rx = self.res
-        ry = np.ascontiguousarray(rx[:, :, f.OBS_IDX])
-        wc = f.w_cov[:, None]
-        pyy = (ry * wc).transpose(0, 2, 1) @ ry + f.r_mat
-        pxy = (rx * wc).transpose(0, 2, 1) @ ry
-
-        innov = np.empty((rx.shape[0], 9))
+        pyy, pxy = est._observed_cov(self._res, self._wres, f.w_cov, f.r_mat)
+        innov = np.empty((mq.shape[0], 9))
         innov[:, 0:3] = quat_diff(quat_normalize(mq), self.mean_q)
         innov[:, 3:6] = mr - self.x[:, 4:7]
         innov[:, 6:9] = mw - self.x[:, 10:13]
-        _check_innovation(pyy, self.labels)
-        rhs = np.empty((rx.shape[0], 9, n + 1))
-        rhs[:, :, :n] = pxy.transpose(0, 2, 1)
-        rhs[:, :, n] = innov
-        sol = np.linalg.solve(pyy, rhs)
-        gain = sol[:, :, :n].transpose(0, 2, 1)
-        self.nis = rowdot(innov, sol[:, :, n])
+        gain, self.nis = _gain(pyy, pxy, innov, self.labels)
 
-        dx = matvec(gain, innov)
+        dx = dyn.matvec(gain, innov)
         dx[:, -1] = 0.0
         x = self.x.copy()
         x[:, 0:4] = quat_mul(rotvec_to_quat(dx[:, 0:3]), x[:, 0:4])
@@ -248,11 +212,7 @@ class UkfStack:
         x[:, 0:4] = quat_normalize(x[:, 0:4])
         self.x = x
         self.mean_q = x[:, 0:4].copy()
-        p = self.P - gain @ pyy @ gain.transpose(0, 2, 1)
-        p = 0.5 * (p + p.transpose(0, 2, 1))
-        p[:, -1, :] = 0.0
-        p[:, :, -1] = 0.0
-        self.P = p
+        self.P = est._pin(est._posterior(self.P, gain, pyy))
 
 
 class EkfStack:
@@ -265,49 +225,32 @@ class EkfStack:
         self.x = np.tile(template.x, (len(labels), 1))
         self.P = np.tile(template.P, (len(labels), 1, 1))
         self.nis = None
-        self._plus = (slice(None),) + est.ExtendedKalman._PLUS
-        self._minus = (slice(None),) + est.ExtendedKalman._MINUS
 
     @property
     def wrench(self):
-        return _wrench(self.x, self.f.params)
+        x = self.x
+        return dyn.wrench_estimate(x[:, 13:19], x[:, 7:10], x[:, 10:13], self.f.params)
 
     def predict_rows(self):
         """The centre and the central-difference rows (S, 39, 20)."""
-        h = self.f.fd_step
         self.x[:, 0:4] = quat_normalize(self.x[:, 0:4])
-        batch = np.empty((self.x.shape[0], 39, 20))
-        batch[:, :, :19] = self.x[:, None, :]
-        batch[:, :, 19] = 1.0
-        batch[self._plus] += h
-        batch[self._minus] -= h
-        return batch
+        return est._difference_rows(self.x, self.f.fd_step)
 
     def finish_predict(self, prop):
-        h = self.f.fd_step
-        jac = (prop[:, 1:20, :19] - prop[:, 20:39, :19]).transpose(0, 2, 1) / (2.0 * h)
-        self.x = prop[:, 0, :19].copy()
-        p = jac @ self.P @ jac.transpose(0, 2, 1) + self.f.q_disc
-        self.P = 0.5 * (p + p.transpose(0, 2, 1))
+        f = self.f
+        self.x, self.P = est._jacobian_cov(prop, self.P, f.q_disc, f.fd_step)
 
     def update(self, mq, mr, mw):
         idx = self.f.OBS_IDX
         zq = quat_normalize(mq)
         zq = np.where((rowdot(zq, self.x[:, 0:4]) < 0.0)[:, None], -zq, zq)
-        z = np.concatenate([zq, mr, mw], axis=1)
+        resid = (np.concatenate([zq, mr, mw], axis=1)
+                 - np.ascontiguousarray(self.x[:, idx]))
         pyy = np.ascontiguousarray(self.P[:, idx[:, None], idx]) + self.f.r_mat
-        _check_innovation(pyy, self.labels)
-        resid = z - np.ascontiguousarray(self.x[:, idx])
-        rhs = np.empty((z.shape[0], 10, 20))
-        rhs[:, :, :19] = self.P[:, :, idx].transpose(0, 2, 1)
-        rhs[:, :, 19] = resid
-        sol = np.linalg.solve(pyy, rhs)
-        gain = sol[:, :, :19].transpose(0, 2, 1)
-        self.x = self.x + matvec(gain, resid)
+        gain, self.nis = _gain(pyy, self.P[:, :, idx], resid, self.labels)
+        self.x = self.x + dyn.matvec(gain, resid)
         self.x[:, 0:4] = quat_normalize(self.x[:, 0:4])
-        self.nis = rowdot(resid, sol[:, :, 19])
-        p = self.P - gain @ pyy @ gain.transpose(0, 2, 1)
-        self.P = 0.5 * (p + p.transpose(0, 2, 1))
+        self.P = est._posterior(self.P, gain, pyy)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +288,6 @@ def tracking_controller(x, ref_r, ref_v, params, g):
         q_des[tilted] = rotvec_to_quat(tilt[tilted])
 
     e_rot = quat_diff(q_des, x[:, 0:4])
-    gyro = dyn._gyroscopic(w.T, matvec(params.inertia, w).T).T
-    out[:, 1:4] = matvec(params.inertia, g.kp_att * e_rot - g.kd_att * w) + gyro
+    gyro = dyn._gyroscopic(w.T, dyn.matvec(params.inertia, w).T).T
+    out[:, 1:4] = dyn.matvec(params.inertia, g.kp_att * e_rot - g.kd_att * w) + gyro
     return out

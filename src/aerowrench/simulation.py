@@ -556,16 +556,16 @@ def run_study(seeds, profile=None, *, duration=70.0, estimators=("qukf", "ekf"))
             wrench[:, k] = st.wrench
             nis[:, k] = st.nis
 
-        z = (ls.matvec(phi[:6, 0:3], ref_r) + ls.matvec(phi[:6, 3:6], ref_v)
-             + ls.matvec(phi[:6, 6:9], fd.wrench[:, 0:3]))
+        z = (dyn.matvec(phi[:6, 0:3], ref_r) + dyn.matvec(phi[:6, 3:6], ref_v)
+             + dyn.matvec(phi[:6, 6:9], fd.wrench[:, 0:3]))
         ref_r, ref_v = z[:, 0:3], z[:, 3:6]
         demand = ls.tracking_controller(fd.x, ref_r, ref_v, params, gains)
-        thrusts = ls.matvec(alloc.to_rotors, demand)
+        thrusts = dyn.matvec(alloc.to_rotors, demand)
         sat = (thrusts.min(axis=1) < 0.0) | (thrusts.max(axis=1) > alloc.cap)
         if sat.any():
             sat_arr[:, k] = sat
             thrusts[sat] = np.clip(thrusts[sat], 0.0, alloc.cap)
-        u = ls.matvec(alloc.to_wrench, thrusts)
+        u = dyn.matvec(alloc.to_wrench, thrusts)
 
         meas_arr[:, k, 0:4] = mq
         meas_arr[:, k, 4:7] = mr

@@ -126,15 +126,15 @@ class TestSigmaGeometry:
         f.x[0:4] = random_quat(rng)
         deltas = rng.normal(scale=0.1, size=(7, f.n))
         deltas[:, -1] = 0.0
-        pts = f._apply_deltas(deltas)
-        back = f._residuals(pts, f.x)
+        pts = est._apply_deltas(f.x, deltas)
+        back = est._residuals(pts, f.x)
         assert np.allclose(back, deltas, atol=1e-12)
         norms = np.linalg.norm(pts[:, 0:4], axis=1)
         assert np.allclose(norms, 1.0, atol=1e-12)
 
     def test_zero_delta_identity(self):
         f = est.QuaternionUkf()
-        pts = f._apply_deltas(np.zeros((1, f.n)))
+        pts = est._apply_deltas(f.x, np.zeros((1, f.n)))
         assert np.allclose(pts[0], f.x, atol=0.0)
 
     def test_spread_matches_covariance(self):

@@ -388,6 +388,67 @@ class TestRunStudy:
             sim.run_study([], duration=0.5)
 
 
+class TestStackParityAwayFromHover:
+    """UkfStack and EkfStack reproduce the scalar filters bit for bit on a
+    tumble through a half turn, with measurements on either side of the
+    quaternion double cover and innovations small enough for the
+    small-angle branches."""
+
+    def test_two_run_stacks_match_scalar_filters(self):
+        rng = np.random.default_rng(170)
+        params = dyn.SystemParams()
+        axis = np.array([1.0, 2.0, -1.0]) / np.sqrt(6.0)
+        truth = np.concatenate([qt.rotvec_to_quat(np.deg2rad(170.0) * axis),
+                                np.zeros(6), 2.0 * axis])
+        start = est.AugmentedState(body=dyn.BodyState.from_vector(truth),
+                                   observer=dyn.ObserverState.zero())
+        u = dyn.ControlInput.hover(params)
+        j_inv = np.linalg.inv(params.inertia)
+        labels = ["run 0", "run 1"]
+        scalar = {"qukf": [est.QuaternionUkf(initial=start) for _ in labels],
+                  "ekf": [est.ExtendedKalman(initial=start) for _ in labels]}
+        stacks = {"qukf": ls.UkfStack(est.QuaternionUkf(initial=start), labels),
+                  "ekf": ls.EkfStack(est.ExtendedKalman(initial=start), labels)}
+        angles, far, flipped, tiny = [], 0, 0, 0
+        for k in range(60):
+            truth = dyn.rigid_body_rk4(truth, u.as_vector(), np.zeros(6), params,
+                                       0.01, j_inv)
+            angles.append(2.0 * np.arccos(np.clip(truth[0], -1.0, 1.0)))
+            for name, st in stacks.items():
+                rows = st.predict_rows()
+                st.finish_predict(dyn.propagate_batch(
+                    rows.reshape(-1, 20), u.as_vector(), st.f.ctx).reshape(rows.shape))
+                meas = []
+                for i, f in enumerate(scalar[name]):
+                    f.predict(u)
+                    # Every seventh step measures within 1e-7 of the
+                    # prediction, so the innovation and correction are tiny.
+                    near = k % 7 == 3
+                    tiny += near
+                    scale = 1e-7 if near else 1e-2
+                    base = f.augmented_state.body if near else dyn.BodyState.from_vector(truth)
+                    q = qt.quat_mul(qt.rotvec_to_quat(rng.normal(scale=scale, size=3)),
+                                    base.q)
+                    if (k + i) % 2:
+                        q = -q
+                        far += 1
+                    if name == "ekf" and q @ f.x[0:4] < 0.0:
+                        flipped += 1
+                    meas.append(est.Measurement(
+                        q=q, r=base.r + rng.normal(scale=scale, size=3),
+                        omega=base.omega + rng.normal(scale=scale, size=3)))
+                st.update(*(np.stack([getattr(m, a) for m in meas])
+                            for a in ("q", "r", "omega")))
+                for i, (f, m) in enumerate(zip(scalar[name], meas)):
+                    f.update(m)
+                    assert np.array_equal(st.x[i], f.x), (name, k, i)
+                    assert np.array_equal(st.P[i], f.P), (name, k, i)
+                    assert st.nis[i] == f.last_nis, (name, k, i)
+        # The attitude passes through a half turn, and the branches fired.
+        assert min(angles) < np.pi < max(angles)
+        assert far > 0 and flipped > 0 and tiny > 0
+
+
 def _mk_run(n=300, dt=0.01, names=("qukf", "ekf")):
     truth = np.zeros((n, 13))
     truth[:, 0] = 1.0

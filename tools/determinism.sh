@@ -1,0 +1,48 @@
+#!/bin/sh
+# Byte-for-byte determinism check of `aerowrench run` against an earlier
+# revision.
+#
+# Usage: tools/determinism.sh PARENT_REV [SEED ...]
+#
+# Clones this repository at PARENT_REV into a temporary directory (under
+# $TMPDIR when set), runs `aerowrench run` with the default config for each
+# seed (0 1 2 unless given) from the parent and from this working tree, and
+# compares telemetry.csv and metrics.json with cmp. Prints one line per
+# seed and exits non-zero if any file differs.
+set -eu
+
+if [ $# -lt 1 ]; then
+    echo "usage: $0 PARENT_REV [SEED ...]" >&2
+    exit 2
+fi
+rev=$1
+shift
+[ $# -gt 0 ] || set -- 0 1 2
+
+root=$(cd "$(dirname "$0")/.." && pwd)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+git clone -q "$root" "$work/parent"
+git -C "$work/parent" checkout -q "$rev"
+
+status=0
+for seed in "$@"; do
+    for side in parent change; do
+        if [ "$side" = parent ]; then src="$work/parent/src"; else src="$root/src"; fi
+        PYTHONPATH="$src" python3 -m aerowrench.cli run --seed "$seed" \
+            --out "$work/out/$side/s$seed" >/dev/null
+    done
+    differ=
+    for f in telemetry.csv metrics.json; do
+        cmp -s "$work/out/parent/s$seed/$f" "$work/out/change/s$seed/$f" \
+            || differ="$differ $f"
+    done
+    if [ -z "$differ" ]; then
+        echo "seed $seed: identical"
+    else
+        echo "seed $seed: differs in$differ"
+        status=1
+    fi
+done
+exit $status
