@@ -235,10 +235,18 @@ def _rigid_body_derivative(x, u, tau, p, j_inv):
     mass; the external moment through the inertia. Quaternion kinematics
     use the body-rate convention qdot = q * (0, omega) / 2.
     """
-    # A component-first stack reaches matvec as its (S, c) transpose.
-    mv = np.matmul if x.ndim == 1 else lambda m, v: matvec(m, v.T).T
-    q = x[0:4]
-    w = x[10:13]
+    if x.ndim == 1:
+        # Python floats round as numpy scalars do, and unpack faster.
+        mv = np.matmul
+        q = x[0:4].tolist()
+        w = x[10:13].tolist()
+        jw = (p.inertia @ x[10:13]).tolist()
+    else:
+        # A component-first stack reaches matvec as its (S, c) transpose.
+        mv = lambda m, v: matvec(m, v.T).T
+        q = x[0:4]
+        w = x[10:13]
+        jw = mv(p.inertia, w)
     qw, qx, qy, qz = q
     wx, wy, wz = w
     out = np.empty(x.shape)
@@ -249,7 +257,7 @@ def _rigid_body_derivative(x, u, tau, p, j_inv):
     out[4:7] = x[7:10]
     out[7:10] = _body_z_inertial(q) * (u[0] / p.mass) + tau[:3] / p.mass
     out[9] -= p.gravity
-    rhs = u[1:4] - _gyroscopic((wx, wy, wz), mv(p.inertia, w)) + tau[3:]
+    rhs = u[1:4] - _gyroscopic((wx, wy, wz), jw) + tau[3:]
     out[10:13] = mv(j_inv, rhs)
     return out
 

@@ -275,14 +275,12 @@ def _observed_cov(res, wres, w_cov, r_mat):
     return pyy, wres.swapaxes(-1, -2) @ ry
 
 
-def _difference_rows(x, h):
+def _difference_rows(x, offsets):
     """The EKF's centre and central-difference rows (..., 39, 20) about
-    states x (..., 19)."""
+    states x (..., 19): x minus each row of the filter's offset table."""
     rows = np.empty(x.shape[:-1] + (39, 20))
-    rows[..., :19] = x[..., None, :]
+    np.subtract(x[..., None, :], offsets, out=rows[..., :19])
     rows[..., 19] = 1.0
-    rows[(Ellipsis,) + ExtendedKalman._PLUS] += h
-    rows[(Ellipsis,) + ExtendedKalman._MINUS] -= h
     return rows
 
 
@@ -483,10 +481,9 @@ class ExtendedKalman:
     """
 
     OBS_IDX = np.array([0, 1, 2, 3, 4, 5, 6, 10, 11, 12])
-    # Rows of the central-difference batch that step coordinate i up (1 + i)
-    # and down (20 + i).
-    _PLUS = (np.arange(1, 20), np.arange(19))
-    _MINUS = (np.arange(20, 39), np.arange(19))
+    # The observed block of P, P[np.ix_(OBS_IDX, OBS_IDX)], as a prebuilt
+    # index pair.
+    _OBS_BLOCK = np.ix_(OBS_IDX, OBS_IDX)
 
     def __init__(self, params=None, noise=None, dt=0.01, initial=None,
                  p0_diag=None, fd_step=1e-6):
@@ -494,6 +491,14 @@ class ExtendedKalman:
         self.noise = noise if noise is not None else NoiseConfig()
         self.dt = float(dt)
         self.fd_step = float(fd_step)
+        # Subtracted from the centre state to form the difference rows: row
+        # 1 + i steps coordinate i up (x - (-h) is x + h to the bit) and row
+        # 20 + i down. The zeros keep every other entry's bits, -0.0
+        # included, which adding 0.0 would not.
+        i = np.arange(19)
+        self._fd_offsets = np.zeros((39, 19))
+        self._fd_offsets[1 + i, i] = -self.fd_step
+        self._fd_offsets[20 + i, i] = self.fd_step
         if initial is None:
             initial = AugmentedState.hover()
         self.x = initial.as_vector()[:19]
@@ -521,7 +526,7 @@ class ExtendedKalman:
 
     def predict(self, control):
         self.x[0:4] = qt.quat_normalize(self.x[0:4])
-        prop = dyn.propagate_batch(_difference_rows(self.x, self.fd_step),
+        prop = dyn.propagate_batch(_difference_rows(self.x, self._fd_offsets),
                                    control.as_vector(), self.ctx)
         self.x, self.P = _jacobian_cov(prop, self.P, self.q_disc, self.fd_step)
         return self
@@ -532,7 +537,7 @@ class ExtendedKalman:
         if zq @ self.x[0:4] < 0.0:
             zq = -zq  # keep the residual on the near side of the double cover
         resid = np.concatenate([zq, meas.r, meas.omega]) - self.x[idx]
-        pyy = self.P[np.ix_(idx, idx)] + self.r_mat
+        pyy = self.P[self._OBS_BLOCK] + self.r_mat
         gain, nis = _gain(pyy, self.P[:, idx], resid)
         self.x = self.x + gain @ resid
         self.x[0:4] = qt.quat_normalize(self.x[0:4])

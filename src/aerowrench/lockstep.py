@@ -234,7 +234,7 @@ class EkfStack:
     def predict_rows(self):
         """The centre and the central-difference rows (S, 39, 20)."""
         self.x[:, 0:4] = quat_normalize(self.x[:, 0:4])
-        return est._difference_rows(self.x, self.f.fd_step)
+        return est._difference_rows(self.x, self.f._fd_offsets)
 
     def finish_predict(self, prop):
         f = self.f
@@ -246,7 +246,8 @@ class EkfStack:
         zq = np.where((rowdot(zq, self.x[:, 0:4]) < 0.0)[:, None], -zq, zq)
         resid = (np.concatenate([zq, mr, mw], axis=1)
                  - np.ascontiguousarray(self.x[:, idx]))
-        pyy = np.ascontiguousarray(self.P[:, idx[:, None], idx]) + self.f.r_mat
+        pyy = (np.ascontiguousarray(self.P[(Ellipsis,) + self.f._OBS_BLOCK])
+               + self.f.r_mat)
         gain, self.nis = _gain(pyy, self.P[:, :, idx], resid, self.labels)
         self.x = self.x + dyn.matvec(gain, resid)
         self.x[:, 0:4] = quat_normalize(self.x[:, 0:4])

@@ -419,6 +419,8 @@ def run_scenario(profile=None, *, params=None, noise=None, admittance=None,
         step_seconds=np.empty(n_steps) if collect_timing else None)
         for name in names}
     fd = filters[feed]
+    if gains is None:
+        gains = ControllerGains()
 
     for k in range(n_steps):
         tau_k = dyn.Wrench(force=tau_mid[k, 0:3], torque=tau_mid[k, 3:6])

@@ -8,6 +8,8 @@ bits. Column names embed their units as suffixes; quaternion components
 are unitless and ordered w, x, y, z.
 """
 
+import array
+import itertools
 import json
 
 import numpy as np
@@ -69,39 +71,53 @@ def flatten_run(run):
 def write_telemetry(run, path, format="csv"):
     """Write a ScenarioRun's telemetry to path, one row per step.
 
-    format is 'csv' or 'jsonl'. Read-back via read_telemetry reproduces
-    every value bit for bit.
+    format is 'csv' or 'jsonl'. Rows are formatted and written one at a
+    time, so no copy of the whole text is held. Read-back via
+    read_telemetry reproduces every value bit for bit.
     """
-    cols, data = flatten_run(run)
-    if format == "csv":
-        lines = [UNITS_COMMENT, ",".join(cols)]
-        for row in data:
-            lines.append(",".join(repr(float(v)) for v in row))
-    elif format == "jsonl":
-        lines = [UNITS_COMMENT]
-        for row in data:
-            lines.append(json.dumps(dict(zip(cols, (float(v) for v in row)))))
-    else:
+    if format not in ("csv", "jsonl"):
         raise ValueError("format must be 'csv' or 'jsonl', got %r" % (format,))
+    cols, data = flatten_run(run)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(UNITS_COMMENT + "\n")
+        if format == "csv":
+            fh.write(",".join(cols) + "\n")
+            for row in data:
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
+        else:
+            for row in data:
+                fh.write(json.dumps(dict(zip(cols, row.tolist()))) + "\n")
 
 
 def read_telemetry(path):
-    """Read a telemetry file back as (columns, data array)."""
+    """Read a telemetry file back as (columns, data array).
+
+    The file is parsed line by line into one growing buffer of doubles,
+    which becomes the data array without a copy. The first content line
+    decides the format: a '{' starts JSON lines, anything else is the CSV
+    header.
+    """
+    values = array.array("d")
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines()
-                 if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("%s: no telemetry content" % (path,))
-    if lines[0].lstrip().startswith("{"):
-        recs = [json.loads(ln) for ln in lines]
-        cols = list(recs[0].keys())
-        data = np.array([[r[c] for c in cols] for r in recs])
-        return cols, data
-    cols = lines[0].split(",")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    return cols, data
+        lines = (ln.rstrip("\n") for ln in fh)
+        lines = (ln for ln in lines if ln and not ln.startswith("#"))
+        first = next(lines, None)
+        if first is None:
+            raise ValueError("%s: no telemetry content" % (path,))
+        if first.lstrip().startswith("{"):
+            cols = list(json.loads(first).keys())
+            for line in itertools.chain([first], lines):
+                rec = json.loads(line)
+                values.fromlist([float(rec[c]) for c in cols])
+        else:
+            cols = first.split(",")
+            for line in lines:
+                row = [float(v) for v in line.split(",")]
+                if len(row) != len(cols):
+                    raise ValueError("%s: a row has %d values for %d columns"
+                                     % (path, len(row), len(cols)))
+                values.fromlist(row)
+    return cols, np.frombuffer(values, dtype=float).reshape(-1, len(cols))
 
 
 # ---------------------------------------------------------------------------

@@ -596,6 +596,24 @@ class TestTruthIntegration:
             fine = dyn.rk4_step(fine, u, tau, p, 1e-4)
         assert np.max(np.abs(coarse.as_vector() - fine.as_vector())) < 1e-9
 
+    def test_lone_state_matches_one_column_stack(self, rng):
+        # A lone state unpacks to Python floats, a stack stays in arrays;
+        # both must do the same IEEE operations.
+        p = dyn.SystemParams()
+        j_inv = np.linalg.inv(p.inertia)
+        x = np.concatenate([random_quat(rng), rng.normal(size=6),
+                            rng.normal(scale=2.0, size=3)])
+        x[5] = -0.0
+        u = np.array([30.0, 0.05, -0.02, 0.04])
+        tau = np.array([1.0, 0.5, -0.5, 0.02, 0.0, -0.01])
+        for _ in range(20):
+            lone = dyn.rigid_body_rk4(x, u, tau, p, 0.01, j_inv)
+            col = dyn.rigid_body_rk4(x[:, None].copy(), u[:, None], tau[:, None],
+                                     p, 0.01, j_inv)
+            assert col.shape == (13, 1)
+            assert lone.tobytes() == col[:, 0].tobytes()
+            x = lone
+
     def test_quaternion_stays_unit(self, rng):
         p = dyn.SystemParams()
         s = dyn.BodyState(q=random_quat(rng), r=np.zeros(3), v=np.zeros(3),

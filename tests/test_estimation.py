@@ -226,6 +226,24 @@ class TestPredict:
         assert p50 < 1.1 * p25
 
 
+    def test_ekf_difference_rows_keep_signed_zeros(self, rng):
+        f = est.ExtendedKalman()
+        h = f.fd_step
+        x = rng.normal(size=(2, 19))
+        x[:, [2, 7, 13]] = -0.0
+        x[:, [5, 16]] = 0.0
+        rows = est._difference_rows(x, f._fd_offsets)
+        for s in range(2):
+            want = np.empty((39, 20))
+            want[:, :19] = x[s]
+            want[:, 19] = 1.0
+            for i in range(19):
+                want[1 + i, i] = x[s, i] + h
+                want[20 + i, i] = x[s, i] - h
+            assert rows[s].tobytes() == want.tobytes()
+            assert est._difference_rows(x[s], f._fd_offsets).tobytes() == want.tobytes()
+
+
 class TestUpdate:
     def test_requires_prior_predict(self):
         f = est.QuaternionUkf()

@@ -1,6 +1,7 @@
 """Telemetry and metrics serialization tests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,8 +83,58 @@ class TestJsonl:
             assert np.array_equal(data, ref)
 
     def test_bad_format_rejected(self, tmp_path, short_run):
+        path = tmp_path / "x.bin"
+        path.write_bytes(b"kept")
         with pytest.raises(ValueError, match="format"):
-            tlm.write_telemetry(short_run, tmp_path / "x.bin", format="bin")
+            tlm.write_telemetry(short_run, path, format="bin")
+        assert path.read_bytes() == b"kept"
+
+
+class TestStreaming:
+    """Rows are written and read one at a time: neither direction holds the
+    whole text, nor one Python float per value."""
+
+    @pytest.fixture(scope="class")
+    def long_run(self):
+        return sim.run_scenario(duration=20.0, seed=0)
+
+    @staticmethod
+    def traced_peak(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            out = fn(*args, **kwargs)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_peak_memory(self, tmp_path, long_run, fmt):
+        path = tmp_path / ("t." + fmt)
+        _, write_peak = self.traced_peak(tlm.write_telemetry, long_run, path,
+                                         format=fmt)
+        assert write_peak < path.stat().st_size
+        (cols, data), read_peak = self.traced_peak(tlm.read_telemetry, path)
+        assert np.array_equal(data, tlm.flatten_run(long_run)[1])
+        assert read_peak < 3 * data.nbytes
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# a\n\na,b\n# b\n1.5,-0.0\n\n2.0,3e-300\n")
+        cols, data = tlm.read_telemetry(path)
+        assert cols == ["a", "b"]
+        assert data.tobytes() == np.array([[1.5, -0.0], [2.0, 3e-300]]).tobytes()
+
+    def test_no_content_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(tlm.UNITS_COMMENT + "\n\n")
+        with pytest.raises(ValueError, match="no telemetry content"):
+            tlm.read_telemetry(path)
+
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1.0,2.0\n3.0\n")
+        with pytest.raises(ValueError, match="1 values for 2 columns"):
+            tlm.read_telemetry(path)
 
 
 class TestMetricsDocument:

@@ -6,9 +6,10 @@
 #
 # Clones this repository at PARENT_REV into a temporary directory (under
 # $TMPDIR when set), runs `aerowrench run` with the default config for each
-# seed (0 1 2 unless given) from the parent and from this working tree, and
-# compares telemetry.csv and metrics.json with cmp. Prints one line per
-# seed and exits non-zero if any file differs.
+# seed (0 1 2 unless given) from the parent and from this working tree, once
+# with CSV telemetry and once with --format jsonl, and compares
+# telemetry.csv, metrics.json and telemetry.jsonl with cmp. Prints one line
+# per seed and exits non-zero if any file differs.
 set -eu
 
 if [ $# -lt 1 ]; then
@@ -32,11 +33,13 @@ for seed in "$@"; do
         if [ "$side" = parent ]; then src="$work/parent/src"; else src="$root/src"; fi
         PYTHONPATH="$src" python3 -m aerowrench.cli run --seed "$seed" \
             --out "$work/out/$side/s$seed" >/dev/null
+        PYTHONPATH="$src" python3 -m aerowrench.cli run --seed "$seed" \
+            --format jsonl --out "$work/out/$side/s$seed-jsonl" >/dev/null
     done
     differ=
-    for f in telemetry.csv metrics.json; do
-        cmp -s "$work/out/parent/s$seed/$f" "$work/out/change/s$seed/$f" \
-            || differ="$differ $f"
+    for f in s$seed/telemetry.csv s$seed/metrics.json s$seed-jsonl/telemetry.jsonl; do
+        cmp -s "$work/out/parent/$f" "$work/out/change/$f" \
+            || differ="$differ ${f#*/}"
     done
     if [ -z "$differ" ]; then
         echo "seed $seed: identical"
