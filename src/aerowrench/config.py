@@ -58,6 +58,9 @@ class FilterConfig:
             bad.append("filter.p0_diag last entry must be zero")
         if not self.phi > 0.0:
             bad.append("filter.phi must be positive")
+        # The sigma-point spread n + eta is phi^2 (n + sigma) at n = E_DIM.
+        if not est.E_DIM + self.sigma > 0.0:
+            bad.append("filter.sigma must exceed %d, got %r" % (-est.E_DIM, self.sigma))
         if not self.delta > 0.0:
             bad.append("filter.delta must be positive")
         if bad:

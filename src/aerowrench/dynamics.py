@@ -48,16 +48,16 @@ class SystemParams:
     """Physical constants of the combined body and its actuation.
 
     Defaults describe a 3.49 kg assembly: two quadrotors on the ends of a
-    2 m payload bar, per-quadrotor thrust capped at u_max, with a diagonal
-    combined inertia that is much smaller about pitch (y) than about roll
-    and yaw. delta is the wrench-observer gain; the observer pole on each
-    channel sits at delta divided by the corresponding mass-matrix entry.
+    2 m payload bar (attach_1, attach_2), per-quadrotor thrust capped at
+    u_max, with a diagonal combined inertia that is much smaller about
+    pitch (y) than about roll and yaw. delta is the wrench-observer gain;
+    the observer pole on each channel sits at delta divided by the
+    corresponding mass-matrix entry.
     """
 
     mass: float = 3.49
     inertia: np.ndarray = field(default_factory=_default_inertia)
     gravity: float = 9.81
-    payload_length: float = 2.0
     attach_1: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
     attach_2: np.ndarray = field(default_factory=lambda: np.array([-1.0, 0.0, 0.0]))
     u_max: float = 35.0
@@ -88,8 +88,6 @@ class SystemParams:
                 bad.append("system.inertia must be positive definite")
         if not self.gravity > 0.0:
             bad.append("system.gravity must be positive, got %r" % self.gravity)
-        if not self.payload_length > 0.0:
-            bad.append("system.payload_length must be positive, got %r" % self.payload_length)
         for name in ("attach_1", "attach_2"):
             if getattr(self, name).shape != (3,):
                 bad.append("system.%s must be a 3-vector" % name)
@@ -317,12 +315,8 @@ def rigid_body_rk4(x, u, tau, p, dt, j_inv):
     k3 = _rigid_body_derivative(x + 0.5 * dt * k2, u, tau, p, j_inv)
     k4 = _rigid_body_derivative(x + dt * k3, u, tau, p, j_inv)
     out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    q = out[0:4]
-    if q.ndim == 1:
-        out[0:4] = quat_normalize(q)
-    else:
-        rows = np.ascontiguousarray(q.T)
-        out[0:4] = q / np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
+    # A stack's quaternions are columns; .T does nothing to a lone state's.
+    out[0:4] = quat_normalize(out[0:4].T).T
     return out
 
 

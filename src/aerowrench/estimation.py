@@ -14,7 +14,8 @@ Their linear algebra (sigma points, residuals, predicted covariances, the
 gain solve with its NIS, the posterior covariance) is written once, in
 shape-generic kernels that take one filter's arrays or a stack of them
 with a leading seed axis; :mod:`.lockstep`'s stacked filters call the same
-kernels.
+kernels. Every quaternion operation, in the kernels and in the filters,
+is a helper of :mod:`.quat`, whose lone and row forms agree bit for bit.
 
 Both estimate a 6-component external wrench through the momentum-observer
 states carried inside the process model.  The filters' velocity rows
@@ -162,51 +163,6 @@ def cov_sqrt(p, clamp_tol=0.0):
     return vecs * np.sqrt(np.maximum(vals, clamp_tol))
 
 
-# Batched quaternion helpers for the sigma-point set and the metrics. They
-# are not the scalar functions of quat.py applied row by row, and differ
-# from them in the last bits on a share of random rows. Each keeps the
-# arithmetic the QUKF has always used, because the filter's output depends
-# on those bits:
-# _batch_rotvec_to_quat takes the norm by einsum and does not renormalise
-# on its small-angle branch; _batch_quat_to_rotvec takes the norm by
-# einsum, with its own small-angle cut; and products go through
-# qt._mul_terms with _UKF_MUL_TERMS, whose components 2 and 3 sum their
-# terms in another order than qt.quat_mul.
-
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-
-
-def _batch_rotvec_to_quat(p):
-    ang = np.sqrt(np.einsum("ij,ij->i", p, p))
-    half = 0.5 * ang
-    small = ang < 1e-6
-    s = np.where(small, 0.5 - ang * ang / 48.0,
-                 np.sin(half) / np.where(ang == 0.0, 1.0, ang))
-    out = np.empty((p.shape[0], 4))
-    out[:, 0] = np.cos(half)
-    out[:, 1:] = p * s[:, None]
-    return out
-
-
-def _batch_quat_to_rotvec(q):
-    q = np.where(q[:, :1] < 0.0, -q, q)
-    v = q[:, 1:]
-    nv = np.sqrt(np.einsum("ij,ij->i", v, v))
-    ang = 2.0 * np.arctan2(nv, q[:, 0])
-    factor = np.where(nv < 1e-9, 2.0, ang / np.where(nv == 0.0, 1.0, nv))
-    return q[:, 1:] * factor[:, None]
-
-
-def _quats_to_deltas(quats, center):
-    """Rotation-vector residuals of quaternion rows (..., m, 4) about
-    centres (..., 4), one per leading index; returns (..., m, 3)."""
-    inv = center * _CONJ
-    prod = qt._mul_terms(quats.T, inv[..., None, :].T, qt._UKF_MUL_TERMS)
-    rows = np.ascontiguousarray(prod.T)
-    return _batch_quat_to_rotvec(rows.reshape(-1, 4)).reshape(
-        quats.shape[:-1] + (3,))
-
-
 # Filter kernels. Each takes one filter's arrays or a stack of filters'
 # with a leading seed axis (written with ... and swapaxes), so
 # QuaternionUkf, ExtendedKalman and lockstep's UkfStack and EkfStack run
@@ -220,9 +176,8 @@ def _apply_deltas(x, deltas, out=None):
     about states x (..., m): rows (..., r, m), into ``out`` when given."""
     if out is None:
         out = np.empty(deltas.shape[:-1] + x.shape[-1:])
-    dq = _batch_rotvec_to_quat(deltas[..., 0:3].reshape(-1, 3))
-    out[..., 0:4] = qt._mul_terms(dq.reshape(out.shape[:-1] + (4,)).T,
-                                  x[..., None, 0:4].T, qt._UKF_MUL_TERMS).T
+    out[..., 0:4] = qt.quat_mul(qt.rotvec_to_quat(deltas[..., 0:3]),
+                                x[..., None, 0:4])
     # State components 4:-1 (pads included) take error components 3:-1.
     np.add(x[..., None, 4:-1], deltas[..., 3:-1], out=out[..., 4:-1])
     out[..., -1] = 1.0
@@ -245,7 +200,7 @@ def _residuals(pts, mean, out=None):
     means (..., m), into ``out`` when given."""
     if out is None:
         out = np.empty(pts.shape[:-1] + (pts.shape[-1] - 1,))
-    out[..., 0:3] = _quats_to_deltas(pts[..., 0:4], mean[..., 0:4])
+    out[..., 0:3] = qt.quat_diff(pts[..., 0:4], mean[..., None, 0:4])
     np.subtract(pts[..., 4:], mean[..., None, 4:], out=out[..., 3:])
     return out
 
@@ -534,7 +489,7 @@ class ExtendedKalman:
     def update(self, meas):
         idx = self.OBS_IDX
         zq = qt.quat_normalize(meas.q)
-        if zq @ self.x[0:4] < 0.0:
+        if qt.quat_dot(zq, self.x[0:4]) < 0.0:
             zq = -zq  # keep the residual on the near side of the double cover
         resid = np.concatenate([zq, meas.r, meas.omega]) - self.x[idx]
         pyy = self.P[self._OBS_BLOCK] + self.r_mat

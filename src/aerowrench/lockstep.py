@@ -2,21 +2,19 @@
 
 :func:`aerowrench.simulation.run_study` advances S closed loops at once:
 every array here carries a leading axis over the S runs. ``UkfStack`` and
-``EkfStack`` run the same shape-generic kernels of :mod:`.estimation` as
-the scalar filters; the truth goes through ``dynamics.rigid_body_rk4`` and
-both filters' rows through one ``dynamics.propagate_batch`` call. This
-module keeps what has no shared form: row versions of the ``quat`` helpers
-(the scalar filters use theirs on Python floats), the stacked quaternion
-mean, ``tracking_controller``, and the per-run labels and fallbacks. Each
-repeats, run by run, the floating-point operations of its scalar
-counterpart in the same order, so a stacked run reproduces the scalar one.
-That rules out a few shortcuts:
+``EkfStack`` run the same shape-generic kernels of :mod:`.estimation` and
+the same row forms of the :mod:`.quat` helpers as the scalar filters; the
+truth goes through ``dynamics.rigid_body_rk4`` and both filters' rows
+through one ``dynamics.propagate_batch`` call. This module keeps what has
+no shared form: the stacked quaternion mean, ``tracking_controller``, and
+the per-run labels and fallbacks. Each repeats, run by run, the
+floating-point operations of its scalar counterpart in the same order, so
+a stacked run reproduces the scalar one. That rules out a few shortcuts:
 
-* A 1-D ``a @ b`` and a matrix-vector ``m @ x`` reach BLAS dot and gemv,
-  which may fuse and reorder differently from an elementwise product and
-  sum. :func:`rowdot` and ``dynamics.matvec`` make the same calls through
-  stacked ``matmul``, which hands each run's operands to BLAS as a separate
-  call.
+* A matrix-vector ``m @ x`` reaches BLAS gemv, which may fuse and reorder
+  differently from an elementwise product and sum. ``dynamics.matvec``
+  makes the same call through stacked ``matmul``, which hands each run's
+  operands to BLAS as a separate call.
 * BLAS also gets the scalar code's memory layouts: a fancy-indexed stack is
   made row-major first, because a transposed operand changes the rounding.
 * ``math.hypot`` and ``math.atan2`` may differ from their numpy versions in
@@ -37,65 +35,6 @@ from . import dynamics as dyn
 from . import estimation as est
 from . import quat as qt
 from .errors import AerowrenchError, SingularInnovation
-
-
-def rowdot(a, b):
-    """Row-wise a @ b of two (S, m) stacks, as S separate BLAS dot calls."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-# ---------------------------------------------------------------------------
-# Quaternion rows, in the operation order of quat.py
-# ---------------------------------------------------------------------------
-
-def quat_mul(q1, q2):
-    return np.ascontiguousarray(
-        qt._mul_terms(q1.T, q2.T, qt._QUAT_MUL_TERMS).T)
-
-
-def quat_normalize(q):
-    n = np.sqrt(rowdot(q, q))
-    if not np.all(n != 0.0):
-        raise ValueError("cannot normalize zero quaternion")
-    return q / n[:, None]
-
-
-def quat_canonical(q):
-    # The first component that compares nonzero decides; NaN never does.
-    decided = (q > 0.0) | (q < 0.0)
-    first = q[np.arange(q.shape[0]), np.argmax(decided, axis=1)]
-    return np.where((first < 0.0)[:, None], -q, q)
-
-
-def rotvec_to_quat(p):
-    a = np.sqrt(rowdot(p, p))
-    half = 0.5 * a
-    small = a < qt._SMALL_ANGLE
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(small, 0.5 - a * a / 48.0, np.sin(half) / a)
-    out = np.empty((p.shape[0], 4))
-    out[:, 0] = np.cos(half)
-    out[:, 1:] = factor[:, None] * p
-    if small.any():
-        out[small] = quat_normalize(out[small])
-    return out
-
-
-def quat_to_rotvec(q):
-    q = quat_canonical(q)
-    w = q[:, 0]
-    v = q[:, 1:]
-    s = np.sqrt(rowdot(v, v))
-    small = s < qt._SMALL_ANGLE
-    with np.errstate(divide="ignore", invalid="ignore"):
-        near = np.where(w > 0.0, 2.0 / w, 2.0)
-        far = 2.0 * np.arctan2(s, w) / s
-    return v * np.where(small, near, far)[:, None]
-
-
-def quat_diff(q1, q2):
-    conj = q2 * np.array([1.0, -1.0, -1.0, -1.0])
-    return quat_to_rotvec(quat_mul(q1, conj / rowdot(q2, q2)[:, None]))
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +120,14 @@ class UkfStack:
         qs = pts[:, :, 0:4]
         a = (qs.transpose(0, 2, 1) * f.w_mean) @ qs
         vals, vecs = np.linalg.eigh(a)
-        top = quat_canonical(quat_normalize(vecs[:, :, -1]))
+        top = qt.quat_canonical(qt.quat_normalize(vecs[:, :, -1]))
         # weighted_quat_average raises DegenerateSpectrum on a flat top
         # eigenvalue; the filter then holds its previous mean.
         flat = vals[:, -1] - vals[:, -2] < 1e-12
         mean = np.empty(self.x.shape)
         mean[:, 0:4] = np.where(flat[:, None], self.mean_q, top)
         mean[:, 4:] = f.w_mean @ pts[:, :, 4:]
-        mean[:, 0:4] = quat_normalize(mean[:, 0:4])
+        mean[:, 0:4] = qt.quat_normalize(mean[:, 0:4])
         mean[:, -1] = 1.0
         self.mean_q = mean[:, 0:4].copy()
         res = est._residuals(pts, mean, self._res)
@@ -198,7 +137,7 @@ class UkfStack:
         f = self.f
         pyy, pxy = est._observed_cov(self._res, self._wres, f.w_cov, f.r_mat)
         innov = np.empty((mq.shape[0], 9))
-        innov[:, 0:3] = quat_diff(quat_normalize(mq), self.mean_q)
+        innov[:, 0:3] = qt.quat_diff(qt.quat_normalize(mq), self.mean_q)
         innov[:, 3:6] = mr - self.x[:, 4:7]
         innov[:, 6:9] = mw - self.x[:, 10:13]
         gain, self.nis = _gain(pyy, pxy, innov, self.labels)
@@ -206,10 +145,10 @@ class UkfStack:
         dx = dyn.matvec(gain, innov)
         dx[:, -1] = 0.0
         x = self.x.copy()
-        x[:, 0:4] = quat_mul(rotvec_to_quat(dx[:, 0:3]), x[:, 0:4])
+        x[:, 0:4] = qt.quat_mul(qt.rotvec_to_quat(dx[:, 0:3]), x[:, 0:4])
         x[:, 4:-1] += dx[:, 3:-1]
         x[:, -1] = 1.0
-        x[:, 0:4] = quat_normalize(x[:, 0:4])
+        x[:, 0:4] = qt.quat_normalize(x[:, 0:4])
         self.x = x
         self.mean_q = x[:, 0:4].copy()
         self.P = est._pin(est._posterior(self.P, gain, pyy))
@@ -233,7 +172,7 @@ class EkfStack:
 
     def predict_rows(self):
         """The centre and the central-difference rows (S, 39, 20)."""
-        self.x[:, 0:4] = quat_normalize(self.x[:, 0:4])
+        self.x[:, 0:4] = qt.quat_normalize(self.x[:, 0:4])
         return est._difference_rows(self.x, self.f._fd_offsets)
 
     def finish_predict(self, prop):
@@ -242,15 +181,15 @@ class EkfStack:
 
     def update(self, mq, mr, mw):
         idx = self.f.OBS_IDX
-        zq = quat_normalize(mq)
-        zq = np.where((rowdot(zq, self.x[:, 0:4]) < 0.0)[:, None], -zq, zq)
+        zq = qt.quat_normalize(mq)
+        zq = np.where((qt.quat_dot(zq, self.x[:, 0:4]) < 0.0)[:, None], -zq, zq)
         resid = (np.concatenate([zq, mr, mw], axis=1)
                  - np.ascontiguousarray(self.x[:, idx]))
         pyy = (np.ascontiguousarray(self.P[(Ellipsis,) + self.f._OBS_BLOCK])
                + self.f.r_mat)
         gain, self.nis = _gain(pyy, self.P[:, :, idx], resid, self.labels)
         self.x = self.x + dyn.matvec(gain, resid)
-        self.x[:, 0:4] = quat_normalize(self.x[:, 0:4])
+        self.x[:, 0:4] = qt.quat_normalize(self.x[:, 0:4])
         self.P = est._posterior(self.P, gain, pyy)
 
 
@@ -272,9 +211,9 @@ def tracking_controller(x, ref_r, ref_v, params, g):
     out = np.empty((x.shape[0], 4))
     out[:, 0] = np.where(fmag < params.u_max, fmag, params.u_max)
 
-    q_des = np.tile(qt.quat_identity(), (x.shape[0], 1))
+    # An untilted run keeps a zero rotation vector, whose quaternion is
+    # the scalar controller's identity to the bit.
     tilt = np.zeros((x.shape[0], 3))
-    tilted = np.zeros(x.shape[0], dtype=bool)
     lift = fmag > 1e-9
     with np.errstate(divide="ignore", invalid="ignore"):
         zb0, zb1, zb2 = f0 / fmag, f1 / fmag, f2 / fmag
@@ -284,11 +223,8 @@ def tracking_controller(x, ref_r, ref_v, params, g):
         if s_ax > 1e-12:
             k = math.atan2(s_ax, b2) / s_ax
             tilt[i] = (-b1 * k, b0 * k, 0.0)
-            tilted[i] = True
-    if tilted.any():
-        q_des[tilted] = rotvec_to_quat(tilt[tilted])
 
-    e_rot = quat_diff(q_des, x[:, 0:4])
+    e_rot = qt.quat_diff(qt.rotvec_to_quat(tilt), x[:, 0:4])
     gyro = dyn._gyroscopic(w.T, dyn.matvec(params.inertia, w).T).T
     out[:, 1:4] = dyn.matvec(params.inertia, g.kp_att * e_rot - g.kd_att * w) + gyro
     return out

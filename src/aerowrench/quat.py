@@ -12,14 +12,29 @@ Conventions used throughout the package:
   ``q(P) = [cos(alpha/2), b sin(alpha/2)]``.
 * The manifold perturbation is applied on the left: ``oplus(q, P) = q(P) * q``,
   and differences ``quat_diff(q1, q2) = P(q1 * q2^-1)`` are its inverse.
-* Sign canonicalization picks the representative with ``w >= 0`` (first
-  nonzero component positive on the ``w == 0`` boundary).
+* ``quat_canonical`` picks the representative with ``w >= 0`` (first
+  nonzero component positive on the ``w == 0`` boundary); the quaternion
+  mean uses it. ``quat_to_rotvec`` only flips a quaternion with ``w < 0``.
 
-The scalar helpers do their + - * / and square roots on Python floats:
-these are correctly rounded IEEE operations, bit for bit the same as on
-numpy scalars, at a fraction of the call cost. Transcendental functions
-and dot products stay in numpy, whose last bits may differ from ``math``
-and from a plain sum.
+This module is the package's one quaternion arithmetic. Each of
+``quat_dot``, ``quat_normalize``, ``quat_conj``, ``quat_inverse``,
+``quat_mul``, ``rotvec_to_quat``, ``quat_to_rotvec``, ``quat_diff`` and
+``quat_canonical`` takes one quaternion (4,) or rotation vector (3,), or
+rows (..., 4) or (..., 3), and writes out one rule for both forms:
+
+* dot products are written out: one product per component, summed left to
+  right (no BLAS dot, no einsum); the Hamilton product sums its terms in
+  the order of ``_QUAT_MUL_TERMS``;
+* one small-angle rule: below ``_SMALL_ANGLE`` the rotation-vector maps
+  take their series factors, 1/2 - a^2/48 and 2, with no renormalization;
+* one sign rule: ``quat_to_rotvec`` flips ``w < 0``, and only
+  ``quat_canonical``, for the quaternion mean, applies the full rule.
+
+The lone form does its + - * / and square roots on Python floats, the row
+form on numpy arrays; both are correctly rounded IEEE operations in the
+same order, and the transcendental functions come from numpy in both.
+The two forms therefore agree bit for bit, which tests/test_quat.py checks
+on fuzzed inputs.
 """
 
 import math
@@ -57,39 +72,79 @@ def quat_identity():
     return np.array([1.0, 0.0, 0.0, 0.0])
 
 
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _dot_rows(a, b):
+    """Sum over the last axis of a * b, component by component."""
+    t = a * b
+    s = t[..., 0] + t[..., 1]
+    for i in range(2, t.shape[-1]):
+        s += t[..., i]
+    return s
+
+
+def quat_dot(a, b):
+    """a . b of two quaternions (a float), or of rows (...)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim == 1 and b.ndim == 1:
+        a0, a1, a2, a3 = a.tolist()
+        b0, b1, b2, b3 = b.tolist()
+        return a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
+    return _dot_rows(a, b)
+
+
 def quat_normalize(q):
     q = np.asarray(q, dtype=float)
-    n = math.sqrt(q @ q)
-    if n == 0.0:
+    if q.ndim == 1:
+        w, x, y, z = q.tolist()
+        n = math.sqrt(w * w + x * x + y * y + z * z)
+        if n == 0.0:
+            raise ValueError("cannot normalize zero quaternion")
+        return np.array([w / n, x / n, y / n, z / n])
+    n = np.sqrt(_dot_rows(q, q))
+    if not np.all(n != 0.0):
         raise ValueError("cannot normalize zero quaternion")
-    return q / n
+    return q / n[..., None]
 
 
 def quat_canonical(q):
     """Pick the double-cover representative with w >= 0.
 
     On the w == 0 boundary the first nonzero component is made positive so
-    that canonicalization is deterministic.
+    that canonicalization is deterministic; NaN decides nothing.
     """
     q = np.asarray(q, dtype=float)
-    for c in q:
-        if c > 0.0:
-            return q.copy()
-        if c < 0.0:
-            return -q
-    return q.copy()
+    if q.ndim == 1:
+        for c in q.tolist():
+            if c > 0.0:
+                return q.copy()
+            if c < 0.0:
+                return -q
+        return q.copy()
+    first = np.argmax((q > 0.0) | (q < 0.0), axis=-1)[..., None]
+    return np.where(np.take_along_axis(q, first, axis=-1) < 0.0, -q, q)
 
 
 def quat_mul(q1, q2):
-    """Hamilton product q1 * q2 (i*j = k)."""
-    w1, x1, y1, z1 = np.asarray(q1, dtype=float).tolist()
-    w2, x2, y2, z2 = np.asarray(q2, dtype=float).tolist()
-    return np.array([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + w2 * x1 + y1 * z2 - z1 * y2,
-        w1 * y2 + w2 * y1 + z1 * x2 - x1 * z2,
-        w1 * z2 + w2 * z1 + x1 * y2 - y1 * x2,
-    ])
+    """Hamilton product q1 * q2 (i*j = k); rows broadcast."""
+    q1 = np.asarray(q1, dtype=float)
+    q2 = np.asarray(q2, dtype=float)
+    if q1.ndim == 1 and q2.ndim == 1:
+        w1, x1, y1, z1 = q1.tolist()
+        w2, x2, y2, z2 = q2.tolist()
+        return np.array([
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + w2 * x1 + y1 * z2 - z1 * y2,
+            w1 * y2 + w2 * y1 + z1 * x2 - x1 * z2,
+            w1 * z2 + w2 * z1 + x1 * y2 - y1 * x2,
+        ])
+    # _mul_terms broadcasts component-first stacks, so both get all axes.
+    nd = max(q1.ndim, q2.ndim)
+    q1 = q1.reshape((1,) * (nd - q1.ndim) + q1.shape)
+    q2 = q2.reshape((1,) * (nd - q2.ndim) + q2.shape)
+    return _mul_terms(q1.T, q2.T, _QUAT_MUL_TERMS).T
 
 
 def _term_table(ia, ib, sign):
@@ -98,21 +153,14 @@ def _term_table(ia, ib, sign):
             np.array(sign, dtype=float).T.ravel())
 
 
-# Term tables of the Hamilton product for _mul_terms. Output component i
-# sums the terms sign[i][j] * a[ia[i][j]] * b[ib[i][j]], j = 0..3, left to
-# right. Float addition does not associate, so a table fixes the bits of
-# its products: _QUAT_MUL_TERMS is quat_mul's order above; _UKF_MUL_TERMS
-# is the order in which the QUKF has always formed its sigma points and
-# residuals, which differs from quat_mul in the last bits of components 2
-# and 3 on some rows.
+# The term table of the Hamilton product for _mul_terms: output component
+# i sums the terms sign[i][j] * a[ia[i][j]] * b[ib[i][j]], j = 0..3, left
+# to right, in quat_mul's written-out order above. Float addition does not
+# associate, so the table fixes the bits of the products.
 _QUAT_MUL_TERMS = _term_table(
     [[0, 1, 2, 3], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]],
     [[0, 1, 2, 3], [1, 0, 3, 2], [2, 0, 1, 3], [3, 0, 2, 1]],
     [[1, -1, -1, -1], [1, 1, 1, -1], [1, 1, 1, -1], [1, 1, 1, -1]])
-_UKF_MUL_TERMS = _term_table(
-    [[0, 1, 2, 3]] * 4,
-    [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
-    [[1, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]])
 
 
 def _mul_terms(a, b, terms):
@@ -131,12 +179,12 @@ def _mul_terms(a, b, terms):
 
 
 def quat_conj(q):
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return np.asarray(q, dtype=float) * _CONJ
 
 
 def quat_inverse(q):
     q = np.asarray(q, dtype=float)
-    return quat_conj(q) / (q @ q)
+    return quat_conj(q) / np.expand_dims(quat_dot(q, q), -1)
 
 
 def quat_to_rot(q):
@@ -225,29 +273,43 @@ def rot_to_rotvec(r, tol=1e-6):
 def rotvec_to_quat(p):
     """q(P) = [cos(|P|/2), (P/|P|) sin(|P|/2)]; series-stable near zero."""
     p = np.asarray(p, dtype=float)
-    a = math.sqrt(p @ p)
-    half = 0.5 * a
-    px, py, pz = p.tolist()
-    if a < _SMALL_ANGLE:
+    if p.ndim == 1:
+        px, py, pz = p.tolist()
+        a = math.sqrt(px * px + py * py + pz * pz)
+        half = 0.5 * a
         # sin(a/2)/a = 1/2 - a^2/48 + O(a^4)
-        factor = 0.5 - a * a / 48.0
-        return quat_normalize(np.array([np.cos(half), factor * px, factor * py,
-                                        factor * pz]))
-    factor = float(np.sin(half)) / a
-    return np.array([np.cos(half), factor * px, factor * py, factor * pz])
+        f = 0.5 - a * a / 48.0 if a < _SMALL_ANGLE else float(np.sin(half)) / a
+        return np.array([np.cos(half), f * px, f * py, f * pz])
+    a = np.sqrt(_dot_rows(p, p))
+    half = 0.5 * a
+    small = a < _SMALL_ANGLE
+    f = np.where(small, 0.5 - a * a / 48.0,
+                 np.sin(half) / np.where(small, 1.0, a))
+    out = np.empty(p.shape[:-1] + (4,))
+    out[..., 0] = np.cos(half)
+    np.multiply(f[..., None], p, out=out[..., 1:])
+    return out
 
 
 def quat_to_rotvec(q):
-    """Rotation vector of a unit quaternion, canonicalized so |P| <= pi."""
-    q = quat_canonical(q)
-    w = q[0]
-    v = q[1:]
-    s = math.sqrt(v @ v)
-    if s < _SMALL_ANGLE:
-        # alpha/sin(alpha/2) ~ 2/w for small alpha at unit norm
-        return v * (2.0 / w) if w > 0.0 else v * 2.0
-    alpha = 2.0 * np.arctan2(s, w)
-    return v * (alpha / s)
+    """Rotation vector of a unit quaternion, with |P| <= pi: a quaternion
+    with w < 0 is flipped first."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim == 1:
+        w, x, y, z = q.tolist()
+        if w < 0.0:
+            w, x, y, z = -w, -x, -y, -z
+        s = math.sqrt(x * x + y * y + z * z)
+        # alpha / sin(alpha/2) -> 2 as alpha -> 0 at unit norm
+        f = 2.0 if s < _SMALL_ANGLE else float(2.0 * np.arctan2(s, w)) / s
+        return np.array([f * x, f * y, f * z])
+    q = np.where(q[..., :1] < 0.0, -q, q)
+    v = q[..., 1:]
+    s = np.sqrt(_dot_rows(v, v))
+    small = s < _SMALL_ANGLE
+    f = np.where(small, 2.0,
+                 2.0 * np.arctan2(s, q[..., 0]) / np.where(small, 1.0, s))
+    return v * f[..., None]
 
 
 def oplus(q, p):
@@ -261,8 +323,10 @@ def ominus_vec(q, p):
 
 
 def quat_diff(q1, q2):
-    """Rotation vector P(q1 * q2^-1); inverse of oplus in its first slot."""
-    return quat_to_rotvec(quat_mul(q1, quat_inverse(q2)))
+    """Rotation vector P(q1 * q2^-1) of unit quaternions; inverse of oplus
+    in its first slot. The conjugate stands in for q2^-1: outside the
+    small-angle rule P does not depend on the norm of its argument."""
+    return quat_to_rotvec(quat_mul(q1, quat_conj(q2)))
 
 
 def weighted_quat_average(quats, weights, gap_tol=1e-12):

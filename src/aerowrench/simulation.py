@@ -374,7 +374,7 @@ def _draw_noise(seed, n_steps, noise):
     # per-step calls would.
     streams = NoiseStreams(seed)
     sig = np.sqrt(np.asarray(noise.r_diag, dtype=float))
-    noise_q = est._batch_rotvec_to_quat(
+    noise_q = qt.rotvec_to_quat(
         streams.attitude.normal(size=(n_steps, 3)) * sig[0:3])
     noise_r = streams.position.normal(size=(n_steps, 3)) * sig[3:6]
     noise_w = streams.rate.normal(size=(n_steps, 3)) * sig[6:9]
@@ -535,7 +535,7 @@ def run_study(seeds, profile=None, *, duration=70.0, estimators=("qukf", "ekf"))
         x = dyn.rigid_body_rk4(x.T, u.T, tau_mid[k, :, None], params, dt, j_inv).T
         _check_finite_rows("truth", x, k, labels)
         truth_arr[:, k] = x
-        mq = ls.quat_mul(noise_q[k], x[:, 0:4])
+        mq = qt.quat_mul(noise_q[k], x[:, 0:4])
         mr = x[:, 4:7] + noise_r[k]
         mw = x[:, 10:13] + noise_w[k]
 
@@ -629,7 +629,7 @@ class MetricsReport:
 
 def _attitude_errors(est_q, truth_q):
     # Rowwise |quat_diff|: rotation angle between estimate and truth.
-    rv = est._quats_to_deltas(est_q[:, None, :], truth_q)[:, 0]
+    rv = qt.quat_diff(est_q, truth_q)
     return np.sqrt(np.einsum("ij,ij->i", rv, rv))
 
 

@@ -91,6 +91,15 @@ class TestExitCodes:
         assert run_main(["run", "--config", str(bad),
                          "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
 
+    def test_collapsed_sigma_spread_is_3(self, tmp_path, capsys):
+        # 19 + sigma <= 0 collapses the sigma-point spread; validation
+        # names the field instead of failing inside the filter.
+        bad = tmp_path / "bad4.yaml"
+        bad.write_text("filter:\n  sigma: -19\n")
+        assert run_main(["run", "--config", str(bad), "--duration", "0.5",
+                         "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert "filter.sigma" in capsys.readouterr().err
+
     def test_divergence_is_4(self, tmp_path, capsys):
         cfg = tmp_path / "boom.yaml"
         cfg.write_text(

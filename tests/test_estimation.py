@@ -272,7 +272,7 @@ class TestUpdate:
         pts = f._sigma
         wc = f.w_cov[:, None]
         ry = np.empty((pts.shape[0], 9))
-        ry[:, 0:3] = est._quats_to_deltas(pts[:, 0:4], f._mean_q)
+        ry[:, 0:3] = qt.quat_diff(pts[:, 0:4], f._mean_q)
         ry[:, 3:6] = pts[:, 4:7] - f.w_mean @ pts[:, 4:7]
         ry[:, 6:9] = pts[:, 10:13] - f.w_mean @ pts[:, 10:13]
         pyy = (ry * wc).T @ ry + f.r_mat

@@ -84,9 +84,9 @@ class TestHamiltonProduct:
         assert_quat_close(qt.quat_mul(q, qt.quat_inverse(q)), qt.quat_identity(), 1e-14)
 
     def test_term_kernel_matches_written_out_products(self, rng):
-        # Each term table reproduces its products written out term by term,
-        # bit for bit and signed zeros included, on non-unit rows, both row
-        # against row and rows against one quaternion.
+        # The term table reproduces quat_mul's products written out term by
+        # term, bit for bit and signed zeros included, on non-unit rows,
+        # both row against row and rows against one quaternion.
         def quat_order(p, q):
             w1, x1, y1, z1 = p
             w2, x2, y2, z2 = q
@@ -95,31 +95,18 @@ class TestHamiltonProduct:
                     w1 * y2 + w2 * y1 + z1 * x2 - x1 * z2,
                     w1 * z2 + w2 * z1 + x1 * y2 - y1 * x2]
 
-        def ukf_order(p, q):
-            aw, ax, ay, az = p
-            bw, bx, by, bz = q
-            return [aw * bw - ax * bx - ay * by - az * bz,
-                    aw * bx + ax * bw + ay * bz - az * by,
-                    aw * by - ax * bz + ay * bw + az * bx,
-                    aw * bz + ax * by - ay * bx + az * bw]
-
         a = rng.normal(size=(400, 4)) * rng.uniform(0.1, 10.0, size=(400, 1))
         b = rng.normal(size=(400, 4))
         a[rng.random(a.shape) < 0.15] = -0.0
         b[rng.random(b.shape) < 0.15] = 0.0
         b[rng.random(b.shape) < 0.1] = -0.0
-        for terms, written in ((qt._QUAT_MUL_TERMS, quat_order),
-                               (qt._UKF_MUL_TERMS, ukf_order)):
-            rows = qt._mul_terms(a.T, b.T, terms).T
-            fixed = qt._mul_terms(a.T, b[0][:, None], terms).T
-            for i in range(len(a)):
-                want = np.array(written(a[i].tolist(), b[i].tolist()))
-                assert rows[i].tobytes() == want.tobytes()
-                want = np.array(written(a[i].tolist(), b[0].tolist()))
-                assert fixed[i].tobytes() == want.tobytes()
-        # The orders are not interchangeable: some rows differ in the last bits.
-        assert (qt._mul_terms(a.T, b.T, qt._QUAT_MUL_TERMS)
-                != qt._mul_terms(a.T, b.T, qt._UKF_MUL_TERMS)).any()
+        rows = qt._mul_terms(a.T, b.T, qt._QUAT_MUL_TERMS).T
+        fixed = qt._mul_terms(a.T, b[0][:, None], qt._QUAT_MUL_TERMS).T
+        for i in range(len(a)):
+            want = np.array(quat_order(a[i].tolist(), b[i].tolist()))
+            assert rows[i].tobytes() == want.tobytes()
+            want = np.array(quat_order(a[i].tolist(), b[0].tolist()))
+            assert fixed[i].tobytes() == want.tobytes()
 
 
 class TestRotationMatrix:
@@ -370,3 +357,80 @@ class TestCanonicalization:
         q = random_quat(rng)
         once = qt.quat_canonical(q)
         assert np.array_equal(once, qt.quat_canonical(once))
+
+
+def _fuzzed_quats(rng, n=600):
+    # Unit and non-unit rows, w < 0, half turns (w == 0), rotations below
+    # and around the small-angle cut, and entries of +0.0 and -0.0.
+    q = rng.normal(size=(n, 4)) * rng.uniform(0.2, 3.0, size=(n, 1))
+    q[: n // 2] /= np.linalg.norm(q[: n // 2], axis=1, keepdims=True)
+    q[0:60, 0] = 0.0
+    q[60:90, 0] = -0.0
+    for i, a in enumerate(np.geomspace(1e-12, 1e-5, 120)):
+        v = rng.normal(size=3)
+        v *= 0.5 * a / np.linalg.norm(v)
+        q[90 + i] = np.concatenate([[np.cos(0.5 * a) * (-1.0) ** i], v])
+    q[rng.random(q.shape) < 0.1] = 0.0
+    q[rng.random(q.shape) < 0.1] = -0.0
+    q[(q == 0.0).all(axis=1), 0] = 1.0  # normalize rejects a zero quaternion
+    return q
+
+
+def _fuzzed_rotvecs(rng, n=600):
+    # Angles from 1e-12 to 3 rad, the small-angle cut on either side, and
+    # signed zeros.
+    axis = rng.normal(size=(n, 3))
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    a = np.geomspace(1e-12, 3.0, n)
+    a[::7] = qt._SMALL_ANGLE * rng.uniform(0.99, 1.01, size=a[::7].shape)
+    p = axis * a[:, None]
+    p[rng.random(p.shape) < 0.1] = 0.0
+    p[rng.random(p.shape) < 0.1] = -0.0
+    p[0] = 0.0
+    p[1] = -0.0
+    return p
+
+
+def _same_bytes(rows, lone):
+    for i, want in enumerate(lone):
+        want = np.asarray(want, dtype=float)
+        got = np.asarray(rows[i], dtype=float)
+        assert got.tobytes() == want.tobytes(), (i, got, want)
+
+
+class TestRowFormsMatchLoneForms:
+    """Each quat helper's row form (..., 4)/(..., 3) equals its lone form,
+    applied quaternion by quaternion, byte for byte."""
+
+    @pytest.mark.parametrize("shape", [(600,), (20, 30)], ids=["rows", "stack"])
+    def test_unary_helpers(self, rng, shape):
+        q = _fuzzed_quats(rng)
+        p = _fuzzed_rotvecs(rng)
+        for fn, arg in ((qt.quat_normalize, q), (qt.quat_canonical, q),
+                        (qt.quat_conj, q), (qt.quat_inverse, q),
+                        (qt.quat_to_rotvec, q), (qt.rotvec_to_quat, p)):
+            rows = fn(arg.reshape(shape + arg.shape[1:]))
+            rows = rows.reshape((len(arg),) + rows.shape[len(shape):])
+            _same_bytes(rows, [fn(a) for a in arg])
+
+    @pytest.mark.parametrize("shape", [(600,), (20, 30)], ids=["rows", "stack"])
+    def test_binary_helpers(self, rng, shape):
+        a = _fuzzed_quats(rng)
+        b = _fuzzed_quats(rng)[rng.permutation(600)]
+        for fn in (qt.quat_dot, qt.quat_mul, qt.quat_diff):
+            rows = fn(a.reshape(shape + (4,)), b.reshape(shape + (4,)))
+            rows = np.asarray(rows).reshape((600,) + np.shape(rows)[len(shape):])
+            _same_bytes(rows, [fn(x, y) for x, y in zip(a, b)])
+            # One quaternion against rows broadcasts.
+            _same_bytes(fn(a, b[7]), [fn(x, b[7]) for x in a])
+
+    def test_inputs_reach_every_branch(self, rng):
+        q = _fuzzed_quats(rng)
+        p = _fuzzed_rotvecs(rng)
+        v = np.where(q[:, :1] < 0.0, -q, q)[:, 1:]
+        s = np.sqrt((v * v).sum(axis=1))
+        a = np.sqrt((p * p).sum(axis=1))
+        for small in (s < qt._SMALL_ANGLE, a < qt._SMALL_ANGLE):
+            assert small.sum() > 10 and (~small).sum() > 10
+        assert (q[:, 0] < 0.0).sum() > 10 and (q[:, 0] == 0.0).sum() > 10
+        assert np.signbit(q[q == 0.0]).any() and np.signbit(p[p == 0.0]).any()

@@ -9,7 +9,10 @@
 # seed (0 1 2 unless given) from the parent and from this working tree, once
 # with CSV telemetry and once with --format jsonl, and compares
 # telemetry.csv, metrics.json and telemetry.jsonl with cmp. Prints one line
-# per seed and exits non-zero if any file differs.
+# per seed and exits non-zero if any file differs. When metrics.json
+# differs, a second line gives the largest relative change of an RMSE
+# entry, with its filter and channel, so a rounding-only change can state
+# its tolerance.
 set -eu
 
 if [ $# -lt 1 ]; then
@@ -46,6 +49,29 @@ for seed in "$@"; do
     else
         echo "seed $seed: differs in$differ"
         status=1
+        case $differ in *metrics.json*)
+            python3 - "$work/out/parent/s$seed/metrics.json" \
+                "$work/out/change/s$seed/metrics.json" <<'PY'
+import json
+import sys
+
+old, new = (json.load(open(p))["rmse"] for p in sys.argv[1:3])
+worst = (-1.0, "", "")
+for name in sorted(set(old) | set(new)):
+    a, b = old.get(name, {}), new.get(name, {})
+    for ch in sorted(set(a) | set(b)):
+        x, y = a.get(ch), b.get(ch)
+        if x == y:
+            rel = 0.0
+        elif x is None or y is None or x == 0.0:
+            rel = float("inf")
+        else:
+            rel = abs(y - x) / abs(x)
+        worst = max(worst, (rel, name, ch))
+print("  largest relative RMSE change: %.3g (%s %s)" % worst)
+PY
+            ;;
+        esac
     fi
 done
 exit $status
