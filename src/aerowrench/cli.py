@@ -1,7 +1,8 @@
 """Command-line front end: run scenarios, compare estimators, benchmark.
 
 Exit codes: 0 success, 2 configuration parse failure, 3 validation
-failure, 4 estimator divergence, 5 I/O failure.
+failure, 4 estimator failure (a divergence, a singular innovation
+covariance or a failed covariance factorization), 5 I/O failure.
 """
 
 import argparse
@@ -21,12 +22,13 @@ from . import dynamics as dyn
 from . import estimation as est
 from . import simulation as sim
 from . import telemetry as tlm
-from .errors import DivergenceDetected, ParseError, ValidationError
+from .errors import (DivergenceDetected, FactorizationFailure, ParseError,
+                     SingularInnovation, ValidationError)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
-EXIT_DIVERGENCE = 4
+EXIT_DIVERGENCE = 4  # any estimator failure
 EXIT_IO = 5
 
 
@@ -245,6 +247,9 @@ def main(argv=None):
         return EXIT_VALIDATION
     except DivergenceDetected as e:
         print("divergence: %s" % e, file=sys.stderr)
+        return EXIT_DIVERGENCE
+    except (SingularInnovation, FactorizationFailure) as e:
+        print("estimator failure: %s" % e, file=sys.stderr)
         return EXIT_DIVERGENCE
     except OSError as e:
         print("i/o error: %s" % e, file=sys.stderr)

@@ -173,7 +173,12 @@ class ControlInput:
         return cls(thrust=float(u[0]), moments=u[1:4].copy())
 
     def as_vector(self):
-        return np.array([self.thrust, *self.moments])
+        """[thrust, moments] (4,), or (..., 4) for fields with a leading
+        run axis: thrust (...,) and moments (..., 3)."""
+        u = np.empty(np.shape(self.moments)[:-1] + (4,))
+        u[..., 0] = self.thrust
+        u[..., 1:4] = self.moments
+        return u
 
 
 @dataclass
@@ -304,11 +309,12 @@ def payload_derivative(q, v_l, omega, f_links, t_links, arms, tau_h, m_l, j_l, g
     return np.concatenate([qdot, v_l, vdot, wdot])
 
 
-def rigid_body_rk4(x, u, tau, p, dt, j_inv):
+def rk4_step(x, u, tau, p, dt, j_inv):
     """Classic fixed-step RK4 on body-state vectors, quaternion renormalized.
 
     Shapes as in _rigid_body_derivative: one state or a component-first
-    stack, whose runs each get the arithmetic of a lone state.
+    stack, whose runs each get the arithmetic of a lone state. j_inv is
+    the inverse inertia.
     """
     k1 = _rigid_body_derivative(x, u, tau, p, j_inv)
     k2 = _rigid_body_derivative(x + 0.5 * dt * k1, u, tau, p, j_inv)
@@ -318,17 +324,6 @@ def rigid_body_rk4(x, u, tau, p, dt, j_inv):
     # A stack's quaternions are columns; .T does nothing to a lone state's.
     out[0:4] = quat_normalize(out[0:4].T).T
     return out
-
-
-def rk4_step(state, u, tau_h, p, dt, j_inv=None):
-    """One rigid_body_rk4 step of a BodyState.
-
-    j_inv may carry a precomputed inverse inertia for tight loops.
-    """
-    if j_inv is None:
-        j_inv = np.linalg.inv(p.inertia)
-    return BodyState.from_vector(rigid_body_rk4(
-        state.as_vector(), u.as_vector(), tau_h.as_vector(), p, dt, j_inv))
 
 
 def mechanical_energy(state, p):

@@ -7,7 +7,10 @@ instead of parsing messages.
 
 
 class AerowrenchError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors. ``run`` is the index of
+    the failing run of a filter stepping a stack of runs, else None."""
+
+    run = None
 
 
 class NotSkewSymmetric(AerowrenchError):

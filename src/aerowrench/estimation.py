@@ -10,12 +10,18 @@ Two filters share the same discrete process model from :mod:`.dynamics`:
   four ordinary coordinates, Jacobians come from central differences, and
   the norm is restored by renormalizing after each step.
 
-Their linear algebra (sigma points, residuals, predicted covariances, the
-gain solve with its NIS, the posterior covariance) is written once, in
-shape-generic kernels that take one filter's arrays or a stack of them
-with a leading seed axis; :mod:`.lockstep`'s stacked filters call the same
-kernels. Every quaternion operation, in the kernels and in the filters,
-is a helper of :mod:`.quat`, whose lone and row forms agree bit for bit.
+Each filter steps one run, ``x`` of shape (m,), or a stack of runs: a
+configured filter whose ``x`` and ``P`` are tiled to (S, m) and
+(S, n, n), stepped with controls and measurements whose fields carry the
+run axis. The methods are written with ``...``, and each run of a stack
+reproduces the lone filter bit for bit: BLAS gets a lone run's operands
+and layouts (numpy's matmul makes one BLAS call per matrix of a stack, a
+vector enters as an (..., m, 1) column through ``dynamics.matvec``, a
+fancy-indexed stack is made row-major first); every quaternion operation
+is a :mod:`.quat` helper, whose lone and row forms agree bit for bit; and
+the rare paths (a covariance outside ``cov_sqrt``'s Cholesky case, a flat
+top eigenvalue in the QUKF's mean) take the runs one at a time through
+the lone form. An error raised for one run of a stack names it in ``run``.
 
 Both estimate a 6-component external wrench through the momentum-observer
 states carried inside the process model.  The filters' velocity rows
@@ -32,7 +38,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import quat as qt
-from .errors import (DegenerateScaling, DegenerateSpectrum,
+from .errors import (AerowrenchError, DegenerateScaling, DegenerateSpectrum,
                      FactorizationFailure, SingularInnovation)
 
 # Error-state layout: attitude deviation enters as a rotation vector (0:3),
@@ -89,7 +95,8 @@ class NoiseConfig:
 
 @dataclass
 class Measurement:
-    """Pose and body-rate measurement: attitude, position, angular velocity."""
+    """Pose and body-rate measurement: attitude, position, angular velocity;
+    fields (4,), (3,), (3,), or with a leading run axis for a stack."""
     q: np.ndarray
     r: np.ndarray
     omega: np.ndarray
@@ -142,15 +149,36 @@ def _block_cholesky(p):
 
 
 def cov_sqrt(p, clamp_tol=0.0):
-    """Matrix square root factor S with S @ S.T == p for symmetric PSD p.
+    """Matrix square root factor S with S @ S.T == p for symmetric PSD p,
+    one matrix (n, n) or a stack (..., n, n).
 
     One rule: factor the leading block of positive diagonal entries by
     Cholesky when every row after it is zero (pinned dimensions carry a
     zero row, and a matrix with no pinned dimension is one block);
     otherwise take an eigendecomposition with negative eigenvalues
-    clamped to ``clamp_tol``.
+    clamped to ``clamp_tol``. A stack outside the Cholesky case takes
+    the rule run by run; an error names its run in ``run``.
     """
     p = np.asarray(p, dtype=float)
+    if p.ndim == 2:
+        return _cov_sqrt(p, clamp_tol)
+    if np.isfinite(p).all():
+        s = _block_cholesky(p)
+        if s is not None:
+            return s
+    out = np.empty(p.shape)
+    runs = out.reshape((-1,) + p.shape[-2:])
+    for i, m in enumerate(p.reshape(runs.shape)):
+        try:
+            runs[i] = _cov_sqrt(m, clamp_tol)
+        except AerowrenchError as err:
+            err.run = i
+            raise
+    return out
+
+
+def _cov_sqrt(p, clamp_tol):
+    # cov_sqrt's rule on one matrix.
     if not np.isfinite(p).all():
         raise FactorizationFailure("covariance contains non-finite entries")
     s = _block_cholesky(p)
@@ -163,13 +191,9 @@ def cov_sqrt(p, clamp_tol=0.0):
     return vecs * np.sqrt(np.maximum(vals, clamp_tol))
 
 
-# Filter kernels. Each takes one filter's arrays or a stack of filters'
-# with a leading seed axis (written with ... and swapaxes), so
-# QuaternionUkf, ExtendedKalman and lockstep's UkfStack and EkfStack run
-# the same arithmetic. Their products hand BLAS the same operands and
-# layouts in either form: numpy's matmul makes one BLAS call per matrix of
-# a stack, and a vector enters as a (..., m, 1) column, as a lone vector
-# does.
+# Filter kernels. Each takes one run's arrays or a stack of runs' (written
+# with ... and swapaxes); the module docstring says how a stack keeps a
+# lone run's bits.
 
 def _apply_deltas(x, deltas, out=None):
     """Map error-space displacements (..., r, n) onto the state manifold
@@ -182,6 +206,17 @@ def _apply_deltas(x, deltas, out=None):
     np.add(x[..., None, 4:-1], deltas[..., 3:-1], out=out[..., 4:-1])
     out[..., -1] = 1.0
     return out
+
+
+def _propagate_rows(rows, u, ctx):
+    """propagate_batch on rows (..., r, 20) under one control (4,) or one
+    per run (..., 4)."""
+    if rows.ndim == 2:
+        return dyn.propagate_batch(rows, u, ctx)
+    if u.ndim > 1:
+        u = np.repeat(u.reshape(-1, 4), rows.shape[-2], axis=0)
+    return dyn.propagate_batch(rows.reshape(-1, rows.shape[-1]), u,
+                               ctx).reshape(rows.shape)
 
 
 def _sigma_points(x, s, scale, deltas, out):
@@ -254,14 +289,23 @@ def _gain(pyy, pxy, innov):
     try:
         np.linalg.cholesky(pyy)
     except np.linalg.LinAlgError:
-        raise SingularInnovation("innovation covariance is not positive definite") from None
+        err = SingularInnovation("innovation covariance is not positive definite")
+        # A stack names its first run without a Cholesky factor.
+        runs = pyy.reshape((-1,) + pyy.shape[-2:]) if pyy.ndim > 2 else ()
+        for i, m in enumerate(runs):
+            try:
+                np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                err.run = i
+                break
+        raise err from None
     n = pxy.shape[-2]
     rhs = np.empty(pyy.shape[:-1] + (n + 1,))
     rhs[..., :n] = pxy.swapaxes(-1, -2)
     rhs[..., n] = innov
     sol = np.linalg.solve(pyy, rhs)
     nis = (innov[..., None, :] @ sol[..., n:])[..., 0, 0]
-    return sol[..., :n].swapaxes(-1, -2), nis
+    return sol[..., :n].swapaxes(-1, -2), nis[()]
 
 
 def _posterior(p, gain, pyy):
@@ -279,13 +323,14 @@ class QuaternionUkf:
 
     Buffer ownership: the filter owns its four (2n+1)-row arrays (the
     error-space displacements, the sigma points, the residuals and the
-    weighted residuals). ``__init__`` allocates them and every ``predict``
-    overwrites them. At n=99 each is about 155 KiB, above glibc's 128 KiB
-    mmap threshold; allocated afresh at each step, they would go back to
-    the OS when freed and be faulted in again on the next step. ``x`` and
-    ``P`` are new arrays after every ``predict`` and ``update``, so a
-    caller may keep them. ``_sigma`` and ``_res`` are views of the
-    buffers, valid until the next ``predict``.
+    weighted residuals), with the leading shape of ``x``. ``predict``
+    allocates them when that shape changes (a stack is made by tiling
+    ``x`` and ``P``) and otherwise overwrites them. At n=99 each is about
+    155 KiB, above glibc's 128 KiB mmap threshold; allocated afresh at
+    each step, they would go back to the OS when freed and be faulted in
+    again on the next step. ``x`` and ``P`` are new arrays after every
+    ``predict`` and ``update``, so a caller may keep them. ``_sigma`` and
+    ``_res`` are views of the buffers, valid until the next ``predict``.
     """
 
     # Error-state rows that the pose and rate measurement observes.
@@ -315,11 +360,7 @@ class QuaternionUkf:
         self.r_mat = self.noise.r_matrix()
         self.ctx = dyn.TransitionContext(self.params, self.dt)
         self.last_nis = None
-        rows = 2 * self.n + 1
-        self._deltas = np.zeros((rows, self.n))  # row 0 and column -1 stay 0
-        self._pts = np.empty((rows, self.x.shape[0]))
-        self._res_buf = np.empty((rows, self.n))
-        self._wres = np.empty((rows, self.n))    # _res_buf * w_cov[:, None]
+        self._pts = None
         self._sigma = None
         self._res = None
         self._mean_q = self.x[0:4].copy()
@@ -332,44 +373,45 @@ class QuaternionUkf:
 
     @property
     def wrench(self):
-        return dyn.wrench_estimate(self.x[13:19], self.x[7:10], self.x[10:13],
-                                   self.params)
-
-    # -- sigma point machinery --------------------------------------------
-
-    def _propagate(self, pts, u_vec):
-        """Advance the sigma points in place; pad components keep their
-        values (identity dynamics)."""
-        core = pts
-        if self.pad_dims:
-            core = np.concatenate([pts[:, :19], pts[:, -1:]], axis=1)
-        prop = dyn.propagate_batch(core, u_vec, self.ctx)
-        pts[:, :19] = prop[:, :19]
-        pts[:, -1] = prop[:, -1]
-        return pts
-
-    def _mean_state(self, pts):
-        try:
-            mean_q = qt.weighted_quat_average(pts[:, 0:4], self.w_mean)
-        except DegenerateSpectrum:
-            # A flat spectrum leaves the average undefined; holding the
-            # previous mean keeps the filter running through the ambiguity.
-            mean_q = self._mean_q
-        rest = self.w_mean @ pts[:, 4:]
-        self._mean_q = mean_q
-        return np.concatenate([mean_q, rest])
+        return dyn.wrench_estimate(self.x[..., 13:19], self.x[..., 7:10],
+                                   self.x[..., 10:13], self.params)
 
     # -- filter steps ------------------------------------------------------
 
     def predict(self, control):
-        u_vec = control.as_vector()
+        lead = self.x.shape[:-1]
+        if self._pts is None or self._pts.shape[:-2] != lead:
+            rows = lead + (2 * self.n + 1,)
+            self._deltas = np.zeros(rows + (self.n,))  # row 0, column -1 stay 0
+            self._pts = np.empty(rows + self.x.shape[-1:])
+            self._res_buf = np.empty(rows + (self.n,))
+            self._wres = np.empty(rows + (self.n,))    # _res_buf * w_cov[:, None]
         pts = _sigma_points(self.x, cov_sqrt(self.P), self.scale, self._deltas,
                             self._pts)
-        self._propagate(pts, u_vec)
-        mean = self._mean_state(pts)
-        mean[0:4] = qt.quat_normalize(mean[0:4])
-        mean[-1] = 1.0
-        self._mean_q = mean[0:4].copy()
+        # Pad components keep their values (identity dynamics).
+        core = pts
+        if self.pad_dims:
+            core = np.concatenate([pts[..., :19], pts[..., -1:]], axis=-1)
+        prop = _propagate_rows(core, control.as_vector(), self.ctx)
+        pts[..., :19] = prop[..., :19]
+        pts[..., -1] = prop[..., -1]
+
+        try:
+            mean_q = qt.weighted_quat_average(pts[..., 0:4], self.w_mean)
+        except DegenerateSpectrum:
+            # A flat spectrum leaves the average undefined; holding the
+            # previous mean keeps the filter running through the ambiguity.
+            # A stack averages run by run, so only its flat runs hold.
+            mean_q = np.array(np.broadcast_to(self._mean_q, lead + (4,)))
+            for i in (np.ndindex(lead) if lead else ()):
+                try:
+                    mean_q[i] = qt.weighted_quat_average(pts[i][:, 0:4], self.w_mean)
+                except DegenerateSpectrum:
+                    pass
+        mean = np.concatenate([mean_q, self.w_mean @ pts[..., 4:]], axis=-1)
+        mean[..., 0:4] = qt.quat_normalize(mean[..., 0:4])
+        mean[..., -1] = 1.0
+        self._mean_q = mean[..., 0:4].copy()
         res = _residuals(pts, mean, self._res_buf)
         self.P = _sigma_cov(res, self.w_cov, self.q_disc, self._wres)
         self.x, self._sigma, self._res = mean, pts, res
@@ -384,21 +426,20 @@ class QuaternionUkf:
         pyy, pxy = _observed_cov(self._res, self._wres, self.w_cov, self.r_mat)
         innov = np.concatenate([
             qt.quat_diff(qt.quat_normalize(meas.q), self._mean_q),
-            meas.r - self.x[4:7],
-            meas.omega - self.x[10:13],
-        ])
-        gain, nis = _gain(pyy, pxy, innov)
-        self.last_nis = float(nis)
+            meas.r - self.x[..., 4:7],
+            meas.omega - self.x[..., 10:13],
+        ], axis=-1)
+        gain, self.last_nis = _gain(pyy, pxy, innov)
 
-        dx = gain @ innov
-        dx[-1] = 0.0
+        dx = dyn.matvec(gain, innov)
+        dx[..., -1] = 0.0
         x = self.x.copy()
-        x[0:4] = qt.quat_mul(qt.rotvec_to_quat(dx[0:3]), x[0:4])
-        x[4:-1] += dx[3:-1]
-        x[-1] = 1.0
-        x[0:4] = qt.quat_normalize(x[0:4])
+        x[..., 0:4] = qt.quat_mul(qt.rotvec_to_quat(dx[..., 0:3]), x[..., 0:4])
+        x[..., 4:-1] += dx[..., 3:-1]
+        x[..., -1] = 1.0
+        x[..., 0:4] = qt.quat_normalize(x[..., 0:4])
         self.x = x
-        self._mean_q = x[0:4].copy()
+        self._mean_q = x[..., 0:4].copy()
         self.P = _pin(_posterior(self.P, gain, pyy))
         return self
 
@@ -436,9 +477,6 @@ class ExtendedKalman:
     """
 
     OBS_IDX = np.array([0, 1, 2, 3, 4, 5, 6, 10, 11, 12])
-    # The observed block of P, P[np.ix_(OBS_IDX, OBS_IDX)], as a prebuilt
-    # index pair.
-    _OBS_BLOCK = np.ix_(OBS_IDX, OBS_IDX)
 
     def __init__(self, params=None, noise=None, dt=0.01, initial=None,
                  p0_diag=None, fd_step=1e-6):
@@ -476,27 +514,32 @@ class ExtendedKalman:
 
     @property
     def wrench(self):
-        return dyn.wrench_estimate(self.x[13:19], self.x[7:10], self.x[10:13],
-                                   self.params)
+        return dyn.wrench_estimate(self.x[..., 13:19], self.x[..., 7:10],
+                                   self.x[..., 10:13], self.params)
 
     def predict(self, control):
-        self.x[0:4] = qt.quat_normalize(self.x[0:4])
-        prop = dyn.propagate_batch(_difference_rows(self.x, self._fd_offsets),
-                                   control.as_vector(), self.ctx)
+        self.x[..., 0:4] = qt.quat_normalize(self.x[..., 0:4])
+        prop = _propagate_rows(_difference_rows(self.x, self._fd_offsets),
+                               control.as_vector(), self.ctx)
         self.x, self.P = _jacobian_cov(prop, self.P, self.q_disc, self.fd_step)
         return self
 
     def update(self, meas):
         idx = self.OBS_IDX
         zq = qt.quat_normalize(meas.q)
-        if qt.quat_dot(zq, self.x[0:4]) < 0.0:
-            zq = -zq  # keep the residual on the near side of the double cover
-        resid = np.concatenate([zq, meas.r, meas.omega]) - self.x[idx]
-        pyy = self.P[self._OBS_BLOCK] + self.r_mat
-        gain, nis = _gain(pyy, self.P[:, idx], resid)
-        self.x = self.x + gain @ resid
-        self.x[0:4] = qt.quat_normalize(self.x[0:4])
-        self.last_nis = float(nis)
+        # Keep the residual on the near side of the double cover.
+        dot = qt.quat_dot(zq, self.x[..., 0:4])
+        if zq.ndim == 1:
+            zq = -zq if dot < 0.0 else zq
+        else:
+            zq = np.where((dot < 0.0)[..., None], -zq, zq)
+        resid = np.concatenate([zq, meas.r, meas.omega], axis=-1) - self.x.take(idx, -1)
+        # take gives row-major blocks, of a stack too.
+        pxy = self.P.take(idx, -1)
+        pyy = pxy.take(idx, -2) + self.r_mat
+        gain, self.last_nis = _gain(pyy, pxy, resid)
+        self.x = self.x + dyn.matvec(gain, resid)
+        self.x[..., 0:4] = qt.quat_normalize(self.x[..., 0:4])
         self.P = _posterior(self.P, gain, pyy)
         return self
 

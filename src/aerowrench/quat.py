@@ -330,7 +330,8 @@ def quat_diff(q1, q2):
 
 
 def weighted_quat_average(quats, weights, gap_tol=1e-12):
-    """Weighted mean of unit quaternions.
+    """Weighted mean of unit quaternions (k, 4), or of each stack of a
+    stack (..., k, 4).
 
     Returns the dominant eigenvector of A = sum_i w_i q_i q_i^T, which
     maximizes sum_i w_i (q^T q_i)^2 over the unit sphere and is insensitive
@@ -338,19 +339,20 @@ def weighted_quat_average(quats, weights, gap_tol=1e-12):
     covariance weights are when the spread parameters call for it); only the
     spectrum of A matters.
 
-    Raises DegenerateSpectrum when the top eigenvalue is not isolated by more
+    Raises DegenerateSpectrum when a top eigenvalue is not isolated by more
     than gap_tol, e.g. for an equal-weight pair of rotations a geodesic
     half-turn apart.
     """
     qs = np.asarray(quats, dtype=float)
     ws = np.asarray(weights, dtype=float)
-    if qs.ndim != 2 or qs.shape[1] != 4:
-        raise ValueError("expected quaternions with shape (k, 4)")
-    if ws.shape != (qs.shape[0],):
+    if qs.ndim < 2 or qs.shape[-1] != 4:
+        raise ValueError("expected quaternions with shape (..., k, 4)")
+    if ws.shape != qs.shape[-2:-1]:
         raise ValueError("weights length must match quaternion count")
-    a = (qs.T * ws) @ qs
+    a = (qs.swapaxes(-1, -2) * ws) @ qs
     vals, vecs = np.linalg.eigh(a)
-    if vals[-1] - vals[-2] < gap_tol:
+    gap = vals.T[-1] - vals.T[-2]
+    if (gap < gap_tol) if qs.ndim == 2 else (gap < gap_tol).any():
         raise DegenerateSpectrum(
-            "top eigenvalue gap %.3e below %g" % (vals[-1] - vals[-2], gap_tol))
-    return quat_canonical(quat_normalize(vecs[:, -1]))
+            "top eigenvalue gap %.3e below %g" % (np.min(gap), gap_tol))
+    return quat_canonical(quat_normalize(vecs[..., -1]))

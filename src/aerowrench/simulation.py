@@ -6,6 +6,12 @@ measurements, steer a virtual reference with the estimated interaction
 force, track it, and allocate the demanded wrench to rotors. Everything is
 deterministic given a seed; telemetry is recorded as flat arrays, which
 the telemetry module writes as they are.
+
+One loop steps one run (``run_scenario``) or a stack of seeds
+(``run_study``): the truth RK4, the filters, the admittance layer, the
+controller and the allocation each take one run's arrays or the same
+arrays with a run axis, and every run of a stack reproduces the lone run
+bit for bit (:mod:`.estimation` says how).
 """
 
 import math
@@ -16,9 +22,8 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import estimation as est
-from . import lockstep as ls
 from . import quat as qt
-from .errors import DivergenceDetected, ValidationError
+from .errors import AerowrenchError, DivergenceDetected, ValidationError
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -98,7 +103,10 @@ def default_profile():
 
 
 def force_profile_eval(profile, t):
-    """Wrench applied at time t: ramped inside segments, zero elsewhere."""
+    """Wrench applied at time t: ramped inside segments, zero elsewhere.
+
+    A segment covers [start, end), so segments that touch never add up.
+    """
     return dyn.Wrench.from_vector(_profile_table(profile, np.array([t], dtype=float))[0])
 
 
@@ -106,7 +114,7 @@ def _profile_table(profile, times):
     # force_profile_eval for each time of a grid, as rows [force, torque].
     out = np.zeros((times.shape[0], 6))
     for seg in profile.segments:
-        m = (times >= seg.start) & (times <= seg.end)
+        m = (times >= seg.start) & (times < seg.end)
         if not m.any():
             continue
         t = times[m]
@@ -189,14 +197,15 @@ def _admittance_phi(params, dt):
 def admittance_reference(tau_hat, ref, params, dt):
     """Advance the reference one step under the estimated force.
 
-    tau_hat is the estimated wrench as a 6-vector [force, torque]; only the
-    force part drives the virtual dynamics. The step is the exact solution
-    of the linear system with the force held over dt, so stiff virtual
-    parameters cost nothing.
+    tau_hat is the estimated wrench as a 6-vector [force, torque], or rows
+    of them with the reference's r and v; only the force part drives the
+    virtual dynamics. The step is the exact solution of the linear system
+    with the force held over dt, so stiff virtual parameters cost nothing.
     """
     phi = _admittance_phi(params, dt)
-    z = phi[:6, 0:3] @ ref.r + phi[:6, 3:6] @ ref.v + phi[:6, 6:9] @ tau_hat[:3]
-    return ReferenceState(r=z[0:3], v=z[3:6])
+    z = (dyn.matvec(phi[:6, 0:3], ref.r) + dyn.matvec(phi[:6, 3:6], ref.v)
+         + dyn.matvec(phi[:6, 6:9], tau_hat[..., :3]))
+    return ReferenceState(r=z[..., 0:3], v=z[..., 3:6])
 
 
 # ---------------------------------------------------------------------------
@@ -221,42 +230,74 @@ class ControllerGains:
         self.accel_max = np.asarray(self.accel_max, dtype=float)
 
 
-def tracking_controller(state, ref, params, gains=None):
-    """Thrust magnitude and body moments steering state toward ref.
+def tracking_controller(x, ref, params, gains=None):
+    """Thrust and body moments [thrust, moments] (4,) steering an estimated
+    state x [q, r, v, omega, ...] toward ref; rows (S, 4) for rows x.
 
     Position PD gives a desired acceleration; its direction fixes the
     desired thrust axis and hence a desired attitude with zero yaw. The
     attitude loop is a PD on the left rotation error with gyroscopic
-    feed-forward. Thrust is clamped to [0, u_max].
+    feed-forward. Thrust is clamped to [0, u_max]. As in :mod:`.quat`, one
+    state runs on Python floats and rows on arrays, with the same
+    operations in the same order; the rows take ``math.hypot`` and
+    ``math.atan2`` run by run (numpy's may differ in the last bit), and a
+    branch becomes a mask that keeps the lone form's treatment of NaN.
     """
     g = gains if gains is not None else ControllerGains()
-    r, v, rr, rv, am = state.r, state.v, ref.r, ref.v, g.accel_max
-    a = np.empty(3)
-    for i in range(3):
-        ai = g.kp * (rr[i] - r[i]) + g.kd * (rv[i] - v[i])
-        lim = am[i]
-        a[i] = lim if ai > lim else (-lim if ai < -lim else ai)
     m = params.mass
-    f0 = m * a[0]
-    f1 = m * a[1]
-    f2 = m * (a[2] + params.gravity)
-    fmag = math.sqrt(f0 * f0 + f1 * f1 + f2 * f2)
-    thrust = fmag if fmag < params.u_max else params.u_max
+    if x.ndim == 1:
+        r, v = x[4:7].tolist(), x[7:10].tolist()
+        rr, rv, am = ref.r.tolist(), ref.v.tolist(), g.accel_max.tolist()
+        a = [0.0, 0.0, 0.0]
+        for i in range(3):
+            ai = g.kp * (rr[i] - r[i]) + g.kd * (rv[i] - v[i])
+            lim = am[i]
+            a[i] = lim if ai > lim else (-lim if ai < -lim else ai)
+        f0 = m * a[0]
+        f1 = m * a[1]
+        f2 = m * (a[2] + params.gravity)
+        fmag = math.sqrt(f0 * f0 + f1 * f1 + f2 * f2)
+        q_des = IDENTITY_Q
+        if fmag > 1e-9:
+            zb0, zb1, zb2 = f0 / fmag, f1 / fmag, f2 / fmag
+            # E_z x zb: rotation axis tilting the thrust column onto fvec.
+            s_ax = math.hypot(zb0, zb1)
+            if s_ax > 1e-12:
+                k = math.atan2(s_ax, zb2) / s_ax
+                q_des = qt.rotvec_to_quat(np.array([-zb1 * k, zb0 * k, 0.0]))
+        w = x[10:13]
+        out = np.empty(4)
+        out[0] = fmag if fmag < params.u_max else params.u_max
+        out[1:4] = (params.inertia @ (g.kp_att * qt.quat_diff(q_des, x[0:4])
+                                      - g.kd_att * w)
+                    + dyn._gyroscopic(w, params.inertia @ w))
+        return out
 
-    q_des = IDENTITY_Q
-    if fmag > 1e-9:
+    r, v, w = x[:, 4:7], x[:, 7:10], x[:, 10:13]
+    a = g.kp * (ref.r - r) + g.kd * (ref.v - v)
+    lim = g.accel_max
+    a = np.where(a > lim, lim, np.where(a < -lim, -lim, a))
+    f0 = m * a[:, 0]
+    f1 = m * a[:, 1]
+    f2 = m * (a[:, 2] + params.gravity)
+    fmag = np.sqrt(f0 * f0 + f1 * f1 + f2 * f2)
+    # An untilted run keeps a zero rotation vector, whose quaternion is
+    # the identity to the bit.
+    tilt = np.zeros((x.shape[0], 3))
+    with np.errstate(divide="ignore", invalid="ignore"):
         zb0, zb1, zb2 = f0 / fmag, f1 / fmag, f2 / fmag
-        # E_z x zb: rotation axis tilting the thrust column onto fvec.
-        s_ax = math.hypot(zb0, zb1)
+    for i in np.flatnonzero(fmag > 1e-9):
+        b0, b1, b2 = float(zb0[i]), float(zb1[i]), float(zb2[i])
+        s_ax = math.hypot(b0, b1)
         if s_ax > 1e-12:
-            k = math.atan2(s_ax, zb2) / s_ax
-            q_des = qt.rotvec_to_quat(np.array([-zb1 * k, zb0 * k, 0.0]))
-
-    e_rot = qt.quat_diff(q_des, state.q)
-    w = state.omega
-    gyro = dyn._gyroscopic(w, params.inertia @ w)
-    moments = params.inertia @ (g.kp_att * e_rot - g.kd_att * w) + gyro
-    return dyn.ControlInput(thrust=thrust, moments=moments)
+            k = math.atan2(s_ax, b2) / s_ax
+            tilt[i] = (-b1 * k, b0 * k, 0.0)
+    out = np.empty((x.shape[0], 4))
+    out[:, 0] = np.where(fmag < params.u_max, fmag, params.u_max)
+    e_rot = qt.quat_diff(qt.rotvec_to_quat(tilt), x[:, 0:4])
+    gyro = dyn._gyroscopic(w.T, dyn.matvec(params.inertia, w).T).T
+    out[:, 1:4] = dyn.matvec(params.inertia, g.kp_att * e_rot - g.kd_att * w) + gyro
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -323,21 +364,47 @@ class ScenarioRun:
     tracks: dict
 
 
-def _divergence_message(name, x, k):
-    # Formatted only after a check has failed: a healthy loop never pays.
-    i = int(np.argmin(np.abs(x) <= DIVERGENCE_LIMIT))
-    return "%s diverged at step %d: component %d = %.6g" % (name, k, i, x[i])
+def _name_run(msg, labels, run):
+    """msg, prefixed with the label of a stack's failing run."""
+    return msg if labels is None or run is None else "%s: %s" % (labels[run], msg)
 
 
-def _check_finite(name, x, k):
-    # NaN fails the comparison, so a single reduction covers both cases.
+def _check_finite(name, x, k, labels=None):
+    """Raise DivergenceDetected when a state, or a row of a stack whose
+    runs ``labels`` names, leaves the envelope."""
+    # NaN fails the comparison, so a single reduction covers both cases;
+    # the message is formatted only after the check has failed.
     if not np.abs(x).max() <= DIVERGENCE_LIMIT:
-        raise DivergenceDetected(_divergence_message(name, x, k))
+        rows = x.reshape(-1, x.shape[-1])
+        run = int(np.argmin(np.abs(rows).max(axis=1) <= DIVERGENCE_LIMIT))
+        i = int(np.argmin(np.abs(rows[run]) <= DIVERGENCE_LIMIT))
+        raise DivergenceDetected(_name_run(
+            "%s diverged at step %d: component %d = %.6g" % (name, k, i, rows[run, i]),
+            labels, run))
 
 
-def _scenario_setup(profile, params, noise, admittance, dt, duration,
-                    estimators, scaling, p0_diag):
-    """Validated inputs, the filters and the profile tables of a scenario."""
+def _draw_noise(seed, n_steps, noise):
+    # Noise is independent of the loop, so every draw happens up front;
+    # bulk draws consume the generator streams in the same order as
+    # per-step calls would.
+    streams = NoiseStreams(seed)
+    sig = np.sqrt(np.asarray(noise.r_diag, dtype=float))
+    noise_q = qt.rotvec_to_quat(
+        streams.attitude.normal(size=(n_steps, 3)) * sig[0:3])
+    noise_r = streams.position.normal(size=(n_steps, 3)) * sig[3:6]
+    noise_w = streams.rate.normal(size=(n_steps, 3)) * sig[6:9]
+    return noise_q, noise_r, noise_w
+
+
+def _closed_loop(profile, seed, params, noise, admittance, gains, dt, duration,
+                 estimators, scaling, p0_diag, collect_timing):
+    """run_scenario's loop for one seed, or for a stack of runs (a list of
+    seeds).
+
+    The seeds' shape, () or (S,), becomes the leading run shape of every
+    array of the loop. Returns a ScenarioRun whose arrays carry the run
+    axis after the step axis.
+    """
     params = params if params is not None else dyn.SystemParams()
     noise = noise if noise is not None else est.NoiseConfig()
     admittance = admittance if admittance is not None else AdmittanceParams()
@@ -363,22 +430,89 @@ def _scenario_setup(profile, params, noise, admittance, dt, duration,
         filters["ekf"] = est.ExtendedKalman(params=params, noise=noise, dt=dt,
                                             p0_diag=p0_diag)
 
+    lead = np.shape(seed)
+    labels = ["seed %r" % (s,) for s in seed] if lead else None
+    for f in filters.values():
+        f.x = np.tile(f.x, lead + (1,))
+        f.P = np.tile(f.P, lead + (1, 1))
+    feed = "qukf" if "qukf" in filters else "ekf"
+    fd = filters[feed]
+    gains = gains if gains is not None else ControllerGains()
+    noise_q, noise_r, noise_w = (
+        np.stack(d, axis=1).reshape((n_steps,) + lead + (-1,))
+        for d in zip(*(_draw_noise(s, n_steps, noise) for s in np.ravel(seed))))
     grid = np.arange(1, n_steps + 1) * dt
-    return (params, noise, admittance, n_steps, names, filters, grid,
-            _profile_table(profile, grid), _profile_table(profile, grid - 0.5 * dt))
+    tau_arr = _profile_table(profile, grid)
+    # The truth steps a stack component-first: runs are columns of x.T.
+    tau_mid = _profile_table(profile, grid - 0.5 * dt).reshape(
+        (n_steps, 6) + (1,) * len(lead))
 
+    x = np.tile(dyn.BodyState.hover().as_vector(), lead + (1,))
+    u = np.tile(dyn.ControlInput.hover(params).as_vector(), lead + (1,))
+    ref = ReferenceState(r=np.zeros(lead + (3,)), v=np.zeros(lead + (3,)))
+    j_inv = np.linalg.inv(params.inertia)
+    alloc = dyn.RotorAllocation(params)
 
-def _draw_noise(seed, n_steps, noise):
-    # Noise is independent of the loop, so every draw happens up front;
-    # bulk draws consume the generator streams in the same order as
-    # per-step calls would.
-    streams = NoiseStreams(seed)
-    sig = np.sqrt(np.asarray(noise.r_diag, dtype=float))
-    noise_q = qt.rotvec_to_quat(
-        streams.attitude.normal(size=(n_steps, 3)) * sig[0:3])
-    noise_r = streams.position.normal(size=(n_steps, 3)) * sig[3:6]
-    noise_w = streams.rate.normal(size=(n_steps, 3)) * sig[6:9]
-    return noise_q, noise_r, noise_w
+    shape = (n_steps,) + lead
+    truth_arr = np.empty(shape + (13,))
+    meas_arr = np.empty(shape + (10,))
+    ctrl_arr = np.empty(shape + (4,))
+    rotor_arr = np.empty(shape + (8,))
+    sat_arr = np.zeros(shape, dtype=bool)
+    tracks = {name: EstimatorTrack(
+        states=np.empty(shape + (19,)),
+        wrench=np.empty(shape + (6,)),
+        nis=np.empty(shape),
+        step_seconds=np.empty(n_steps) if collect_timing else None)
+        for name in names}
+
+    for k in range(n_steps):
+        x = dyn.rk4_step(x.T, u.T, tau_mid[k], params, dt, j_inv).T
+        _check_finite("truth", x, k, labels)
+        truth_arr[k] = x
+
+        meas = est.Measurement(q=qt.quat_mul(noise_q[k], x[..., 0:4]),
+                               r=x[..., 4:7] + noise_r[k],
+                               omega=x[..., 10:13] + noise_w[k])
+        control = dyn.ControlInput(thrust=u[..., 0], moments=u[..., 1:4])
+        for name in names:
+            f = filters[name]
+            try:
+                if collect_timing:
+                    tic = time.perf_counter()
+                    f.step(control, meas)
+                    tracks[name].step_seconds[k] = time.perf_counter() - tic
+                else:
+                    f.step(control, meas)
+            except AerowrenchError as err:
+                raise type(err)(_name_run("%s failed at step %d: %s" % (name, k, err),
+                                          labels, err.run)) from None
+            xs = f.x[..., :19]
+            _check_finite(name, xs, k, labels)
+            tr = tracks[name]
+            tr.states[k] = xs
+            tr.wrench[k] = f.wrench
+            tr.nis[k] = f.last_nis
+
+        ref = admittance_reference(fd.wrench, ref, admittance, dt)
+        thrusts = dyn.matvec(alloc.to_rotors,
+                             tracking_controller(fd.x, ref, params, gains))
+        if thrusts.min() < 0.0 or thrusts.max() > alloc.cap:
+            sat_arr[k] = (thrusts.min(axis=-1) < 0.0) | (thrusts.max(axis=-1) > alloc.cap)
+            # Clipping leaves an unsaturated run's thrusts as they are.
+            np.clip(thrusts, 0.0, alloc.cap, out=thrusts)
+        u = dyn.matvec(alloc.to_wrench, thrusts)
+
+        meas_arr[k, ..., 0:4] = meas.q
+        meas_arr[k, ..., 4:7] = meas.r
+        meas_arr[k, ..., 7:10] = meas.omega
+        ctrl_arr[k] = u
+        rotor_arr[k] = thrusts
+
+    return ScenarioRun(dt=dt, seed=seed, feed=feed, t=grid, truth=truth_arr,
+                       wrench_true=tau_arr, measurements=meas_arr,
+                       controls=ctrl_arr, rotors=rotor_arr, saturated=sat_arr,
+                       tracks=tracks)
 
 
 def run_scenario(profile=None, *, params=None, noise=None, admittance=None,
@@ -394,194 +528,37 @@ def run_scenario(profile=None, *, params=None, noise=None, admittance=None,
     reference, the tracking controller turns reference and state estimate
     into a wrench demand, and allocation plus rotor saturation yield what
     the plant actually receives. The estimators never see the truth.
+    A filter error or a divergence names the filter and the step.
     """
-    (params, noise, admittance, n_steps, names, filters, grid, tau_arr,
-     tau_mid) = _scenario_setup(profile, params, noise, admittance, dt,
-                                duration, estimators, scaling, p0_diag)
-    feed = "qukf" if "qukf" in filters else "ekf"
-
-    truth = dyn.BodyState.hover()
-    ref = ReferenceState.rest()
-    u = dyn.ControlInput.hover(params)
-    j_inv = np.linalg.inv(params.inertia)
-    noise_q, noise_r, noise_w = _draw_noise(seed, n_steps, noise)
-    alloc = dyn.RotorAllocation(params)
-
-    truth_arr = np.empty((n_steps, 13))
-    meas_arr = np.empty((n_steps, 10))
-    ctrl_arr = np.empty((n_steps, 4))
-    rotor_arr = np.empty((n_steps, 8))
-    sat_arr = np.zeros(n_steps, dtype=bool)
-    tracks = {name: EstimatorTrack(
-        states=np.empty((n_steps, 19)),
-        wrench=np.empty((n_steps, 6)),
-        nis=np.empty(n_steps),
-        step_seconds=np.empty(n_steps) if collect_timing else None)
-        for name in names}
-    fd = filters[feed]
-    if gains is None:
-        gains = ControllerGains()
-
-    for k in range(n_steps):
-        tau_k = dyn.Wrench(force=tau_mid[k, 0:3], torque=tau_mid[k, 3:6])
-        truth = dyn.rk4_step(truth, u, tau_k, params, dt, j_inv)
-        tv = truth.as_vector()
-        _check_finite("truth", tv, k)
-        truth_arr[k] = tv
-
-        meas = est.Measurement(q=qt.quat_mul(noise_q[k], truth.q),
-                               r=truth.r + noise_r[k],
-                               omega=truth.omega + noise_w[k])
-        for name in names:
-            f = filters[name]
-            if collect_timing:
-                tic = time.perf_counter()
-                f.step(u, meas)
-                tracks[name].step_seconds[k] = time.perf_counter() - tic
-            else:
-                f.step(u, meas)
-            x = f.x[:19]
-            _check_finite(name, x, k)
-            tr = tracks[name]
-            tr.states[k] = x
-            tr.wrench[k] = f.wrench
-            tr.nis[k] = f.last_nis
-
-        ref = admittance_reference(fd.wrench, ref, admittance, dt)
-        xf = fd.x
-        body_est = dyn.BodyState(q=xf[0:4], r=xf[4:7], v=xf[7:10],
-                                 omega=xf[10:13])
-        cmd = tracking_controller(body_est, ref, params, gains)
-        demand = np.empty(4)
-        demand[0] = cmd.thrust
-        demand[1:4] = cmd.moments
-        thrusts = alloc.to_rotors @ demand
-        if thrusts.min() < 0.0 or thrusts.max() > alloc.cap:
-            sat_arr[k] = True
-            np.clip(thrusts, 0.0, alloc.cap, out=thrusts)
-        u4 = alloc.to_wrench @ thrusts
-        u = dyn.ControlInput(thrust=u4[0], moments=u4[1:4])
-
-        meas_arr[k, 0:4] = meas.q
-        meas_arr[k, 4:7] = meas.r
-        meas_arr[k, 7:10] = meas.omega
-        ctrl_arr[k] = u4
-        rotor_arr[k] = thrusts
-
-    return ScenarioRun(dt=dt, seed=seed, feed=feed, t=grid, truth=truth_arr,
-                       wrench_true=tau_arr, measurements=meas_arr,
-                       controls=ctrl_arr, rotors=rotor_arr, saturated=sat_arr,
-                       tracks=tracks)
-
-
-def _check_finite_rows(name, x, k, labels):
-    ok = np.abs(x).max(axis=1) <= DIVERGENCE_LIMIT
-    if not ok.all():
-        row = int(np.argmin(ok))
-        raise DivergenceDetected("%s: %s" % (labels[row],
-                                             _divergence_message(name, x[row], k)))
+    return _closed_loop(profile, seed, params, noise, admittance, gains, dt,
+                        duration, estimators, scaling, p0_diag, collect_timing)
 
 
 def run_study(seeds, profile=None, *, duration=70.0, estimators=("qukf", "ekf")):
-    """One closed-loop run per seed, all advanced in lockstep.
+    """One closed-loop run per seed, all stepped together.
 
     Returns, in the order of ``seeds``, the ScenarioRun that
     ``run_scenario(profile, seed=seed, duration=duration,
     estimators=estimators)`` gives for each (without step timing); every
-    other scenario setting is run_scenario's default. Every array of the
-    loop carries a leading axis over the seeds, the truth goes through
-    run_scenario's own RK4 (dyn.rigid_body_rk4) and the kernels in
-    :mod:`.lockstep` repeat the rest of the scalar arithmetic run by run;
-    each seed draws its own NoiseStreams.
-    A failure stops the whole study at the first step where any seed fails,
-    and the error names that seed.
+    other scenario setting is run_scenario's default. The seeds go through
+    run_scenario's loop as one stack of runs, each with its own
+    NoiseStreams. A failure stops the whole study at the first step where
+    any seed fails, and the error names that seed.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValidationError(["study.seeds must name at least one seed"])
-    dt = 0.01
-    (params, noise, admittance, n_steps, names, filters, grid, tau_arr,
-     tau_mid) = _scenario_setup(profile, None, None, None, dt, duration,
-                                estimators, None, None)
-    feed = "qukf" if "qukf" in filters else "ekf"
-    gains = ControllerGains()
-    labels = ["seed %r" % (s,) for s in seeds]
-    n_runs = len(seeds)
-    stack_types = {"qukf": ls.UkfStack, "ekf": ls.EkfStack}
-    stacks = {name: stack_types[name](filters[name], labels) for name in names}
-    fd = stacks[feed]
-    ctx = filters[feed].ctx
-
-    draws = [_draw_noise(s, n_steps, noise) for s in seeds]
-    noise_q, noise_r, noise_w = (np.stack(d, axis=1) for d in zip(*draws))
-    alloc = dyn.RotorAllocation(params)
-    phi = _admittance_phi(admittance, dt)
-    j_inv = np.linalg.inv(params.inertia)
-
-    x = np.tile(dyn.BodyState.hover().as_vector(), (n_runs, 1))
-    u = np.tile(dyn.ControlInput.hover(params).as_vector(), (n_runs, 1))
-    ref_r = np.zeros((n_runs, 3))
-    ref_v = np.zeros((n_runs, 3))
-
-    truth_arr = np.empty((n_runs, n_steps, 13))
-    meas_arr = np.empty((n_runs, n_steps, 10))
-    ctrl_arr = np.empty((n_runs, n_steps, 4))
-    rotor_arr = np.empty((n_runs, n_steps, 8))
-    sat_arr = np.zeros((n_runs, n_steps), dtype=bool)
-    tracks = {name: (np.empty((n_runs, n_steps, 19)), np.empty((n_runs, n_steps, 6)),
-                     np.empty((n_runs, n_steps))) for name in names}
-
-    for k in range(n_steps):
-        x = dyn.rigid_body_rk4(x.T, u.T, tau_mid[k, :, None], params, dt, j_inv).T
-        _check_finite_rows("truth", x, k, labels)
-        truth_arr[:, k] = x
-        mq = qt.quat_mul(noise_q[k], x[:, 0:4])
-        mr = x[:, 4:7] + noise_r[k]
-        mw = x[:, 10:13] + noise_w[k]
-
-        # Both filters' sigma and difference rows go through one call.
-        parts = [stacks[name].predict_rows() for name in names]
-        rows = np.concatenate(parts, axis=1)
-        prop = dyn.propagate_batch(rows.reshape(-1, rows.shape[2]),
-                                   np.repeat(u, rows.shape[1], axis=0),
-                                   ctx).reshape(rows.shape)
-        start = 0
-        for name, part in zip(names, parts):
-            st = stacks[name]
-            st.finish_predict(prop[:, start:start + part.shape[1]])
-            start += part.shape[1]
-            st.update(mq, mr, mw)
-            xs = st.x[:, :19]
-            _check_finite_rows(name, xs, k, labels)
-            states, wrench, nis = tracks[name]
-            states[:, k] = xs
-            wrench[:, k] = st.wrench
-            nis[:, k] = st.nis
-
-        z = (dyn.matvec(phi[:6, 0:3], ref_r) + dyn.matvec(phi[:6, 3:6], ref_v)
-             + dyn.matvec(phi[:6, 6:9], fd.wrench[:, 0:3]))
-        ref_r, ref_v = z[:, 0:3], z[:, 3:6]
-        demand = ls.tracking_controller(fd.x, ref_r, ref_v, params, gains)
-        thrusts = dyn.matvec(alloc.to_rotors, demand)
-        sat = (thrusts.min(axis=1) < 0.0) | (thrusts.max(axis=1) > alloc.cap)
-        if sat.any():
-            sat_arr[:, k] = sat
-            thrusts[sat] = np.clip(thrusts[sat], 0.0, alloc.cap)
-        u = dyn.matvec(alloc.to_wrench, thrusts)
-
-        meas_arr[:, k, 0:4] = mq
-        meas_arr[:, k, 4:7] = mr
-        meas_arr[:, k, 7:10] = mw
-        ctrl_arr[:, k] = u
-        rotor_arr[:, k] = thrusts
-
-    return [ScenarioRun(dt=dt, seed=seed, feed=feed, t=grid.copy(),
-                        truth=truth_arr[i], wrench_true=tau_arr.copy(),
-                        measurements=meas_arr[i], controls=ctrl_arr[i],
-                        rotors=rotor_arr[i], saturated=sat_arr[i],
-                        tracks={name: EstimatorTrack(states=states[i],
-                                                     wrench=wrench[i], nis=nis[i])
-                                for name, (states, wrench, nis) in tracks.items()})
+    run = _closed_loop(profile, seeds, None, None, None, None, 0.01, duration,
+                       estimators, None, None, False)
+    return [ScenarioRun(dt=run.dt, seed=seed, feed=run.feed, t=run.t.copy(),
+                        truth=run.truth[:, i], wrench_true=run.wrench_true.copy(),
+                        measurements=run.measurements[:, i],
+                        controls=run.controls[:, i], rotors=run.rotors[:, i],
+                        saturated=run.saturated[:, i],
+                        tracks={name: EstimatorTrack(states=tr.states[:, i],
+                                                     wrench=tr.wrench[:, i],
+                                                     nis=tr.nis[:, i])
+                                for name, tr in run.tracks.items()})
             for i, seed in enumerate(seeds)]
 
 

@@ -233,9 +233,9 @@ def test_06_stiff_channel_discretization():
 def test_07_comparative_rmse_ordering():
     # Twenty seeded closed-loop runs; the manifold filter should be at
     # least as accurate as the additive baseline on the body-rate channels
-    # and the yaw-moment channel at the median. The runs advance in
-    # lockstep through run_study, which reproduces run_scenario seed by
-    # seed (tests/test_simulation.py::TestRunStudy).
+    # and the yaw-moment channel at the median. The runs are stepped
+    # together, as one stack, by run_study, which reproduces run_scenario
+    # seed by seed (tests/test_simulation.py::TestRunStudy).
     channels = ("p_radps", "q_radps", "r_radps", "M_hz_Nm")
     seeds = range(20)
     acc = {name: {ch: [] for ch in channels} for name in ("qukf", "ekf")}
@@ -300,9 +300,10 @@ def test_10_long_run_filter_health():
     worst_norm = worst_asym = 0.0
     worst_eig = np.inf
     nis = np.empty(steps)
+    x, j_inv = truth.as_vector(), np.linalg.inv(p.inertia)
     for k in range(steps):
-        truth = dyn.rk4_step(truth, u, dyn.Wrench.zero(), p, 0.01)
-        f.step(u, sim.inject_noise(truth, r_diag, streams))
+        x = dyn.rk4_step(x, u.as_vector(), np.zeros(6), p, 0.01, j_inv)
+        f.step(u, sim.inject_noise(dyn.BodyState.from_vector(x), r_diag, streams))
         worst_norm = max(worst_norm, abs(np.linalg.norm(f.x[0:4]) - 1.0))
         worst_asym = max(worst_asym, np.abs(f.P - f.P.T).max())
         worst_eig = min(worst_eig, float(np.linalg.eigvalsh(f.P)[0]))

@@ -109,6 +109,20 @@ class TestExitCodes:
         assert run_main(["run", "--config", str(cfg),
                          "--out", str(tmp_path)]) == cli.EXIT_DIVERGENCE
 
+    def test_singular_innovation_is_4(self, tmp_path, capsys):
+        # All-zero noise and initial covariance pass validation, but the
+        # first update has a zero innovation covariance: one line on
+        # stderr naming the filter and the step, no traceback.
+        cfg = tmp_path / "zero.yaml"
+        cfg.write_text("filter:\n  q_diag: [%s]\n  r_diag: [%s]\n  p0_diag: [%s]\n"
+                       % (", ".join(["0.0"] * 19), ", ".join(["0.0"] * 9),
+                          ", ".join(["0.0"] * 19)))
+        assert run_main(["run", "--config", str(cfg), "--duration", "0.5",
+                         "--out", str(tmp_path)]) == cli.EXIT_DIVERGENCE
+        assert capsys.readouterr().err == (
+            "estimator failure: qukf failed at step 0: "
+            "innovation covariance is not positive definite\n")
+
     def test_io_error_is_5(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("x")

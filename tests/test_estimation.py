@@ -476,14 +476,14 @@ class TestWrenchEstimation:
         nc = est.NoiseConfig(q_diag=np.zeros(19), r_diag=est.DEFAULT_R_DIAG.copy())
         f = est.QuaternionUkf(noise=nc, p0_diag=np.zeros(19))
         u = hover_control()
-        tau = dyn.Wrench(force=np.array([2.0, 0.0, 0.0]), torque=np.zeros(3))
-        truth = dyn.BodyState.hover()
+        tau = np.array([2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        x, j_inv = dyn.BodyState.hover().as_vector(), np.linalg.inv(p.inertia)
         last = None
         for _ in range(300):
-            pin_navigation(f, truth)
+            pin_navigation(f, dyn.BodyState.from_vector(x))
             last = f.wrench.copy()
             f.predict(u)
-            truth = dyn.rk4_step(truth, u, tau, p, 0.01)
+            x = dyn.rk4_step(x, u.as_vector(), tau, p, 0.01, j_inv)
         at = p.delta / p.mass * 0.01
         expected = 2.0 * at / (1.0 - np.exp(-at))
         assert abs(last[0] - expected) < 1e-9
@@ -565,8 +565,8 @@ class TestManifoldAgainstFlat:
         # Fast tumble plus coarse attitude measurements: the manifold
         # treatment must not lose to additive quaternion coordinates.
         p = dyn.SystemParams()
-        truth = dyn.BodyState(q=qt.quat_identity(), r=np.zeros(3), v=np.zeros(3),
-                              omega=np.array([1.5, -1.0, 2.0]))
+        x = np.concatenate([qt.quat_identity(), np.zeros(6), [1.5, -1.0, 2.0]])
+        j_inv = np.linalg.inv(p.inertia)
         u = dyn.ControlInput(thrust=0.0, moments=np.zeros(3))
         init = est.AugmentedState(
             body=dyn.BodyState(q=qt.rotvec_to_quat(np.array([0.3, 0.0, 0.0])),
@@ -577,15 +577,15 @@ class TestManifoldAgainstFlat:
         flat = NaiveUkf(init)
         errs_m, errs_f = [], []
         for _ in range(500):
-            truth = dyn.rk4_step(truth, u, dyn.Wrench.zero(), p, 0.01)
+            x = dyn.rk4_step(x, u.as_vector(), np.zeros(6), p, 0.01, j_inv)
             m = est.Measurement(
-                q=qt.quat_mul(qt.rotvec_to_quat(rng.normal(scale=0.2, size=3)), truth.q),
-                r=truth.r + rng.normal(scale=0.01, size=3),
-                omega=truth.omega + rng.normal(scale=0.01, size=3))
+                q=qt.quat_mul(qt.rotvec_to_quat(rng.normal(scale=0.2, size=3)), x[0:4]),
+                r=x[4:7] + rng.normal(scale=0.01, size=3),
+                omega=x[10:13] + rng.normal(scale=0.01, size=3))
             manifold.step(u, m)
             flat.step(u, m)
-            errs_m.append(np.linalg.norm(qt.quat_diff(manifold.x[0:4], truth.q)))
-            errs_f.append(np.linalg.norm(qt.quat_diff(qt.quat_normalize(flat.x[0:4]), truth.q)))
+            errs_m.append(np.linalg.norm(qt.quat_diff(manifold.x[0:4], x[0:4])))
+            errs_f.append(np.linalg.norm(qt.quat_diff(qt.quat_normalize(flat.x[0:4]), x[0:4])))
         rmse_m = float(np.sqrt(np.mean(np.square(errs_m[100:]))))
         rmse_f = float(np.sqrt(np.mean(np.square(errs_f[100:]))))
         assert rmse_m < 0.2
@@ -596,14 +596,14 @@ class TestFilterHealthUnderNoise:
     def test_long_noisy_run(self, rng):
         p = dyn.SystemParams()
         u = hover_control()
-        truth = dyn.BodyState.hover()
+        x, j_inv = dyn.BodyState.hover().as_vector(), np.linalg.inv(p.inertia)
         f = est.QuaternionUkf()
         for _ in range(200):
-            truth = dyn.rk4_step(truth, u, dyn.Wrench.zero(), p, 0.01)
+            x = dyn.rk4_step(x, u.as_vector(), np.zeros(6), p, 0.01, j_inv)
             m = est.Measurement(
-                q=qt.quat_mul(qt.rotvec_to_quat(rng.normal(scale=0.01, size=3)), truth.q),
-                r=truth.r + rng.normal(scale=0.01, size=3),
-                omega=truth.omega + rng.normal(scale=0.0316, size=3))
+                q=qt.quat_mul(qt.rotvec_to_quat(rng.normal(scale=0.01, size=3)), x[0:4]),
+                r=x[4:7] + rng.normal(scale=0.01, size=3),
+                omega=x[10:13] + rng.normal(scale=0.0316, size=3))
             f.step(u, m)
             assert abs(np.linalg.norm(f.x[0:4]) - 1.0) < 1e-12
             assert np.allclose(f.P, f.P.T, atol=0.0)

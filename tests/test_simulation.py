@@ -5,10 +5,11 @@ import pytest
 
 import aerowrench.dynamics as dyn
 import aerowrench.estimation as est
-import aerowrench.lockstep as ls
 import aerowrench.quat as qt
 import aerowrench.simulation as sim
-from aerowrench.errors import DivergenceDetected, SingularInnovation, ValidationError
+from aerowrench.errors import (DegenerateSpectrum, DivergenceDetected,
+                               FactorizationFailure, SingularInnovation,
+                               ValidationError)
 
 
 class TestForceProfile:
@@ -48,6 +49,16 @@ class TestForceProfile:
         msg = str(exc.value)
         assert "end must exceed start" in msg
         assert "ramp must be nonnegative" in msg
+
+    def test_touching_hard_steps_do_not_add_up(self):
+        # Segments cover [start, end): at the shared instant only the
+        # second one acts.
+        prof = sim.ForceProfile(segments=[
+            sim.ForceSegment(0.0, 5.0, force=np.array([1.0, 0.0, 0.0])),
+            sim.ForceSegment(5.0, 10.0, force=np.array([2.0, 0.0, 0.0])),
+        ]).validate()
+        for t, fx in ((4.99, 1.0), (5.0, 2.0), (9.99, 2.0), (10.0, 0.0)):
+            assert sim.force_profile_eval(prof, t).force[0] == fx, t
 
     def test_overlap_rejected(self):
         prof = sim.ForceProfile(segments=[
@@ -120,22 +131,23 @@ class TestAdmittance:
 class TestTrackingController:
     def test_hover_equilibrium_is_exact(self):
         p = dyn.SystemParams()
-        cmd = sim.tracking_controller(dyn.BodyState.hover(),
+        cmd = sim.tracking_controller(dyn.BodyState.hover().as_vector(),
                                       sim.ReferenceState.rest(), p)
-        assert cmd.thrust == p.mass * p.gravity
-        assert np.array_equal(cmd.moments, np.zeros(3))
+        assert cmd[0] == p.mass * p.gravity
+        assert np.array_equal(cmd[1:4], np.zeros(3))
 
     def test_thrust_clamped_to_limits(self):
         p = dyn.SystemParams()
         far = sim.ReferenceState(r=np.array([1e3, 0.0, 0.0]), v=np.zeros(3))
-        cmd = sim.tracking_controller(dyn.BodyState.hover(), far, p)
-        assert cmd.thrust <= p.u_max
+        hover = dyn.BodyState.hover().as_vector()
+        cmd = sim.tracking_controller(hover, far, p)
+        assert cmd[0] <= p.u_max
         rng = np.random.default_rng(4)
         for _ in range(50):
             ref = sim.ReferenceState(r=rng.normal(size=3) * 10,
                                      v=rng.normal(size=3) * 5)
-            cmd = sim.tracking_controller(dyn.BodyState.hover(), ref, p)
-            assert 0.0 <= cmd.thrust <= p.u_max
+            cmd = sim.tracking_controller(hover, ref, p)
+            assert 0.0 <= cmd[0] <= p.u_max
 
     def test_desired_attitude_aligns_thrust_axis(self):
         # The attitude target must rotate the body thrust axis onto the
@@ -145,8 +157,8 @@ class TestTrackingController:
         g = sim.ControllerGains()
         ref = sim.ReferenceState(r=np.array([0.5, -0.3, 0.1]), v=np.zeros(3))
         state = dyn.BodyState.hover()
-        cmd = sim.tracking_controller(state, ref, p, g)
-        e = np.linalg.solve(p.inertia * g.kp_att, cmd.moments)
+        cmd = sim.tracking_controller(state.as_vector(), ref, p, g)
+        e = np.linalg.solve(p.inertia * g.kp_att, cmd[1:4])
         q_des = qt.quat_mul(qt.rotvec_to_quat(e), state.q)
         zb = qt.quat_to_rot(q_des) @ np.array([0.0, 0.0, 1.0])
         a = np.clip(g.kp * (ref.r - state.r), -g.accel_max, g.accel_max)
@@ -268,7 +280,7 @@ class TestRunScenario:
         rows[2, 12] = 1e9
         with pytest.raises(DivergenceDetected,
                            match=r"^run c: truth diverged at step 5: component 11 = nan$"):
-            sim._check_finite_rows("truth", rows, 5, ["run a", "run b", "run c"])
+            sim._check_finite("truth", rows, 5, ["run a", "run b", "run c"])
         sim._check_finite("ekf", np.full(19, sim.DIVERGENCE_LIMIT), 0)
 
     def test_estimator_subset_and_bad_names(self):
@@ -307,10 +319,10 @@ YAW_PULSE_PROFILE = sim.ForceProfile(segments=[
 
 
 def _assert_close(got, want, what):
-    # 1e-9 relative to the array's largest magnitude. The lockstep kernels
-    # repeat the scalar arithmetic operation for operation, so on one BLAS
-    # build the arrays agree bit for bit; the tolerance leaves room for a
-    # BLAS whose batched calls round differently.
+    # 1e-9 relative to the array's largest magnitude. Every run of a stack
+    # repeats the lone run's arithmetic operation for operation, so on one
+    # BLAS build the arrays agree bit for bit; the tolerance leaves room
+    # for a BLAS whose batched calls round differently.
     assert got.shape == want.shape, what
     if want.dtype == bool:
         assert np.array_equal(got, want), what
@@ -368,29 +380,57 @@ class TestRunStudy:
                                r=np.array([0.01, -0.02, 0.0]), omega=np.zeros(3))
         scalar = [est.QuaternionUkf(), est.QuaternionUkf()]
         scalar[1].P[0, 1] = scalar[1].P[1, 0] = 2e-4
-        stack = ls.UkfStack(est.QuaternionUkf(), ["run a", "run b"])
+        stack = _stack(est.QuaternionUkf(), 2)
         stack.P = np.stack([f.P for f in scalar])
-        rows = stack.predict_rows()
-        stack.finish_predict(dyn.propagate_batch(
-            rows.reshape(-1, 20), u.as_vector(), scalar[0].ctx).reshape(rows.shape))
-        stack.update(*(np.tile(v, (2, 1)) for v in (meas.q, meas.r, meas.omega)))
+        stack.step(_rows(u, 2), _rows(meas, 2))
         for i, f in enumerate(scalar):
             f.step(u, meas)
             _assert_close(stack.x[i], f.x, "run %d x" % i)
             _assert_close(stack.P[i], f.P, "run %d P" % i)
-            _assert_close(stack.nis[i:i + 1], np.array([f.last_nis]), "run %d nis" % i)
+            _assert_close(stack.last_nis[i:i + 1], np.array([f.last_nis]), "run %d nis" % i)
 
-        with pytest.raises(SingularInnovation, match="^run b: "):
-            ls._check_innovation(np.stack([np.eye(9), -np.eye(9)]), stack.labels)
+        with pytest.raises(SingularInnovation) as err:
+            est._gain(np.stack([np.eye(9), -np.eye(9)]), np.zeros((2, 19, 9)),
+                      np.zeros((2, 9)))
+        assert err.value.run == 1
+
+    def test_filter_error_names_seed_filter_and_step(self, monkeypatch):
+        # A non-finite covariance in the second run only: the stacked
+        # cov_sqrt takes the runs one by one and the study names the seed.
+        cov_sqrt = est.cov_sqrt
+
+        def poisoned(p, clamp_tol=0.0):
+            p = p.copy()
+            p[1, 0, 0] = np.nan
+            return cov_sqrt(p, clamp_tol)
+
+        monkeypatch.setattr(est, "cov_sqrt", poisoned)
+        with pytest.raises(FactorizationFailure,
+                           match=r"^seed 7: qukf failed at step 0: "
+                                 r"covariance contains non-finite entries$"):
+            sim.run_study([3, 7], duration=0.5)
 
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValidationError):
             sim.run_study([], duration=0.5)
 
 
+def _stack(f, runs):
+    """The filter f as a stack of ``runs`` copies of its state."""
+    f.x = np.tile(f.x, (runs, 1))
+    f.P = np.tile(f.P, (runs, 1, 1))
+    return f
+
+
+def _rows(obj, runs):
+    """A control or measurement repeated for each run of a stack."""
+    return type(obj)(*(np.tile(v, (runs,) + (1,) * np.ndim(v))
+                       for v in vars(obj).values()))
+
+
 class TestStackParityAwayFromHover:
-    """UkfStack and EkfStack reproduce the scalar filters bit for bit on a
-    tumble through a half turn, with measurements on either side of the
+    """Stacked filters reproduce the lone filters bit for bit on a tumble
+    through a half turn, with measurements on either side of the
     quaternion double cover and innovations small enough for the
     small-angle branches."""
 
@@ -407,17 +447,16 @@ class TestStackParityAwayFromHover:
         labels = ["run 0", "run 1"]
         scalar = {"qukf": [est.QuaternionUkf(initial=start) for _ in labels],
                   "ekf": [est.ExtendedKalman(initial=start) for _ in labels]}
-        stacks = {"qukf": ls.UkfStack(est.QuaternionUkf(initial=start), labels),
-                  "ekf": ls.EkfStack(est.ExtendedKalman(initial=start), labels)}
+        stacks = {"qukf": _stack(est.QuaternionUkf(initial=start), 2),
+                  "ekf": _stack(est.ExtendedKalman(initial=start), 2)}
         angles, far, flipped, tiny = [], 0, 0, 0
         for k in range(60):
-            truth = dyn.rigid_body_rk4(truth, u.as_vector(), np.zeros(6), params,
-                                       0.01, j_inv)
+            truth = dyn.rk4_step(truth, u.as_vector(), np.zeros(6), params,
+                                 0.01, j_inv)
             angles.append(2.0 * np.arccos(np.clip(truth[0], -1.0, 1.0)))
             for name, st in stacks.items():
-                rows = st.predict_rows()
-                st.finish_predict(dyn.propagate_batch(
-                    rows.reshape(-1, 20), u.as_vector(), st.f.ctx).reshape(rows.shape))
+                # One control shared by the stack's runs.
+                st.predict(u)
                 meas = []
                 for i, f in enumerate(scalar[name]):
                     f.predict(u)
@@ -437,16 +476,58 @@ class TestStackParityAwayFromHover:
                     meas.append(est.Measurement(
                         q=q, r=base.r + rng.normal(scale=scale, size=3),
                         omega=base.omega + rng.normal(scale=scale, size=3)))
-                st.update(*(np.stack([getattr(m, a) for m in meas])
-                            for a in ("q", "r", "omega")))
+                st.update(est.Measurement(*(np.stack([getattr(m, a) for m in meas])
+                                            for a in ("q", "r", "omega"))))
                 for i, (f, m) in enumerate(zip(scalar[name], meas)):
                     f.update(m)
                     assert np.array_equal(st.x[i], f.x), (name, k, i)
                     assert np.array_equal(st.P[i], f.P), (name, k, i)
-                    assert st.nis[i] == f.last_nis, (name, k, i)
+                    assert st.last_nis[i] == f.last_nis, (name, k, i)
         # The attitude passes through a half turn, and the branches fired.
         assert min(angles) < np.pi < max(angles)
         assert far > 0 and flipped > 0 and tiny > 0
+
+
+class TestFlatSpectrumHold:
+    def test_flat_run_holds_its_mean_and_the_other_matches_lone(self):
+        # phi = 2/sqrt(19) gives a spread n + eta = 4: the centre point
+        # weighs -15/4 and every other point 1/8. A covariance that spreads
+        # only the attitude, by (pi/2)^2 per axis, puts six points a half
+        # turn about each axis from the mean and leaves 32 on it, so the
+        # quaternion second moment is I/4: a flat top eigenvalue. That run
+        # holds its previous mean; the run beside it, on the default
+        # covariance, must not notice.
+        q0 = qt.rotvec_to_quat(np.array([0.3, -0.2, 0.1]))
+        start = est.AugmentedState(body=dyn.BodyState(q=q0, r=np.zeros(3),
+                                                      v=np.zeros(3), omega=np.zeros(3)),
+                                   observer=dyn.ObserverState.zero())
+        flat_p0 = np.zeros(19)
+        flat_p0[0:3] = (np.pi / 2.0) ** 2
+        phi = 2.0 / np.sqrt(19.0)
+        lone = [est.QuaternionUkf(initial=start, p0_diag=flat_p0, phi=phi),
+                est.QuaternionUkf(initial=start, phi=phi)]
+        stack = _stack(est.QuaternionUkf(initial=start, phi=phi), 2)
+        stack.P = np.stack([f.P for f in lone])
+        u = dyn.ControlInput.hover(dyn.SystemParams())
+        meas = est.Measurement(q=qt.rotvec_to_quat(np.array([0.31, -0.2, 0.09])),
+                               r=np.array([0.01, -0.02, 0.0]), omega=np.zeros(3))
+
+        stack.predict(_rows(u, 2))
+        for f in lone:
+            f.predict(u)
+        with pytest.raises(DegenerateSpectrum):
+            qt.weighted_quat_average(lone[0]._sigma[:, 0:4], lone[0].w_mean)
+        qt.weighted_quat_average(lone[1]._sigma[:, 0:4], lone[1].w_mean)
+        assert np.array_equal(stack.x[0, 0:4], qt.quat_normalize(q0))
+        assert np.array_equal(lone[0].x[0:4], qt.quat_normalize(q0))
+        assert not np.array_equal(stack.x[1, 0:4], qt.quat_normalize(q0))
+
+        stack.update(_rows(meas, 2))
+        for i, f in enumerate(lone):
+            f.update(meas)
+            assert stack.x[i].tobytes() == f.x.tobytes(), i
+            assert stack.P[i].tobytes() == f.P.tobytes(), i
+            assert stack.last_nis[i] == f.last_nis, i
 
 
 def _mk_run(n=300, dt=0.01, names=("qukf", "ekf")):
