@@ -9,7 +9,7 @@ configuration.
 
 import hashlib
 import importlib.resources
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 import yaml
@@ -90,8 +90,8 @@ class RunConfig:
                        "got %r" % (unknown,))
         if not self.estimators:
             bad.append("run.estimators must not be empty")
-        if self.seed != int(self.seed):
-            bad.append("run.seed must be an integer")
+        if self.seed != int(self.seed) or self.seed < 0:
+            bad.append("run.seed must be a nonnegative integer, got %r" % (self.seed,))
         if bad:
             raise ValidationError(bad)
         return self
@@ -139,65 +139,39 @@ class ScenarioConfig:
     # -- plain-data conversion ---------------------------------------------
 
     def to_dict(self):
-        system = {}
-        for f in fields(dyn.SystemParams):
-            if f.name == "delta":
-                continue  # serialized under filter
-            v = getattr(self.system, f.name)
-            system[f.name] = v.tolist() if isinstance(v, np.ndarray) else v
-        return {
-            "system": system,
-            "filter": {
-                "q_diag": self.filter.q_diag.tolist(),
-                "r_diag": self.filter.r_diag.tolist(),
-                "p0_diag": self.filter.p0_diag.tolist(),
-                "phi": self.filter.phi,
-                "gamma": self.filter.gamma,
-                "sigma": self.filter.sigma,
-                "delta": self.filter.delta,
-            },
-            "admittance": {
-                "m_v": self.admittance.m_v.tolist(),
-                "c_v": self.admittance.c_v.tolist(),
-                "k_v": self.admittance.k_v.tolist(),
-            },
-            "profile": {
-                "segments": [{
-                    "start": s.start,
-                    "end": s.end,
-                    "force": s.force.tolist(),
-                    "torque": s.torque.tolist(),
-                    "ramp": s.ramp,
-                } for s in self.profile.segments],
-            },
-            "run": {
-                "t_step": self.run.t_step,
-                "duration": self.run.duration,
-                "seed": self.run.seed,
-                "estimators": list(self.run.estimators),
-            },
-        }
+        """Plain data, one key per dataclass field in field order, the
+        rule from_dict parses with."""
+        data = _plain(self)
+        del data["system"]["delta"]  # serialized under filter
+        return data
 
     @classmethod
     def from_dict(cls, data, source="<config>"):
         data = data or {}
         if not isinstance(data, dict):
             raise ParseError("%s: top level must be a mapping" % source)
-        known_sections = ("system", "filter", "admittance", "profile", "run")
+        sections = {f.name: f.type for f in fields(cls)}
         for key in data:
-            if key not in known_sections:
+            if key not in sections:
                 raise ParseError("%s: unknown section '%s'" % (source, key))
+        del sections["profile"]  # a list of segments; see _parse_profile
+        return cls(
+            profile=_parse_profile(data.get("profile"), source),
+            **{name: _build_section(dc_type, data.get(name), name, source,
+                                    skip=("delta",) if name == "system" else ())
+               for name, dc_type in sections.items()})
 
-        system = _build_section(dyn.SystemParams, data.get("system"),
-                                "system", source, skip=("delta",))
-        filt = _build_section(FilterConfig, data.get("filter"),
-                              "filter", source)
-        admit = _build_section(sim.AdmittanceParams, data.get("admittance"),
-                               "admittance", source)
-        run = _build_section(RunConfig, data.get("run"), "run", source)
-        profile = _parse_profile(data.get("profile"), source)
-        return cls(system=system, filter=filt, admittance=admit,
-                   profile=profile, run=run)
+
+def _plain(value):
+    """A dataclass as a dict of its fields in order, arrays and tuples as
+    lists, recursively; other values as they are."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
 
 
 def _build_section(dc_type, sub, name, source, skip=()):
@@ -246,27 +220,9 @@ def _parse_profile(sub, source):
     segs = sub.get("segments", [])
     if not isinstance(segs, list):
         raise ParseError("%s: profile.segments must be a list" % source)
-    allowed = {"start", "end", "force", "torque", "ramp"}
-    out = []
-    for i, raw in enumerate(segs):
-        if not isinstance(raw, dict):
-            raise ParseError("%s: profile.segments[%d] must be a mapping"
-                             % (source, i))
-        for key in raw:
-            if key not in allowed:
-                raise ParseError("%s: unknown key 'profile.segments[%d].%s'"
-                                 % (source, i, key))
-        try:
-            out.append(sim.ForceSegment(
-                start=float(raw.get("start", 0.0)),
-                end=float(raw.get("end", 0.0)),
-                force=np.asarray(raw.get("force", (0.0, 0.0, 0.0)), dtype=float),
-                torque=np.asarray(raw.get("torque", (0.0, 0.0, 0.0)), dtype=float),
-                ramp=float(raw.get("ramp", 0.0))))
-        except (TypeError, ValueError):
-            raise ParseError("%s: profile.segments[%d] has a non-numeric field"
-                             % (source, i)) from None
-    return sim.ForceProfile(segments=out)
+    return sim.ForceProfile(segments=[
+        _build_section(sim.ForceSegment, raw, "profile.segments[%d]" % i, source)
+        for i, raw in enumerate(segs)])
 
 
 def parse_config(path):

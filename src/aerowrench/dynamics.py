@@ -353,16 +353,6 @@ def mixing_matrix(p):
     ])
 
 
-def rotor_mix(thrusts, p):
-    """Collective thrust and body moments produced by 4 rotor thrusts."""
-    return mixing_matrix(p) @ np.asarray(thrusts, dtype=float)
-
-
-def rotor_unmix(u_i, p):
-    """Rotor thrusts realizing a per-quadrotor [thrust, moments] demand."""
-    return np.linalg.solve(mixing_matrix(p), np.asarray(u_i, dtype=float))
-
-
 def build_config_matrix(p):
     """4x8 map from stacked per-quadrotor wrenches to the system wrench.
 
@@ -381,57 +371,55 @@ def build_config_matrix(p):
     return c
 
 
-def _mix_pair(p):
-    """Block-diagonal 8x8 rotor mix of both quadrotors, and its inverse."""
-    mix = np.zeros((8, 8))
-    mix[0:4, 0:4] = mix[4:8, 4:8] = mixing_matrix(p)
-    return mix, np.linalg.inv(mix)
+# Largest condition number of the allocation's 4x4 Gram matrix C W^-2 C^T.
+ALLOC_COND_LIMIT = 1e12
 
 
 class RotorAllocation:
     """The allocation pipeline of one parameter set, factored once.
 
-    ``alloc`` maps a system wrench demand d to the stacked per-quadrotor
-    demands u minimizing ||diag(w) u|| subject to C u = d: the weighted
-    pseudoinverse W^-2 C^T (C W^-2 C^T)^-1. ``to_rotors`` continues it to
-    the 8 rotor thrusts and ``to_wrench`` maps rotor thrusts to the system
-    wrench; the loop clips each rotor to [0, cap] in between. Raises
-    SingularAllocation when the 4x4 Gram matrix is ill-conditioned beyond
-    cond_limit.
+    Calling it takes a system wrench demand d = [thrust, moments] (4,), or
+    one per run (..., 4), through the whole pipeline: the stacked
+    per-quadrotor demands u minimizing ||diag(w) u|| subject to C u = d
+    (the weighted pseudoinverse W^-2 C^T (C W^-2 C^T)^-1, held in
+    ``alloc``, with w = p.alloc_weights), the 8 rotor thrusts realizing u
+    through each quadrotor's mixing_matrix, each rotor clipped to
+    [0, u_max / 4], and the system wrench the clipped rotors deliver.
+    Raises SingularAllocation when the Gram matrix's condition number
+    exceeds ALLOC_COND_LIMIT.
     """
 
-    def __init__(self, p, weights=None, cond_limit=1e12):
-        w = p.alloc_weights if weights is None else np.asarray(weights, dtype=float)
+    def __init__(self, p):
+        w = p.alloc_weights
         c = build_config_matrix(p)
         cw = c / (w * w)
         gram = cw @ c.T
-        if np.linalg.cond(gram) > cond_limit:
-            raise SingularAllocation("allocation Gram matrix condition exceeds %g" % cond_limit)
+        if np.linalg.cond(gram) > ALLOC_COND_LIMIT:
+            raise SingularAllocation("allocation Gram matrix condition exceeds %g"
+                                     % ALLOC_COND_LIMIT)
         self.alloc = cw.T @ np.linalg.inv(gram)
-        mix, unmix = _mix_pair(p)
-        self.to_rotors = unmix @ self.alloc
+        mix = np.zeros((8, 8))
+        mix[0:4, 0:4] = mix[4:8, 4:8] = mixing_matrix(p)
+        self.to_rotors = np.linalg.inv(mix) @ self.alloc
         self.to_wrench = c @ mix
         self.cap = p.u_max / 4.0
 
+    def __call__(self, demand):
+        """(wrench delivered, rotor thrusts clipped, saturated) for a
+        demand (4,) or (..., 4): shapes (..., 4), (..., 8) and (...),
+        saturated being True where a rotor was clipped. An unsaturated
+        run's thrusts are left as they are, bit for bit."""
+        thrusts = matvec(self.to_rotors, demand)
+        saturated = (thrusts.min(axis=-1) < 0.0) | (thrusts.max(axis=-1) > self.cap)
+        if saturated.any():
+            np.clip(thrusts, 0.0, self.cap, out=thrusts)
+        return matvec(self.to_wrench, thrusts), thrusts, saturated
 
-def allocate(demand, p, weights=None, cond_limit=1e12):
-    """Cost-weighted minimum-norm allocation of a system wrench demand;
-    see RotorAllocation."""
-    return RotorAllocation(p, weights, cond_limit).alloc @ np.asarray(demand, dtype=float)
 
-
-def saturate_rotors(u_c, p):
-    """Clip the allocation to per-rotor limits and re-mix.
-
-    The stacked per-quadrotor [thrust, moments] demand is converted to 8
-    rotor thrusts, clipped to [0, u_max / 4], and converted back. Returns
-    the achievable stacked demand, the 8 clipped rotor thrusts, and whether
-    any rotor saturated.
-    """
-    mix, unmix = _mix_pair(p)
-    f = unmix @ np.asarray(u_c, dtype=float)
-    thrusts = np.clip(f, 0.0, p.u_max / 4.0)
-    return mix @ thrusts, thrusts, bool(np.any(thrusts != f))
+def allocate(demand, p):
+    """Cost-weighted minimum-norm allocation of a system wrench demand to
+    the stacked per-quadrotor demands; see RotorAllocation."""
+    return RotorAllocation(p).alloc @ np.asarray(demand, dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,6 @@ class AerowrenchError(Exception):
     run = None
 
 
-class NotSkewSymmetric(AerowrenchError):
-    """Input to vex() is not skew-symmetric within tolerance."""
-
-
 class NotRotation(AerowrenchError):
     """Matrix is not orthogonal with determinant +1 within tolerance."""
 

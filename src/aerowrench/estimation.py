@@ -148,7 +148,7 @@ def _block_cholesky(p):
     return s
 
 
-def cov_sqrt(p, clamp_tol=0.0):
+def cov_sqrt(p):
     """Matrix square root factor S with S @ S.T == p for symmetric PSD p,
     one matrix (n, n) or a stack (..., n, n).
 
@@ -156,12 +156,12 @@ def cov_sqrt(p, clamp_tol=0.0):
     Cholesky when every row after it is zero (pinned dimensions carry a
     zero row, and a matrix with no pinned dimension is one block);
     otherwise take an eigendecomposition with negative eigenvalues
-    clamped to ``clamp_tol``. A stack outside the Cholesky case takes
+    clamped to zero. A stack outside the Cholesky case takes
     the rule run by run; an error names its run in ``run``.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim == 2:
-        return _cov_sqrt(p, clamp_tol)
+        return _cov_sqrt(p)
     if np.isfinite(p).all():
         s = _block_cholesky(p)
         if s is not None:
@@ -170,14 +170,14 @@ def cov_sqrt(p, clamp_tol=0.0):
     runs = out.reshape((-1,) + p.shape[-2:])
     for i, m in enumerate(p.reshape(runs.shape)):
         try:
-            runs[i] = _cov_sqrt(m, clamp_tol)
+            runs[i] = _cov_sqrt(m)
         except AerowrenchError as err:
             err.run = i
             raise
     return out
 
 
-def _cov_sqrt(p, clamp_tol):
+def _cov_sqrt(p):
     # cov_sqrt's rule on one matrix.
     if not np.isfinite(p).all():
         raise FactorizationFailure("covariance contains non-finite entries")
@@ -188,7 +188,7 @@ def _cov_sqrt(p, clamp_tol):
         vals, vecs = np.linalg.eigh(p)
     except np.linalg.LinAlgError as err:
         raise FactorizationFailure(f"eigendecomposition failed: {err}") from None
-    return vecs * np.sqrt(np.maximum(vals, clamp_tol))
+    return vecs * np.sqrt(np.maximum(vals, 0.0))
 
 
 # Filter kernels. Each takes one run's arrays or a stack of runs' (written
@@ -265,19 +265,30 @@ def _observed_cov(res, wres, w_cov, r_mat):
     return pyy, wres.swapaxes(-1, -2) @ ry
 
 
-def _difference_rows(x, offsets):
+# The EKF's central-difference step, and the offsets subtracted from the
+# centre state to form its difference rows: row 1 + i steps coordinate i
+# up (x - (-h) is x + h to the bit) and row 20 + i down. The zeros keep
+# every other entry's bits, -0.0 included, which adding 0.0 would not.
+FD_STEP = 1e-6
+_FD_OFFSETS = np.zeros((39, 19))
+np.fill_diagonal(_FD_OFFSETS[1:20], -FD_STEP)
+np.fill_diagonal(_FD_OFFSETS[20:39], FD_STEP)
+
+
+def _difference_rows(x):
     """The EKF's centre and central-difference rows (..., 39, 20) about
-    states x (..., 19): x minus each row of the filter's offset table."""
+    states x (..., 19): x minus each row of _FD_OFFSETS."""
     rows = np.empty(x.shape[:-1] + (39, 20))
-    np.subtract(x[..., None, :], offsets, out=rows[..., :19])
+    np.subtract(x[..., None, :], _FD_OFFSETS, out=rows[..., :19])
     rows[..., 19] = 1.0
     return rows
 
 
-def _jacobian_cov(prop, p, q_disc, h):
+def _jacobian_cov(prop, p, q_disc):
     """The EKF's propagated centre and covariance from its propagated
     difference rows (..., 39, 20)."""
-    jac = (prop[..., 1:20, :19] - prop[..., 20:39, :19]).swapaxes(-1, -2) / (2.0 * h)
+    jac = ((prop[..., 1:20, :19] - prop[..., 20:39, :19]).swapaxes(-1, -2)
+           / (2.0 * FD_STEP))
     p = jac @ p @ jac.swapaxes(-1, -2) + q_disc
     return prop[..., 0, :19].copy(), 0.5 * (p + p.swapaxes(-1, -2))
 
@@ -467,9 +478,9 @@ class ExtendedKalman:
     observer states); the transition Jacobian comes from central
     differences through the exact discrete propagation.
 
-    The differences divide the rounding of the propagated rows by fd_step,
+    The differences divide the rounding of the propagated rows by FD_STEP,
     so the filter magnifies a change in the last bits upstream of it by
-    about 1/fd_step. With the default 1e-6, a one-ulp change in three
+    about 1/FD_STEP. With FD_STEP = 1e-6, a one-ulp change in three
     entries of the admittance map moves the truth of a 10 s run (seed 0)
     by 1.9e-15, the QUKF states by 4.8e-13 and the EKF states by 1.5e-8.
     A change that reorders float arithmetic ahead of this filter should
@@ -479,19 +490,10 @@ class ExtendedKalman:
     OBS_IDX = np.array([0, 1, 2, 3, 4, 5, 6, 10, 11, 12])
 
     def __init__(self, params=None, noise=None, dt=0.01, initial=None,
-                 p0_diag=None, fd_step=1e-6):
+                 p0_diag=None):
         self.params = params if params is not None else dyn.SystemParams()
         self.noise = noise if noise is not None else NoiseConfig()
         self.dt = float(dt)
-        self.fd_step = float(fd_step)
-        # Subtracted from the centre state to form the difference rows: row
-        # 1 + i steps coordinate i up (x - (-h) is x + h to the bit) and row
-        # 20 + i down. The zeros keep every other entry's bits, -0.0
-        # included, which adding 0.0 would not.
-        i = np.arange(19)
-        self._fd_offsets = np.zeros((39, 19))
-        self._fd_offsets[1 + i, i] = -self.fd_step
-        self._fd_offsets[20 + i, i] = self.fd_step
         if initial is None:
             initial = AugmentedState.hover()
         self.x = initial.as_vector()[:19]
@@ -519,9 +521,9 @@ class ExtendedKalman:
 
     def predict(self, control):
         self.x[..., 0:4] = qt.quat_normalize(self.x[..., 0:4])
-        prop = _propagate_rows(_difference_rows(self.x, self._fd_offsets),
-                               control.as_vector(), self.ctx)
-        self.x, self.P = _jacobian_cov(prop, self.P, self.q_disc, self.fd_step)
+        prop = _propagate_rows(_difference_rows(self.x), control.as_vector(),
+                               self.ctx)
+        self.x, self.P = _jacobian_cov(prop, self.P, self.q_disc)
         return self
 
     def update(self, meas):

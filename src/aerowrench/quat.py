@@ -17,8 +17,8 @@ Conventions used throughout the package:
   mean uses it. ``quat_to_rotvec`` only flips a quaternion with ``w < 0``.
 
 This module is the package's one quaternion arithmetic. Each of
-``quat_dot``, ``quat_normalize``, ``quat_conj``, ``quat_inverse``,
-``quat_mul``, ``rotvec_to_quat``, ``quat_to_rotvec``, ``quat_diff`` and
+``quat_dot``, ``quat_normalize``, ``quat_conj``, ``quat_mul``,
+``rotvec_to_quat``, ``quat_to_rotvec``, ``quat_diff`` and
 ``quat_canonical`` takes one quaternion (4,) or rotation vector (3,), or
 rows (..., 4) or (..., 3), and writes out one rule for both forms:
 
@@ -35,15 +35,25 @@ form on numpy arrays; both are correctly rounded IEEE operations in the
 same order, and the transcendental functions come from numpy in both.
 The two forms therefore agree bit for bit, which tests/test_quat.py checks
 on fuzzed inputs.
+
+``oplus``, ``ominus_vec`` and ``weighted_quat_average`` build on these.
+``quat_to_rot`` and ``rot_to_quat`` convert one quaternion to and from its
+rotation matrix; a matrix reaches a rotation vector through
+``quat_to_rotvec(rot_to_quat(r))``, the one route, exact near a half turn.
 """
 
 import math
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, NotRotation, NotSkewSymmetric
+from .errors import DegenerateSpectrum, NotRotation
 
 _SMALL_ANGLE = 1e-6
+# rot_to_quat's tolerance on |R^T R - I| and |det R - 1|.
+SO3_TOL = 1e-6
+# The least gap between the top two eigenvalues of the quaternion mean's
+# matrix that isolates its dominant eigenvector.
+MEAN_GAP_TOL = 1e-12
 
 
 def skew(p):
@@ -52,20 +62,6 @@ def skew(p):
     return np.array([[0.0, -p2, p1],
                      [p2, 0.0, -p0],
                      [-p1, p0, 0.0]])
-
-
-def vex(m, tol=1e-9):
-    """Inverse of skew(). Raises NotSkewSymmetric if m + m.T is not ~0."""
-    m = np.asarray(m, dtype=float)
-    if np.max(np.abs(m + m.T)) > tol:
-        raise NotSkewSymmetric("matrix deviates from skew symmetry by more than %g" % tol)
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
-def antisym_project(m):
-    """Antisymmetric part (m - m.T) / 2."""
-    m = np.asarray(m, dtype=float)
-    return 0.5 * (m - m.T)
 
 
 def quat_identity():
@@ -182,11 +178,6 @@ def quat_conj(q):
     return np.asarray(q, dtype=float) * _CONJ
 
 
-def quat_inverse(q):
-    q = np.asarray(q, dtype=float)
-    return quat_conj(q) / np.expand_dims(quat_dot(q, q), -1)
-
-
 def quat_to_rot(q):
     """Active rotation matrix of a unit quaternion.
 
@@ -205,18 +196,19 @@ def quat_to_rot(q):
     ])
 
 
-def rot_to_quat(r, tol=1e-6):
+def rot_to_quat(r):
     """Quaternion of a rotation matrix via Shepperd's method.
 
     The branch keyed on the largest of {trace, diagonal entries} keeps the
     divisor away from zero for every attitude. Result is sign-canonical.
-    Raises NotRotation if r is not orthogonal with det +1 within tol.
+    Raises NotRotation if r is not orthogonal with det +1 within SO3_TOL.
     """
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
         raise NotRotation("expected a 3x3 matrix, got shape %s" % (r.shape,))
-    if np.max(np.abs(r.T @ r - np.eye(3))) > tol or abs(np.linalg.det(r) - 1.0) > tol:
-        raise NotRotation("matrix is not in SO(3) within tolerance %g" % tol)
+    if (np.max(np.abs(r.T @ r - np.eye(3))) > SO3_TOL
+            or abs(np.linalg.det(r) - 1.0) > SO3_TOL):
+        raise NotRotation("matrix is not in SO(3) within tolerance %g" % SO3_TOL)
 
     t = np.trace(r)
     candidates = [t, r[0, 0], r[1, 1], r[2, 2]]
@@ -246,28 +238,6 @@ def rot_to_quat(r, tol=1e-6):
                       (r[1, 2] + r[2, 1]) / s,
                       0.25 * s])
     return quat_canonical(quat_normalize(q))
-
-
-def rot_to_rotvec(r, tol=1e-6):
-    """Rotation vector alpha * b from a rotation matrix.
-
-    Uses the angle alpha = arccos((trace - 1) / 2) and the axis from the
-    antisymmetric part. Degrades near alpha = pi where the antisymmetric part
-    vanishes; the quaternion route (rot_to_quat + quat_to_rotvec) is exact
-    there and is what the rest of the package uses.
-    """
-    r = np.asarray(r, dtype=float)
-    if np.max(np.abs(r.T @ r - np.eye(3))) > tol or abs(np.linalg.det(r) - 1.0) > tol:
-        raise NotRotation("matrix is not in SO(3) within tolerance %g" % tol)
-    c = 0.5 * (np.trace(r) - 1.0)
-    alpha = np.arccos(min(1.0, max(-1.0, c)))
-    w = vex(antisym_project(r), tol=np.inf)
-    s = np.sin(alpha)
-    if s < _SMALL_ANGLE:
-        # sin(alpha)/alpha ~ 1 near zero; near pi the caller should use the
-        # quaternion route instead.
-        return w if alpha < 0.5 else w * (alpha / max(s, np.finfo(float).tiny))
-    return w * (alpha / s)
 
 
 def rotvec_to_quat(p):
@@ -329,7 +299,7 @@ def quat_diff(q1, q2):
     return quat_to_rotvec(quat_mul(q1, quat_conj(q2)))
 
 
-def weighted_quat_average(quats, weights, gap_tol=1e-12):
+def weighted_quat_average(quats, weights):
     """Weighted mean of unit quaternions (k, 4), or of each stack of a
     stack (..., k, 4).
 
@@ -340,7 +310,7 @@ def weighted_quat_average(quats, weights, gap_tol=1e-12):
     spectrum of A matters.
 
     Raises DegenerateSpectrum when a top eigenvalue is not isolated by more
-    than gap_tol, e.g. for an equal-weight pair of rotations a geodesic
+    than MEAN_GAP_TOL, e.g. for an equal-weight pair of rotations a geodesic
     half-turn apart.
     """
     qs = np.asarray(quats, dtype=float)
@@ -352,7 +322,7 @@ def weighted_quat_average(quats, weights, gap_tol=1e-12):
     a = (qs.swapaxes(-1, -2) * ws) @ qs
     vals, vecs = np.linalg.eigh(a)
     gap = vals.T[-1] - vals.T[-2]
-    if (gap < gap_tol) if qs.ndim == 2 else (gap < gap_tol).any():
+    if (gap < MEAN_GAP_TOL) if qs.ndim == 2 else (gap < MEAN_GAP_TOL).any():
         raise DegenerateSpectrum(
-            "top eigenvalue gap %.3e below %g" % (np.min(gap), gap_tol))
+            "top eigenvalue gap %.3e below %g" % (np.min(gap), MEAN_GAP_TOL))
     return quat_canonical(quat_normalize(vecs[..., -1]))

@@ -53,8 +53,8 @@ class ForceSegment:
     zero gives a hard step.
     """
 
-    start: float
-    end: float
+    start: float = 0.0
+    end: float = 0.0
     force: np.ndarray = field(default_factory=lambda: np.zeros(3))
     torque: np.ndarray = field(default_factory=lambda: np.zeros(3))
     ramp: float = 0.0
@@ -416,6 +416,11 @@ def _closed_loop(profile, seed, params, noise, admittance, gains, dt, duration,
     n_steps = int(round(duration / dt))
     if n_steps < 1:
         raise ValidationError(["run.duration must cover at least one step"])
+    lead = np.shape(seed)
+    for s in (seed if lead else [seed]):
+        if not (isinstance(s, (int, np.integer)) and s >= 0):
+            raise ValidationError(["run.seed must be a nonnegative integer, "
+                                   "got %r" % (s,)])
     names = [n for n in ("qukf", "ekf") if n in estimators]
     if len(names) != len(set(estimators)) or not names:
         raise ValidationError(["run.estimators must be a nonempty subset of "
@@ -430,7 +435,6 @@ def _closed_loop(profile, seed, params, noise, admittance, gains, dt, duration,
         filters["ekf"] = est.ExtendedKalman(params=params, noise=noise, dt=dt,
                                             p0_diag=p0_diag)
 
-    lead = np.shape(seed)
     labels = ["seed %r" % (s,) for s in seed] if lead else None
     for f in filters.values():
         f.x = np.tile(f.x, lead + (1,))
@@ -458,7 +462,7 @@ def _closed_loop(profile, seed, params, noise, admittance, gains, dt, duration,
     meas_arr = np.empty(shape + (10,))
     ctrl_arr = np.empty(shape + (4,))
     rotor_arr = np.empty(shape + (8,))
-    sat_arr = np.zeros(shape, dtype=bool)
+    sat_arr = np.empty(shape, dtype=bool)
     tracks = {name: EstimatorTrack(
         states=np.empty(shape + (19,)),
         wrench=np.empty(shape + (6,)),
@@ -495,19 +499,13 @@ def _closed_loop(profile, seed, params, noise, admittance, gains, dt, duration,
             tr.nis[k] = f.last_nis
 
         ref = admittance_reference(fd.wrench, ref, admittance, dt)
-        thrusts = dyn.matvec(alloc.to_rotors,
-                             tracking_controller(fd.x, ref, params, gains))
-        if thrusts.min() < 0.0 or thrusts.max() > alloc.cap:
-            sat_arr[k] = (thrusts.min(axis=-1) < 0.0) | (thrusts.max(axis=-1) > alloc.cap)
-            # Clipping leaves an unsaturated run's thrusts as they are.
-            np.clip(thrusts, 0.0, alloc.cap, out=thrusts)
-        u = dyn.matvec(alloc.to_wrench, thrusts)
+        demand = tracking_controller(fd.x, ref, params, gains)
+        u, rotor_arr[k], sat_arr[k] = alloc(demand)
 
         meas_arr[k, ..., 0:4] = meas.q
         meas_arr[k, ..., 4:7] = meas.r
         meas_arr[k, ..., 7:10] = meas.omega
         ctrl_arr[k] = u
-        rotor_arr[k] = thrusts
 
     return ScenarioRun(dt=dt, seed=seed, feed=feed, t=grid, truth=truth_arr,
                        wrench_true=tau_arr, measurements=meas_arr,

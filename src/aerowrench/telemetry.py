@@ -95,7 +95,9 @@ def read_telemetry(path):
     The file is parsed line by line into one growing buffer of doubles,
     which becomes the data array without a copy. The first content line
     decides the format: a '{' starts JSON lines, anything else is the CSV
-    header.
+    header. A CSV row with another number of values than the header, or
+    a JSON record with other keys than the first record, raises
+    ValueError naming the file.
     """
     values = array.array("d")
     with open(path, "r", encoding="utf-8") as fh:
@@ -105,9 +107,16 @@ def read_telemetry(path):
         if first is None:
             raise ValueError("%s: no telemetry content" % (path,))
         if first.lstrip().startswith("{"):
-            cols = list(json.loads(first).keys())
-            for line in itertools.chain([first], lines):
+            keys = json.loads(first).keys()
+            cols = list(keys)
+            for i, line in enumerate(itertools.chain([first], lines)):
                 rec = json.loads(line)
+                if rec.keys() != keys:
+                    raise ValueError(
+                        "%s: record %d has keys %s missing and %s extra against "
+                        "the first record's" % (path, i + 1,
+                                                sorted(keys - rec.keys()),
+                                                sorted(rec.keys() - keys)))
                 values.fromlist([float(rec[c]) for c in cols])
         else:
             cols = first.split(",")

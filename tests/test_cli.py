@@ -91,6 +91,18 @@ class TestExitCodes:
         assert run_main(["run", "--config", str(bad),
                          "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
 
+    def test_negative_seed_is_3(self, tmp_path, capsys):
+        # From the flag or from the file, a seed numpy cannot take is a
+        # validation error naming run.seed, not a traceback.
+        assert run_main(["run", "--seed", "-1", "--duration", "0.5",
+                         "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert "run.seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+        cfg = tmp_path / "neg.yaml"
+        cfg.write_text("run:\n  seed: -2\n")
+        assert run_main(["run", "--config", str(cfg), "--duration", "0.5",
+                         "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert "run.seed must be a nonnegative integer, got -2" in capsys.readouterr().err
+
     def test_collapsed_sigma_spread_is_3(self, tmp_path, capsys):
         # 19 + sigma <= 0 collapses the sigma-point spread; validation
         # names the field instead of failing inside the filter.

@@ -53,6 +53,16 @@ class TestRoundTrip:
         cfg3 = cfgm.parse_config(write(tmp_path, cfgm.serialize_config(cfg2)))
         assert cfg3.to_dict() == cfg.to_dict()
 
+    def test_default_serialization_is_pinned(self):
+        # metrics.json records this digest: the serializer's bytes for the
+        # default configuration may not move.
+        assert (cfgm.config_digest(cfgm.ScenarioConfig())
+                == "838824bf324748a3326d48cce4a5481bee116917cbb0b19dd4e8d5d34b77e888")
+        text = cfgm.serialize_config(cfgm.ScenarioConfig())
+        assert text.startswith("system:\n  mass: 3.49\n  inertia:\n")
+        assert [ln for ln in text.splitlines() if not ln.startswith(" ")] == [
+            "system:", "filter:", "admittance:", "profile:", "run:"]
+
     def test_digest_tracks_content(self):
         a = cfgm.ScenarioConfig()
         b = cfgm.ScenarioConfig()
@@ -113,6 +123,11 @@ class TestValidation:
         assert "system.mass" in msgs
         assert "run.duration" in msgs
         assert "run.estimators" in msgs
+
+    def test_negative_seed_rejected(self, tmp_path):
+        with pytest.raises(ValidationError,
+                           match="run.seed must be a nonnegative integer, got -2"):
+            cfgm.parse_config(write(tmp_path, "run:\n  seed: -2\n"))
 
     def test_filter_diag_shapes(self, tmp_path):
         with pytest.raises(ValidationError, match="filter.r_diag"):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -143,12 +145,12 @@ class TestComponentConsistency:
 class TestRotorMixing:
     def test_equal_thrusts_pure_lift(self):
         p = dyn.SystemParams()
-        u = dyn.rotor_mix(np.full(4, 2.5), p)
+        u = dyn.mixing_matrix(p) @ np.full(4, 2.5)
         assert np.allclose(u, [10.0, 0.0, 0.0, 0.0], atol=1e-13)
 
     def test_roll_sign(self):
         p = dyn.SystemParams()
-        u = dyn.rotor_mix(np.array([2.0, 3.0, 2.0, 1.0]), p)
+        u = dyn.mixing_matrix(p) @ np.array([2.0, 3.0, 2.0, 1.0])
         assert u[1] > 0.0
 
     def test_matrix_matches_componentwise(self, rng):
@@ -159,12 +161,13 @@ class TestRotorMixing:
                              arm * (f[1] - f[3]),
                              arm * (f[2] - f[0]),
                              nu * (f[0] - f[1] + f[2] - f[3])])
-        assert np.allclose(dyn.rotor_mix(f, p), expected, atol=1e-13)
+        assert np.allclose(dyn.mixing_matrix(p) @ f, expected, atol=1e-13)
 
     def test_unmix_round_trip(self, rng):
         p = dyn.SystemParams()
         f = rng.uniform(0.5, 6.0, size=4)
-        assert np.allclose(dyn.rotor_unmix(dyn.rotor_mix(f, p), p), f, atol=1e-10)
+        mix = dyn.mixing_matrix(p)
+        assert np.allclose(np.linalg.solve(mix, mix @ f), f, atol=1e-10)
 
 
 class TestConfigMatrix:
@@ -209,7 +212,7 @@ class TestAllocation:
         for _ in range(100):
             d = rng.normal(scale=5.0, size=4)
             w = rng.uniform(0.5, 2.0, size=8)
-            u = dyn.allocate(d, p, weights=w)
+            u = dyn.allocate(d, replace(p, alloc_weights=w))
             assert np.max(np.abs(c @ u - d)) < 1e-9
 
     def test_weighted_optimality(self, rng):
@@ -220,7 +223,7 @@ class TestAllocation:
         for _ in range(20):
             d = rng.normal(scale=5.0, size=4)
             w = rng.uniform(0.5, 2.0, size=8)
-            u = dyn.allocate(d, p, weights=w)
+            u = dyn.allocate(d, replace(p, alloc_weights=w))
             base = np.linalg.norm(w * u)
             for _ in range(200):
                 alt = u + ns @ rng.normal(scale=1.0, size=ns.shape[1])
@@ -234,33 +237,61 @@ class TestAllocation:
         p = dyn.SystemParams()
         w = np.array([1.0, 1e9, 1e9, 1e9, 1.0, 1e9, 1e9, 1e9])
         with pytest.raises(SingularAllocation):
-            dyn.allocate(np.array([1.0, 0.0, 0.0, 0.0]), p, weights=w)
+            dyn.allocate(np.array([1.0, 0.0, 0.0, 0.0]), replace(p, alloc_weights=w))
 
 
 class TestSaturation:
+    """RotorAllocation's pipeline: demand, rotor thrusts, clip, wrench."""
+
     def test_within_limits_passthrough(self):
         p = dyn.SystemParams()
-        u_c = dyn.allocate(np.array([HOVER_THRUST, 0.0, 0.0, 0.0]), p)
-        out, thrusts, hit = dyn.saturate_rotors(u_c, p)
+        demand = np.array([HOVER_THRUST, 0.0, 0.0, 0.0])
+        out, thrusts, hit = dyn.RotorAllocation(p)(demand)
         assert not hit
-        assert np.allclose(out, u_c, atol=1e-10)
+        assert np.allclose(out, demand, atol=1e-10)
         assert np.all(thrusts >= 0.0) and np.all(thrusts <= p.u_max / 4.0)
 
     def test_over_demand_clips(self):
         p = dyn.SystemParams()
-        u_c = dyn.allocate(np.array([100.0, 0.0, 0.0, 0.0]), p)
-        out, thrusts, hit = dyn.saturate_rotors(u_c, p)
+        out, thrusts, hit = dyn.RotorAllocation(p)(np.array([100.0, 0.0, 0.0, 0.0]))
         assert hit
         assert np.all(thrusts <= p.u_max / 4.0 + 1e-12)
-        assert out[0] + out[4] <= 2.0 * p.u_max + 1e-9
+        assert out[0] <= 2.0 * p.u_max + 1e-9
 
     def test_negative_rotor_clip(self):
         p = dyn.SystemParams()
         # A huge yaw demand needs counter-rotating pairs beyond the floor.
         u_c = np.array([1.0, 0.0, 0.0, 2.0, 1.0, 0.0, 0.0, 2.0])
-        out, thrusts, hit = dyn.saturate_rotors(u_c, p)
+        out, thrusts, hit = dyn.RotorAllocation(p)(dyn.build_config_matrix(p) @ u_c)
         assert hit
         assert np.all(thrusts >= 0.0)
+
+    def test_stack_flags_exactly_the_clipping_runs(self, rng):
+        # Each run of a stack gets the lone pipeline's bits, and only the
+        # runs with a rotor outside [0, u_max / 4] are flagged and clipped.
+        p = dyn.SystemParams()
+        alloc = dyn.RotorAllocation(p)
+        demands = np.array([[HOVER_THRUST, 0.0, 0.0, 0.0],
+                            [100.0, 0.0, 0.0, 0.0],
+                            [2.0, 0.0, 0.0, 4.0],
+                            [HOVER_THRUST, 0.3, -0.2, 0.01]])
+        demands = np.concatenate([demands, rng.normal([HOVER_THRUST, 0, 0, 0],
+                                                      [5.0, 1.0, 1.0, 0.2],
+                                                      size=(60, 4))])
+        out, thrusts, hit = alloc(demands)
+        raw = dyn.matvec(alloc.to_rotors, demands)
+        clips = (raw < 0.0).any(axis=1) | (raw > alloc.cap).any(axis=1)
+        assert hit.dtype == bool and hit.shape == (64,)
+        assert np.array_equal(hit, clips)
+        assert list(hit[:4]) == [False, True, True, False]
+        assert 0 < clips[4:].sum() < 60
+        for i, d in enumerate(demands):
+            lone = alloc(d)
+            assert bool(lone[2]) == hit[i]
+            assert lone[0].tobytes() == out[i].tobytes()
+            assert lone[1].tobytes() == thrusts[i].tobytes()
+        assert np.array_equal(thrusts[~hit], raw[~hit])
+        assert np.all((thrusts >= 0.0) & (thrusts <= alloc.cap))
 
 
 class TestCompactModel:

@@ -227,12 +227,11 @@ class TestPredict:
 
 
     def test_ekf_difference_rows_keep_signed_zeros(self, rng):
-        f = est.ExtendedKalman()
-        h = f.fd_step
+        h = est.FD_STEP
         x = rng.normal(size=(2, 19))
         x[:, [2, 7, 13]] = -0.0
         x[:, [5, 16]] = 0.0
-        rows = est._difference_rows(x, f._fd_offsets)
+        rows = est._difference_rows(x)
         for s in range(2):
             want = np.empty((39, 20))
             want[:, :19] = x[s]
@@ -241,7 +240,7 @@ class TestPredict:
                 want[1 + i, i] = x[s, i] + h
                 want[20 + i, i] = x[s, i] - h
             assert rows[s].tobytes() == want.tobytes()
-            assert est._difference_rows(x[s], f._fd_offsets).tobytes() == want.tobytes()
+            assert est._difference_rows(x[s]).tobytes() == want.tobytes()
 
 
 class TestUpdate:

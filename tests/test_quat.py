@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aerowrench import quat as qt
-from aerowrench.errors import DegenerateSpectrum, NotRotation, NotSkewSymmetric
+from aerowrench.errors import DegenerateSpectrum, NotRotation
 
 from conftest import assert_quat_close, random_quat, random_rotvec
 
@@ -28,31 +28,6 @@ class TestSkewVex:
         p = rng.normal(size=3)
         m = qt.skew(p)
         assert np.array_equal(m.T, -m)
-
-    def test_vex_round_trip(self, rng):
-        for _ in range(1000):
-            p = rng.normal(size=3)
-            assert np.allclose(qt.vex(qt.skew(p)), p, atol=0.0)
-
-    def test_vex_rejects_symmetric(self):
-        with pytest.raises(NotSkewSymmetric):
-            qt.vex(np.eye(3))
-
-    def test_vex_tolerance(self):
-        m = qt.skew(np.array([1.0, -2.0, 0.5]))
-        m[0, 1] += 5e-10
-        qt.vex(m, tol=1e-9)
-        with pytest.raises(NotSkewSymmetric):
-            qt.vex(m, tol=1e-10)
-
-    def test_antisym_project(self, rng):
-        sym = rng.normal(size=(3, 3))
-        sym = sym + sym.T
-        assert np.allclose(qt.antisym_project(sym), 0.0, atol=0.0)
-        anti = qt.skew(rng.normal(size=3))
-        assert np.allclose(qt.antisym_project(anti), anti, atol=0.0)
-        b = rng.normal(size=(3, 3))
-        assert np.allclose(qt.antisym_project(b) + qt.antisym_project(b).T, 0.0)
 
 
 class TestHamiltonProduct:
@@ -80,8 +55,9 @@ class TestHamiltonProduct:
             assert np.allclose(left, right, atol=1e-14)
 
     def test_inverse(self, rng):
+        # The conjugate inverts a unit quaternion, as quat_diff assumes.
         q = random_quat(rng)
-        assert_quat_close(qt.quat_mul(q, qt.quat_inverse(q)), qt.quat_identity(), 1e-14)
+        assert_quat_close(qt.quat_mul(q, qt.quat_conj(q)), qt.quat_identity(), 1e-14)
 
     def test_term_kernel_matches_written_out_products(self, rng):
         # The term table reproduces quat_mul's products written out term by
@@ -155,7 +131,7 @@ class TestRotationMatrix:
             q = random_quat(rng)
             v = rng.normal(size=3)
             pure = np.array([0.0, *v])
-            conj = qt.quat_mul(qt.quat_mul(q, pure), qt.quat_inverse(q))
+            conj = qt.quat_mul(qt.quat_mul(q, pure), qt.quat_conj(q))
             assert abs(conj[0]) < 1e-13
             assert np.allclose(qt.quat_to_rot(q) @ v, conj[1:], atol=1e-12)
 
@@ -229,11 +205,11 @@ class TestRotationVector:
             assert np.linalg.norm(qt.quat_to_rotvec(q)) <= np.pi + 1e-12
 
     def test_rot_route_matches_quat_route(self, rng):
-        # arccos/vex extraction agrees with the quaternion path away frompi.
+        # A matrix reaches its rotation vector through rot_to_quat.
         for _ in range(300):
             p = random_rotvec(rng, max_angle=3.0)
             r = qt.quat_to_rot(qt.rotvec_to_quat(p))
-            assert np.allclose(qt.rot_to_rotvec(r), p, atol=1e-9)
+            assert np.allclose(qt.quat_to_rotvec(qt.rot_to_quat(r)), p, atol=1e-9)
 
 
 class TestManifoldOps:
@@ -407,8 +383,8 @@ class TestRowFormsMatchLoneForms:
         q = _fuzzed_quats(rng)
         p = _fuzzed_rotvecs(rng)
         for fn, arg in ((qt.quat_normalize, q), (qt.quat_canonical, q),
-                        (qt.quat_conj, q), (qt.quat_inverse, q),
-                        (qt.quat_to_rotvec, q), (qt.rotvec_to_quat, p)):
+                        (qt.quat_conj, q), (qt.quat_to_rotvec, q),
+                        (qt.rotvec_to_quat, p)):
             rows = fn(arg.reshape(shape + arg.shape[1:]))
             rows = rows.reshape((len(arg),) + rows.shape[len(shape):])
             _same_bytes(rows, [fn(a) for a in arg])

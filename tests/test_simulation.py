@@ -399,10 +399,10 @@ class TestRunStudy:
         # cov_sqrt takes the runs one by one and the study names the seed.
         cov_sqrt = est.cov_sqrt
 
-        def poisoned(p, clamp_tol=0.0):
+        def poisoned(p):
             p = p.copy()
             p[1, 0, 0] = np.nan
-            return cov_sqrt(p, clamp_tol)
+            return cov_sqrt(p)
 
         monkeypatch.setattr(est, "cov_sqrt", poisoned)
         with pytest.raises(FactorizationFailure,
@@ -413,6 +413,14 @@ class TestRunStudy:
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValidationError):
             sim.run_study([], duration=0.5)
+
+    def test_negative_seed_rejected(self):
+        # numpy's SeedSequence would raise its own ValueError first.
+        with pytest.raises(ValidationError,
+                           match=r"^run\.seed must be a nonnegative integer, got -1$"):
+            sim.run_study([0, -1], duration=0.5)
+        with pytest.raises(ValidationError, match=r"run\.seed .* got -2$"):
+            sim.run_scenario(duration=0.5, seed=-2)
 
 
 def _stack(f, runs):

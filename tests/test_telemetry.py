@@ -136,6 +136,20 @@ class TestStreaming:
         with pytest.raises(ValueError, match="1 values for 2 columns"):
             tlm.read_telemetry(path)
 
+    def test_jsonl_missing_key_rejected(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"a": 1.0, "b": 2.0}\n{"a": 3.0}\n')
+        with pytest.raises(ValueError, match=r"t\.jsonl: record 2 has keys "
+                                             r"\['b'\] missing and \[\] extra"):
+            tlm.read_telemetry(path)
+
+    def test_jsonl_extra_key_rejected(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"a": 1.0, "b": 2.0}\n{"a": 3.0, "b": 4.0, "c": 5.0}\n')
+        with pytest.raises(ValueError, match=r"t\.jsonl: record 2 has keys "
+                                             r"\[\] missing and \['c'\] extra"):
+            tlm.read_telemetry(path)
+
 
 class TestMetricsDocument:
     def test_build_write_read(self, tmp_path, short_run):

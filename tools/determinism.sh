@@ -1,6 +1,6 @@
 #!/bin/sh
-# Byte-for-byte determinism check of `aerowrench run` against an earlier
-# revision.
+# Byte-for-byte determinism check of `aerowrench run` and `run_study`
+# against an earlier revision.
 #
 # Usage: tools/determinism.sh PARENT_REV [SEED ...]
 #
@@ -13,6 +13,10 @@
 # differs, a second line gives the largest relative change of an RMSE
 # entry, with its filter and channel, so a rounding-only change can state
 # its tolerance.
+#
+# Then runs run_study on seeds 0, 1 and 2 for 5 s, the stacked path of the
+# closed loop, from both trees, writes the bytes of every array of every
+# returned run to one file per side, and compares the two files with cmp.
 set -eu
 
 if [ $# -lt 1 ]; then
@@ -74,4 +78,30 @@ PY
         esac
     fi
 done
+
+for side in parent change; do
+    if [ "$side" = parent ]; then src="$work/parent/src"; else src="$root/src"; fi
+    mkdir -p "$work/out/$side"
+    PYTHONPATH="$src" python3 - "$work/out/$side/study.bin" <<'PY'
+import sys
+
+from aerowrench.simulation import run_study
+
+with open(sys.argv[1], "wb") as fh:
+    for run in run_study([0, 1, 2], duration=5.0):
+        for a in (run.t, run.truth, run.wrench_true, run.measurements,
+                  run.controls, run.rotors, run.saturated):
+            fh.write(a.tobytes())
+        for name in sorted(run.tracks):
+            tr = run.tracks[name]
+            for a in (tr.states, tr.wrench, tr.nis):
+                fh.write(a.tobytes())
+PY
+done
+if cmp -s "$work/out/parent/study.bin" "$work/out/change/study.bin"; then
+    echo "run_study seeds 0-2, 5 s: identical"
+else
+    echo "run_study seeds 0-2, 5 s: differs"
+    status=1
+fi
 exit $status
