@@ -175,8 +175,9 @@ def _plain(value):
 
 
 def _build_section(dc_type, sub, name, source, skip=()):
-    """Instantiate a dataclass section, rejecting unknown keys."""
-    sub = sub or {}
+    """Instantiate a dataclass section, rejecting unknown keys; a missing
+    or null section takes the defaults."""
+    sub = {} if sub is None else sub
     if not isinstance(sub, dict):
         raise ParseError("%s: section '%s' must be a mapping" % (source, name))
     spec = {f.name: f for f in fields(dc_type) if f.name not in skip}

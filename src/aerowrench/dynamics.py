@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularAllocation, ValidationError
-from .quat import (_QUAT_MUL_TERMS, _mul_terms, quat_mul, quat_normalize,
-                   quat_to_rot, skew)
+from .quat import (_QUAT_MUL_TERMS, _mul_terms, _term_table, quat_mul,
+                   quat_normalize, quat_to_rot, skew)
 
 # Augmented-state slices (20-vector).
 IQ = slice(0, 4)
@@ -596,8 +596,60 @@ def build_fc(x, u, p):
     return fc
 
 
+# The pair products of propagate_batch, gathered by quat._mul_terms from
+# its workspace rows [q(4), r, v, omega, upsilon, dummy, J omega(3)]:
+# qx qz + qw qy, qy qz - qw qx and qx^2 + qy^2 twice (the rows of bz: 2
+# times the first two, 1 minus twice the third), omega x (J omega), and
+# wx^2 + wz^2 (|omega|^2 less wy^2). Each output sums its two terms left
+# to right in the order _body_z_inertial and _gyroscopic write them, so
+# the bits are theirs.
+_PAIR_TERMS = _term_table(
+    [[1, 0], [2, 0], [1, 2]] * 2 + [[11, 12], [12, 10], [10, 11], [10, 12]],
+    [[3, 2], [3, 1], [1, 2]] * 2 + [[22, 21], [20, 22], [21, 20], [10, 12]],
+    [[1, 1], [1, -1], [1, 1]] * 2 + [[1, -1], [1, -1], [1, -1], [1, 1]])
+
+
+# bz twice from the first six pair products, [2 p0, 2 p1, 1 - 2 s] per
+# copy, as one scaling and one shift: -0.0 is the exact additive identity,
+# signed zeros included, and 1 + (-2 s) is 1 - 2 s bit for bit.
+_BZ_SCALE = np.array([2.0, 2.0, -2.0] * 2)[:, None]
+_BZ_SHIFT = np.array([-0.0, -0.0, 1.0] * 2)[:, None]
+
+
+class _Workspace:
+    """propagate_batch's arrays for k rows, component first, and the views
+    of them it works on."""
+
+    def __init__(self, k):
+        self.k = k
+        self.w = w = np.empty((23, k))      # the 20 state rows, then J omega
+        self.rows, self.jw = w[:20], w[20:23]
+        self.q, self.r, self.v, self.om = w[IQ], w[IR], w[IV], w[IW]
+        self.rates = w[IV.start:IW.stop]    # chi = [v; omega]
+        self.motion = w[IR.start:IW.stop]   # [r; v; omega]
+        self.ups, self.scale = w[IU], w[IDUMMY]
+        self.pair = (np.empty((2, 10, k)), np.empty((2, 10, k)))
+        self.quat = (np.empty((4, 4, k)), np.empty((4, 4, k)))
+        self.pp = pp = np.empty((10, k))    # _PAIR_TERMS' outputs
+        self.bz2, self.gyro, self.ww = pp[0:6], pp[6:9], pp[9]
+        # [a_v; a_v; a_omega], for the position and the rate rows
+        self.acc = np.empty((9, k))
+        self.gwu = np.empty((6, k))         # G + W u - Gamma
+        self.t9 = np.empty((9, k))
+        self.t6, self.t3 = self.t9[0:6], self.t9[0:3]
+        self.dq = np.empty((4, k))
+        self.ang = np.empty((4, k))         # angle, half, factor, norm
+
+
 class TransitionContext:
-    """Precomputed constants for the closed-form discrete transition."""
+    """Precomputed constants for the closed-form discrete transition, and
+    propagate_batch's workspace.
+
+    The workspace is sized at the first call for each row count and
+    overwritten by every later call with as many rows, as the QUKF sizes
+    its sigma buffers; propagate_batch never returns it. A context is
+    therefore not safe to share between threads that propagate at once.
+    """
 
     def __init__(self, p, dt):
         self.params = p
@@ -607,9 +659,20 @@ class TransitionContext:
         a = p.observer_gain_matrix()
         self.decay = expm(-a * dt)            # e^{-A T}
         self.forced = np.eye(6) - self.decay  # (I - e^{-A T})
+        # a_v's and a_omega's step coefficients in [a_v; a_v; a_omega],
+        # and gravity in [a_v; a_v] (x - 0.0 is x, bit for bit).
+        self.acc_coef = np.array([0.5 * dt * dt] * 3 + [dt] * 6)[:, None]
+        self.gravity_col = np.array([0.0, 0.0, p.gravity] * 2)[:, None]
+        self._work = None
+
+    def workspace(self, k):
+        """The workspace for k rows, allocated when k changes."""
+        if self._work is None or self._work.k != k:
+            self._work = _Workspace(k)
+        return self._work
 
 
-def propagate_batch(xs, u, ctx):
+def propagate_batch(xs, u, ctx, out=None):
     """Advance a batch of augmented states one step, closed form.
 
     xs has shape (k, 20); u = [F_th, U_tau] is either one (4,) control
@@ -621,14 +684,22 @@ def propagate_batch(xs, u, ctx):
     trailing dummy component so the map agrees with the dense exponential
     for any input.
 
-    The work runs on one contiguous component-first copy (20, k) of the
-    rows, so each elementwise operation is one call on contiguous vectors,
-    and the matrix products are the constant matrices times (c, k) stacks.
-    The result is written back as rows (k, 20). Every row gets the same
-    operations whatever else is in the batch, so a row's result does not
-    depend on the batch around it, nor on whether its control is shared
-    or per row.
+    The result goes into ``out``, a float (k, 20) array, or a new one, and
+    is returned. Every read of xs and u happens before the first write to
+    out, so out may be xs itself (a filter propagates its own rows in
+    place) or overlap it.
+
+    The work runs in ctx's workspace (see TransitionContext): one
+    contiguous component-first copy (20, k) of the rows, so each
+    elementwise operation is one call on contiguous vectors, and the
+    matrix products are the constant matrices times (c, k) stacks. bz(q)
+    and omega x (J omega) come from one gathered pair product
+    (_PAIR_TERMS), with the same bits as _body_z_inertial and _gyroscopic.
+    Every row gets the same operations whatever else is in the batch, so a
+    row's result does not depend on the batch around it, nor on whether
+    its control is shared or per row, nor on out.
     """
+    ws = ctx.workspace(np.shape(xs)[0])
     p = ctx.params
     dt = ctx.dt
     xs = np.asarray(xs, dtype=float)
@@ -637,50 +708,71 @@ def propagate_batch(xs, u, ctx):
         thrust, moments = u[0], u[1:4, None]
     else:
         thrust, moments = u[:, 0], u[:, 1:4].T
-    k = xs.shape[0]
-    c = np.ascontiguousarray(xs.T)
-    chi = c[IV.start:IW.stop]            # [v; omega]
-    om = c[IW]
-    scale = c[IDUMMY]
+    ws.rows[...] = xs.T
+    om, scale, acc, gwu, t3 = ws.om, ws.scale, ws.acc, ws.gwu, ws.t3
+    np.matmul(ctx.inertia, om, out=ws.jw)
 
-    bz = _body_z_inertial(c[IQ])
-    acc = np.empty((6, k))               # [a_v; a_omega]
-    np.multiply(bz, thrust / p.mass, out=acc[0:3])
-    acc[2] -= p.gravity
-    gyro = _gyroscopic(om, ctx.inertia @ om)
-    np.matmul(ctx.inertia_inv, moments - gyro, out=acc[3:6])
+    bz2, gyro = ws.bz2, ws.gyro
+    _mul_terms(ws.w, ws.w, _PAIR_TERMS, out=ws.pp, work=ws.pair)
+    np.multiply(bz2, _BZ_SCALE, out=bz2)
+    bz2 += _BZ_SHIFT
+    np.multiply(bz2, thrust / p.mass, out=acc[0:6])
+    acc[0:6] -= ctx.gravity_col
+    np.subtract(moments, gyro, out=t3)
+    np.matmul(ctx.inertia_inv, t3, out=acc[6:9])
 
     # G + W u - Gamma at each sigma point (frozen forcing of the observer).
-    gwu = np.empty((6, k))
-    np.multiply(-bz, thrust, out=gwu[0:3])
+    np.negative(bz2[0:3], out=gwu[0:3])
+    np.multiply(gwu[0:3], thrust, out=gwu[0:3])
     np.subtract(gyro, moments, out=gwu[3:6])
-    gwu -= p.delta * chi
+    np.multiply(ws.rates, p.delta, out=ws.t6)
+    gwu -= ws.t6
     gwu[2] += p.mass * p.gravity
 
-    out = np.empty_like(xs)
-    ot = out.T
-    ot[IR] = c[IR] + dt * c[IV] + (0.5 * dt * dt) * acc[0:3] * scale
-    ot[IV.start:IW.stop] = chi + dt * acc * scale
-    ot[IU] = ctx.decay @ c[IU] + ctx.forced @ (gwu * scale)
-    ot[IDUMMY] = scale
-
     # q <- q * q(omega dt): right multiplication integrates body rates.
-    ang = np.sqrt(np.einsum("ij,ij->i", xs[:, IW], xs[:, IW])) * dt
-    half = 0.5 * ang
-    small = ang < 1e-8
-    if small.any():
-        factor = np.empty(k)
+    # Norms sum their squares in the order numpy's einsum("ij,ij->i")
+    # takes over a row on x86-64: (wx^2 + wz^2) + wy^2 here, and
+    # (q0^2 + q2^2) + (q1^2 + q3^2) below.
+    ang, half, factor, norm = ws.ang
+    np.multiply(om[1], om[1], out=ang)
+    np.add(ws.ww, ang, out=ang)
+    np.sqrt(ang, out=ang)
+    ang *= dt
+    np.multiply(ang, 0.5, out=half)
+    # fmin skips NaN, whose rows are not small.
+    if np.fmin.reduce(ang, initial=np.inf) < 1e-8:
+        small = ang < 1e-8
         factor[small] = (0.5 - ang[small] * ang[small] / 48.0) * dt
         ns = ~small
         factor[ns] = np.sin(half[ns]) / ang[ns] * dt
     else:
-        factor = np.sin(half) / ang * dt
-    dq = np.empty((4, k))
-    dq[0] = np.cos(half)
+        np.sin(half, out=factor)
+        factor /= ang
+        factor *= dt
+    dq = ws.dq
+    np.cos(half, out=dq[0])
     np.multiply(om, factor, out=dq[1:])
-    qn = out[:, IQ]
-    qn[...] = _mul_terms(c[IQ], dq, _QUAT_MUL_TERMS).T
-    qn /= np.sqrt(np.einsum("ij,ij->i", qn, qn))[:, None]
+    # The gathers read q before the sums overwrite it.
+    _mul_terms(ws.q, dq, _QUAT_MUL_TERMS, out=ws.q, work=ws.quat)
+
+    # r + dt v + (dt^2 / 2) a_v s, then [v; omega] + dt [a_v; a_omega] s.
+    np.multiply(ws.v, dt, out=t3)
+    ws.r += t3
+    np.multiply(acc, ctx.acc_coef, out=ws.t9)
+    ws.t9 *= scale
+    ws.motion += ws.t9
+    gwu *= scale
+    np.matmul(ctx.forced, gwu, out=ws.t6)
+    np.matmul(ctx.decay, ws.ups, out=gwu)
+    np.add(gwu, ws.t6, out=ws.ups)
+
+    np.multiply(ws.q, ws.q, out=dq)
+    np.add(dq[0:2], dq[2:4], out=dq[0:2])
+    np.add(dq[0], dq[1], out=norm)
+    ws.q /= np.sqrt(norm, out=norm)
+    if out is None:
+        out = np.empty_like(xs)
+    out[...] = ws.rows.T
     return out
 
 

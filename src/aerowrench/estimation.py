@@ -209,14 +209,14 @@ def _apply_deltas(x, deltas, out=None):
 
 
 def _propagate_rows(rows, u, ctx):
-    """propagate_batch on rows (..., r, 20) under one control (4,) or one
-    per run (..., 4)."""
-    if rows.ndim == 2:
-        return dyn.propagate_batch(rows, u, ctx)
+    """propagate_batch on rows (..., r, 20), in place, under one control
+    (4,) or one per run (..., 4). rows must be contiguous, as the filters'
+    own buffers are, so that its flat (-1, 20) form is a view."""
     if u.ndim > 1:
         u = np.repeat(u.reshape(-1, 4), rows.shape[-2], axis=0)
-    return dyn.propagate_batch(rows.reshape(-1, rows.shape[-1]), u,
-                               ctx).reshape(rows.shape)
+    flat = rows.reshape(-1, rows.shape[-1])
+    dyn.propagate_batch(flat, u, ctx, out=flat)
+    return rows
 
 
 def _sigma_points(x, s, scale, deltas, out):
@@ -275,10 +275,12 @@ np.fill_diagonal(_FD_OFFSETS[1:20], -FD_STEP)
 np.fill_diagonal(_FD_OFFSETS[20:39], FD_STEP)
 
 
-def _difference_rows(x):
+def _difference_rows(x, rows=None):
     """The EKF's centre and central-difference rows (..., 39, 20) about
-    states x (..., 19): x minus each row of _FD_OFFSETS."""
-    rows = np.empty(x.shape[:-1] + (39, 20))
+    states x (..., 19): x minus each row of _FD_OFFSETS, written into
+    ``rows`` when given."""
+    if rows is None:
+        rows = np.empty(x.shape[:-1] + (39, 20))
     np.subtract(x[..., None, :], _FD_OFFSETS, out=rows[..., :19])
     rows[..., 19] = 1.0
     return rows
@@ -339,9 +341,13 @@ class QuaternionUkf:
     ``x`` and ``P``) and otherwise overwrites them. At n=99 each is about
     155 KiB, above glibc's 128 KiB mmap threshold; allocated afresh at
     each step, they would go back to the OS when freed and be faulted in
-    again on the next step. ``x`` and ``P`` are new arrays after every
-    ``predict`` and ``update``, so a caller may keep them. ``_sigma`` and
-    ``_res`` are views of the buffers, valid until the next ``predict``.
+    again on the next step. The sigma points are propagated in place,
+    through ``propagate_batch(..., out=)``, in the workspace of the
+    filter's ``ctx``; a padded filter propagates a copy of its non-pad
+    components and writes it back. ``x`` and ``P`` are new arrays after
+    every ``predict`` and ``update``, so a caller may keep them.
+    ``_sigma`` and ``_res`` are views of the buffers, valid until the next
+    ``predict``.
     """
 
     # Error-state rows that the pose and rate measurement observes.
@@ -399,13 +405,16 @@ class QuaternionUkf:
             self._wres = np.empty(rows + (self.n,))    # _res_buf * w_cov[:, None]
         pts = _sigma_points(self.x, cov_sqrt(self.P), self.scale, self._deltas,
                             self._pts)
-        # Pad components keep their values (identity dynamics).
-        core = pts
+        # The points are propagated in place. Pad components keep their
+        # values (identity dynamics), so a padded filter propagates a copy
+        # of its other components and writes them back.
         if self.pad_dims:
             core = np.concatenate([pts[..., :19], pts[..., -1:]], axis=-1)
-        prop = _propagate_rows(core, control.as_vector(), self.ctx)
-        pts[..., :19] = prop[..., :19]
-        pts[..., -1] = prop[..., -1]
+            _propagate_rows(core, control.as_vector(), self.ctx)
+            pts[..., :19] = core[..., :19]
+            pts[..., -1] = core[..., -1]
+        else:
+            _propagate_rows(pts, control.as_vector(), self.ctx)
 
         try:
             mean_q = qt.weighted_quat_average(pts[..., 0:4], self.w_mean)
@@ -476,7 +485,9 @@ class ExtendedKalman:
 
     State is the raw 19-vector (quaternion, position, velocity, body rates,
     observer states); the transition Jacobian comes from central
-    differences through the exact discrete propagation.
+    differences through the exact discrete propagation. The filter owns
+    its (..., 39, 20) difference rows, sized like the QUKF's buffers, and
+    propagates them in place.
 
     The differences divide the rounding of the propagated rows by FD_STEP,
     so the filter magnifies a change in the last bits upstream of it by
@@ -507,6 +518,7 @@ class ExtendedKalman:
         self.r_mat = np.diag(np.concatenate([_q_block_diag(rd[0:3]), rd[3:6], rd[6:9]]))
         self.ctx = dyn.TransitionContext(self.params, self.dt)
         self.last_nis = None
+        self._rows = None  # the difference rows, propagated in place
 
     @property
     def augmented_state(self):
@@ -521,9 +533,12 @@ class ExtendedKalman:
 
     def predict(self, control):
         self.x[..., 0:4] = qt.quat_normalize(self.x[..., 0:4])
-        prop = _propagate_rows(_difference_rows(self.x), control.as_vector(),
-                               self.ctx)
-        self.x, self.P = _jacobian_cov(prop, self.P, self.q_disc)
+        shape = self.x.shape[:-1] + (39, 20)
+        if self._rows is None or self._rows.shape != shape:
+            self._rows = np.empty(shape)
+        rows = _propagate_rows(_difference_rows(self.x, self._rows),
+                               control.as_vector(), self.ctx)
+        self.x, self.P = _jacobian_cov(rows, self.P, self.q_disc)
         return self
 
     def update(self, meas):

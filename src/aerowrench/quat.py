@@ -144,9 +144,10 @@ def quat_mul(q1, q2):
 
 
 def _term_table(ia, ib, sign):
-    # (component, term) tables to the term-major rows _mul_terms gathers.
-    return (np.array(ia).T.ravel(), np.array(ib).T.ravel(),
-            np.array(sign, dtype=float).T.ravel())
+    # (output, term) tables to the term-first (T, m) tables _mul_terms
+    # gathers; the signs as (T, m, 1), for stacks (c, k).
+    return (np.array(ia).T.copy(), np.array(ib).T.copy(),
+            np.array(sign, dtype=float).T[:, :, None].copy())
 
 
 # The term table of the Hamilton product for _mul_terms: output component
@@ -159,19 +160,37 @@ _QUAT_MUL_TERMS = _term_table(
     [[1, -1, -1, -1], [1, 1, 1, -1], [1, 1, 1, -1], [1, 1, 1, -1]])
 
 
-def _mul_terms(a, b, terms):
-    """Hamilton products a * b of component-first quaternion stacks.
+def _mul_terms(a, b, terms, out=None, work=None):
+    """Sums of signed products of the rows of component-first stacks.
 
-    a and b are (4, ...) and broadcast against each other after the first
-    axis; the result is a contiguous (4, ...) whose components sum their
-    terms in the order of ``terms``. Each term's sign is folded into its b
-    factor. A sign flip is exact and x - y is x + (-y) bit for bit, so the
-    result equals the products written out in that order, from two
-    gathers, two multiplications and three additions.
+    a and b are (c, ...) and broadcast against each other after the first
+    axis. A term table (ia, ib, sign) of shape (T, m) gives m outputs;
+    output i sums sign[j, i] * a[ia[j, i]] * b[ib[j, i]] over the terms j
+    left to right, into a contiguous (m, ...) array, or into ``out``. Each
+    term's sign is folded into its b factor. A sign flip is exact and
+    x - y is x + (-y) bit for bit, so the result equals the products
+    written out in that order, from two gathers, two multiplications and
+    T - 1 additions. ``work`` is a pair of (T, m, ...) arrays of the
+    result's trailing shape that receive the gathered factors, so that
+    nothing is allocated; without it, a and b may broadcast.
     """
     ia, ib, sign = terms
-    t = a[ia] * (b[ib] * sign.reshape(sign.shape + (1,) * (b.ndim - 1)))
-    return t[0:4] + t[4:8] + t[8:12] + t[12:16]
+    if b.ndim != 2:
+        sign = sign.reshape(ia.shape + (1,) * (b.ndim - 1))
+    if work is None:
+        t = a.take(ia, axis=0) * (b.take(ib, axis=0) * sign)
+    else:
+        # take buffers an out= array in its default "raise" mode; the
+        # tables' indices are in range, so "clip" changes nothing else.
+        t, tb = work
+        a.take(ia, axis=0, out=t, mode="clip")
+        b.take(ib, axis=0, out=tb, mode="clip")
+        np.multiply(tb, sign, out=tb)
+        np.multiply(t, tb, out=t)
+    out = np.add(t[0], t[1], out=out)
+    for tj in t[2:]:
+        np.add(out, tj, out=out)
+    return out
 
 
 def quat_conj(q):

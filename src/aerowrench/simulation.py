@@ -413,6 +413,9 @@ def _closed_loop(profile, seed, params, noise, admittance, gains, dt, duration,
     admittance.validate()
     profile.validate()
 
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValidationError(["run.t_step must be positive and finite, "
+                               "got %r" % (dt,)])
     n_steps = int(round(duration / dt))
     if n_steps < 1:
         raise ValidationError(["run.duration must cover at least one step"])
@@ -498,7 +501,7 @@ def _closed_loop(profile, seed, params, noise, admittance, gains, dt, duration,
             tr.wrench[k] = f.wrench
             tr.nis[k] = f.last_nis
 
-        ref = admittance_reference(fd.wrench, ref, admittance, dt)
+        ref = admittance_reference(tracks[feed].wrench[k], ref, admittance, dt)
         demand = tracking_controller(fd.x, ref, params, gains)
         u, rotor_arr[k], sat_arr[k] = alloc(demand)
 

@@ -85,6 +85,13 @@ class TestExitCodes:
         assert run_main(["run", "--config", str(bad),
                          "--out", str(tmp_path)]) == cli.EXIT_PARSE
 
+    def test_falsy_section_is_2(self, tmp_path, capsys):
+        bad = tmp_path / "zero.yaml"
+        bad.write_text("system: 0\n")
+        assert run_main(["run", "--config", str(bad),
+                         "--out", str(tmp_path)]) == cli.EXIT_PARSE
+        assert "section 'system' must be a mapping" in capsys.readouterr().err
+
     def test_validation_error_is_3(self, tmp_path, capsys):
         bad = tmp_path / "bad3.yaml"
         bad.write_text("system:\n  mass: -2.0\n")

@@ -102,6 +102,27 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="nope.yaml"):
             cfgm.parse_config(tmp_path / "nope.yaml")
 
+    @pytest.mark.parametrize("name, value, text", [
+        ("system", 0, "system: 0\n"), ("filter", "", "filter: ''\n"),
+        ("run", [], "run: []\n"), ("admittance", False, "admittance: false\n")])
+    def test_falsy_section_is_not_a_mapping(self, tmp_path, name, value, text):
+        # Only a missing or null section takes the defaults.
+        match = "section '%s' must be a mapping" % name
+        with pytest.raises(ParseError, match=match):
+            cfgm.ScenarioConfig.from_dict({name: value})
+        with pytest.raises(ParseError, match=match):
+            cfgm.parse_config(write(tmp_path, text))
+
+    def test_null_section_takes_defaults(self, tmp_path):
+        cfg = cfgm.parse_config(write(tmp_path, "system:\nfilter: null\nrun: ~\n"))
+        assert cfgm.config_digest(cfg) == cfgm.config_digest(cfgm.ScenarioConfig())
+
+    def test_bare_segment_is_a_default_segment(self, tmp_path):
+        cfg = cfgm.ScenarioConfig.from_dict({"profile": {"segments": [None]}})
+        assert cfg.profile.segments[0].end == 0.0
+        with pytest.raises(ValidationError, match=r"segments\[0\]\.end must exceed start"):
+            cfgm.parse_config(write(tmp_path, "profile:\n  segments:\n    -\n"))
+
     def test_unknown_segment_key(self, tmp_path):
         text = ("profile:\n  segments:\n"
                 "    - {start: 1.0, end: 2.0, forse: [1, 0, 0]}\n")

@@ -579,26 +579,77 @@ class TestDiscreteTransition:
             z, ob = dyn.discrete_transition(z, ob, hover_control(p), p, 0.01)
         assert np.max(np.abs(ob.upsilon)) < 1.0
 
+    @staticmethod
+    def _fuzzed_rows(rng, k):
+        """k augmented rows with an arbitrary dummy scale and every kind of
+        rate: zero, rotating less than propagate_batch's 1e-8 series cut
+        over a step, NaN and ordinary."""
+        xs = np.stack([np.concatenate([random_quat(rng), rng.normal(size=15),
+                                       [rng.uniform(-2.0, 2.0)]])
+                       for _ in range(k)])
+        xs[0::5, 19] = 1.0
+        xs[1::5, 19] = 0.0
+        xs[2::5, 19] = 0.5
+        xs[0::3, 10:13] = 0.0
+        xs[1::3, 10:13] *= 1e-7
+        xs[4, 11] = np.nan
+        return xs
+
     def test_batched_rows_match_individual(self, rng):
+        # A row's bytes do not depend on the batch around it, on whether
+        # its control is shared or per row, nor on whether the batch is
+        # propagated in place. The small-angle branch runs only on a batch
+        # that holds a small rotation, as the whole batch does and its
+        # rows 2::3 do not.
         p = dyn.SystemParams()
         ctx = dyn.TransitionContext(p, 0.01)
-        xs = np.stack([np.concatenate([random_quat(rng), rng.normal(size=15), [1.0]])
-                       for _ in range(17)])
-        # Zero rates, rates whose rotation over the step is below the 1e-8
-        # series cut, and ordinary rates in one batch: the small-angle
-        # branch runs only on such a mixed batch.
-        mixed = xs.copy()
-        mixed[0::3, 10:13] = 0.0
-        mixed[1::3, 10:13] *= 1e-7
+        xs = self._fuzzed_rows(rng, 17)
         shared = np.array([20.0, 0.1, 0.0, -0.2])
         per_row = shared + rng.normal(size=(17, 4)) * np.array([5.0, 0.1, 0.1, 0.1])
-        for rows in (xs, mixed):
-            for u in (shared, per_row):
-                batch = dyn.propagate_batch(rows, u, ctx)
-                for i in range(17):
-                    u_i = u if u.ndim == 1 else u[i]
-                    single = dyn.propagate_batch(rows[i][None, :], u_i, ctx)[0]
-                    assert np.array_equal(batch[i], single)
+        with np.errstate(invalid="ignore"):
+            for rows in (xs, xs[2::3]):
+                for u in (shared, per_row[:len(rows)]):
+                    batch = dyn.propagate_batch(rows, u, ctx)
+                    inplace = rows.copy()
+                    assert dyn.propagate_batch(inplace, u, ctx, out=inplace) is inplace
+                    assert inplace.tobytes() == batch.tobytes()
+                    for i in range(len(rows)):
+                        u_i = u if u.ndim == 1 else u[i]
+                        single = dyn.propagate_batch(rows[i][None, :], u_i, ctx)[0]
+                        assert single.tobytes() == batch[i].tobytes()
+            # The NaN rate spoils its own row only.
+            batch = dyn.propagate_batch(xs, shared, ctx)
+        assert np.isnan(batch[4]).any() and np.isfinite(np.delete(batch, 4, 0)).all()
+
+    def test_workspace_resizes_without_changing_bytes(self, rng):
+        # One context stepped with 39, then 780, then 39 rows gives the
+        # bytes of a fresh context at each size.
+        p = dyn.SystemParams()
+        ctx = dyn.TransitionContext(p, 0.01)
+        u = np.array([20.0, 0.1, 0.0, -0.2])
+        with np.errstate(invalid="ignore"):
+            for k in (39, 780, 39):
+                xs = self._fuzzed_rows(rng, k)
+                fresh = dyn.propagate_batch(xs, u, dyn.TransitionContext(p, 0.01))
+                assert dyn.propagate_batch(xs, u, ctx).tobytes() == fresh.tobytes()
+
+    def test_pair_products_match_written_out_helpers(self, rng):
+        # The gathered pair products give _body_z_inertial's and
+        # _gyroscopic's bits, signed zeros included.
+        w = rng.normal(size=(23, 300)) * rng.uniform(0.1, 10.0, size=(1, 300))
+        w[rng.random(w.shape) < 0.1] = 0.0
+        w[rng.random(w.shape) < 0.1] = -0.0
+        pp = qt._mul_terms(w, w, dyn._PAIR_TERMS)
+        for i in (0, 3):
+            bz = np.stack([2.0 * pp[i], 2.0 * pp[i + 1], 1.0 - 2.0 * pp[i + 2]])
+            assert bz.tobytes() == dyn._body_z_inertial(w[0:4]).tobytes()
+        gyro = dyn._gyroscopic(w[10:13], w[20:23])
+        assert pp[6:9].tobytes() == gyro.tobytes()
+        assert pp[9].tobytes() == (w[10] * w[10] + w[12] * w[12]).tobytes()
+        work = (np.empty((2, 10, 300)), np.empty((2, 10, 300)))
+        out = np.empty((10, 300))
+        assert qt._mul_terms(w, w, dyn._PAIR_TERMS, out=out, work=work) is out
+        assert out.tobytes() == pp.tobytes()
 
 
 class TestTruthIntegration:

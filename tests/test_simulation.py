@@ -422,6 +422,14 @@ class TestRunStudy:
         with pytest.raises(ValidationError, match=r"run\.seed .* got -2$"):
             sim.run_scenario(duration=0.5, seed=-2)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan"), float("inf")])
+    def test_bad_step_rejected(self, dt):
+        # A zero step divided the duration by zero, and a negative one
+        # was reported as too short a duration.
+        with pytest.raises(ValidationError,
+                           match=r"^run\.t_step must be positive and finite"):
+            sim.run_scenario(duration=0.5, seed=0, dt=dt)
+
 
 def _stack(f, runs):
     """The filter f as a stack of ``runs`` copies of its state."""

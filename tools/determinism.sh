@@ -17,6 +17,11 @@
 # Then runs run_study on seeds 0, 1 and 2 for 5 s, the stacked path of the
 # closed loop, from both trees, writes the bytes of every array of every
 # returned run to one file per side, and compares the two files with cmp.
+#
+# Last, replays seed 0's first 400 (control, measurement) pairs through a
+# QUKF padded to n=99 (pad_dims=80), as gate 9's sweep and the benchmark's
+# wide replay step it, and compares the bytes of its state and covariance
+# after every step: the padded filter propagates a copy of its rows.
 set -eu
 
 if [ $# -lt 1 ]; then
@@ -102,6 +107,36 @@ if cmp -s "$work/out/parent/study.bin" "$work/out/change/study.bin"; then
     echo "run_study seeds 0-2, 5 s: identical"
 else
     echo "run_study seeds 0-2, 5 s: differs"
+    status=1
+fi
+
+for side in parent change; do
+    if [ "$side" = parent ]; then src="$work/parent/src"; else src="$root/src"; fi
+    PYTHONPATH="$src" python3 - "$work/out/$side/replay.bin" <<'PY'
+import sys
+
+from aerowrench import dynamics as dyn
+from aerowrench import estimation as est
+from aerowrench.simulation import run_scenario
+
+steps = 400
+run = run_scenario(seed=0, duration=steps * 0.01)
+f = est.QuaternionUkf(pad_dims=80)
+controls = [dyn.ControlInput.hover(f.params)]
+controls += [dyn.ControlInput(thrust=float(c[0]), moments=c[1:4].copy())
+             for c in run.controls[:steps - 1]]
+with open(sys.argv[1], "wb") as fh:
+    for u, z in zip(controls, run.measurements[:steps]):
+        f.step(u, est.Measurement(q=z[0:4].copy(), r=z[4:7].copy(),
+                                  omega=z[7:10].copy()))
+        fh.write(f.x.tobytes())
+        fh.write(f.P.tobytes())
+PY
+done
+if cmp -s "$work/out/parent/replay.bin" "$work/out/change/replay.bin"; then
+    echo "padded QUKF replay, seed 0, 400 steps: identical"
+else
+    echo "padded QUKF replay, seed 0, 400 steps: differs"
     status=1
 fi
 exit $status
