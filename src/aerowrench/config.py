@@ -79,21 +79,7 @@ class RunConfig:
         self.estimators = tuple(self.estimators)
 
     def validate(self):
-        bad = []
-        if not self.t_step > 0.0:
-            bad.append("run.t_step must be positive")
-        elif not self.duration >= self.t_step:
-            bad.append("run.duration must be at least one step")
-        unknown = [e for e in self.estimators if e not in ("qukf", "ekf")]
-        if unknown:
-            bad.append("run.estimators must be drawn from {'qukf', 'ekf'}, "
-                       "got %r" % (unknown,))
-        if not self.estimators:
-            bad.append("run.estimators must not be empty")
-        if self.seed != int(self.seed) or self.seed < 0:
-            bad.append("run.seed must be a nonnegative integer, got %r" % (self.seed,))
-        if bad:
-            raise ValidationError(bad)
+        sim.validate_run(self.t_step, self.duration, self.seed, self.estimators)
         return self
 
 

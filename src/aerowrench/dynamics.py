@@ -8,12 +8,18 @@ State vector layouts used by this module and the estimators:
 
     body state (13,):       [q(4), r(3), v(3), omega(3)]
     augmented state (20,):  [q(4), r(3), v(3), omega(3), upsilon(6), 1]
+    EKF state (19,):        the augmented state less its trailing 1
+    QUKF state (20 + d,):   the augmented state, then d pads
+    QUKF error (19 + d,):   [dtheta(3), r, v, omega, upsilon, pin, pads]
 
 q is a scalar-first unit quaternion, r and v are inertial position and
 velocity, omega is the body angular rate, and upsilon is the internal state
 of the momentum-style wrench observer. The trailing 1 carries the affine
 terms of the continuous-time generator so that one matrix exponential
-advances the whole augmented state.
+advances the whole augmented state. Inert components come last (the 1,
+its pinned error component, then the QUKF's cost-scaling pads), so a
+filter's first 20 components are the augmented state. A wrench is a
+6-vector [force (inertial), torque (body)].
 
 Control u = [F_th, U_tau] stacks total thrust (N) along body z and the body
 torque (N m) produced by the eight rotors.
@@ -141,24 +147,6 @@ class BodyState:
 
 
 @dataclass
-class Wrench:
-    force: np.ndarray
-    torque: np.ndarray
-
-    @classmethod
-    def zero(cls):
-        return cls(force=np.zeros(3), torque=np.zeros(3))
-
-    @classmethod
-    def from_vector(cls, w):
-        w = np.asarray(w, dtype=float)
-        return cls(force=w[:3].copy(), torque=w[3:].copy())
-
-    def as_vector(self):
-        return np.concatenate([self.force, self.torque])
-
-
-@dataclass
 class ControlInput:
     thrust: float
     moments: np.ndarray
@@ -179,15 +167,6 @@ class ControlInput:
         u[..., 0] = self.thrust
         u[..., 1:4] = self.moments
         return u
-
-
-@dataclass
-class ObserverState:
-    upsilon: np.ndarray
-
-    @classmethod
-    def zero(cls):
-        return cls(upsilon=np.zeros(6))
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +245,10 @@ def _rigid_body_derivative(x, u, tau, p, j_inv):
 
 
 def system_derivative(state, u, tau_h, p):
-    """Combined-body derivative; see _rigid_body_derivative for layout."""
+    """Combined-body derivative under the wrench tau_h (6,); see
+    _rigid_body_derivative for layout."""
     return _rigid_body_derivative(state.as_vector(), u.as_vector(),
-                                  tau_h.as_vector(), p, np.linalg.inv(p.inertia))
+                                  np.asarray(tau_h, float), p, np.linalg.inv(p.inertia))
 
 
 def quadrotor_derivative(q, v_i, omega, u_i, f_link, t_link, m_i, j_i, gravity):
@@ -776,8 +756,9 @@ def propagate_batch(xs, u, ctx, out=None):
     return out
 
 
-def discrete_transition(state, observer, u, p, dt, method="closed"):
-    """One discrete step of the augmented dynamics.
+def discrete_transition(state, upsilon, u, p, dt, method="closed"):
+    """One discrete step of the augmented dynamics: the next BodyState and
+    observer states upsilon (6,).
 
     method "closed" uses the blockwise exact exponential (fast path);
     "expm" assembles build_fc and calls this module's general
@@ -785,7 +766,7 @@ def discrete_transition(state, observer, u, p, dt, method="closed"):
     precision; the dense path exists to validate the fast one and for
     experiments with modified generators.
     """
-    x = np.concatenate([state.as_vector(), observer.upsilon, [1.0]])
+    x = np.concatenate([state.as_vector(), upsilon, [1.0]])
     uv = u.as_vector()
     if method == "closed":
         out = propagate_batch(x[None, :], uv, TransitionContext(p, dt))[0]
@@ -794,4 +775,4 @@ def discrete_transition(state, observer, u, p, dt, method="closed"):
         out[IQ] = quat_normalize(out[IQ])
     else:
         raise ValueError("unknown method %r" % method)
-    return BodyState.from_vector(out[:13]), ObserverState(upsilon=out[IU].copy())
+    return BodyState.from_vector(out[:13]), out[IU].copy()

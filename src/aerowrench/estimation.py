@@ -10,6 +10,11 @@ Two filters share the same discrete process model from :mod:`.dynamics`:
   four ordinary coordinates, Jacobians come from central differences, and
   the norm is restored by renormalizing after each step.
 
+A filter's state ``x`` is one vector in the layout of :mod:`.dynamics`:
+the QUKF's is the augmented 20-state and then its pads, the EKF's the
+first 19 components. Both start from a ``BodyState`` with the observer
+states at zero.
+
 Each filter steps one run, ``x`` of shape (m,), or a stack of runs: a
 configured filter whose ``x`` and ``P`` are tiled to (S, m) and
 (S, n, n), stepped with controls and measurements whose fields carry the
@@ -43,8 +48,10 @@ from .errors import (AerowrenchError, DegenerateScaling, DegenerateSpectrum,
 
 # Error-state layout: attitude deviation enters as a rotation vector (0:3),
 # so the error space has one dimension fewer than the state vector; then
-# position, velocity, body rates, observer states and a pinned component.
-E_DIM = 19  # includes the pinned trailing component
+# position, velocity, body rates, observer states, the trailing 1's pinned
+# component (PIN) and any pads, each component at its state index less one.
+E_DIM = 19  # includes the pinned component, not the pads
+PIN = 18
 
 DEFAULT_Q_DIAG = np.array([1e-4] * 3 + [1e-4] * 3 + [1e-1] * 3
                           + [1e-3] * 3 + [1e-2] * 6 + [0.0])
@@ -84,10 +91,7 @@ class NoiseConfig:
     r_diag: np.ndarray = field(default_factory=lambda: DEFAULT_R_DIAG.copy())
 
     def q_discrete(self, dt, pad_dims=0):
-        d = self.q_diag * dt
-        if pad_dims:
-            d = np.concatenate([d[:-1], np.zeros(pad_dims), d[-1:]])
-        return np.diag(d)
+        return np.diag(np.concatenate([self.q_diag * dt, np.zeros(pad_dims)]))
 
     def r_matrix(self):
         return np.diag(self.r_diag)
@@ -104,24 +108,6 @@ class Measurement:
     @classmethod
     def from_state(cls, state):
         return cls(q=state.q.copy(), r=state.r.copy(), omega=state.omega.copy())
-
-
-@dataclass
-class AugmentedState:
-    body: dyn.BodyState
-    observer: dyn.ObserverState
-
-    @classmethod
-    def hover(cls, position=(0.0, 0.0, 0.0)):
-        return cls(body=dyn.BodyState.hover(position), observer=dyn.ObserverState.zero())
-
-    @classmethod
-    def from_vector(cls, x):
-        return cls(body=dyn.BodyState.from_vector(x[:13]),
-                   observer=dyn.ObserverState(upsilon=np.asarray(x[13:19], dtype=float).copy()))
-
-    def as_vector(self):
-        return np.concatenate([self.body.as_vector(), self.observer.upsilon, [1.0]])
 
 
 def _block_cholesky(p):
@@ -202,19 +188,19 @@ def _apply_deltas(x, deltas, out=None):
         out = np.empty(deltas.shape[:-1] + x.shape[-1:])
     out[..., 0:4] = qt.quat_mul(qt.rotvec_to_quat(deltas[..., 0:3]),
                                 x[..., None, 0:4])
-    # State components 4:-1 (pads included) take error components 3:-1.
-    np.add(x[..., None, 4:-1], deltas[..., 3:-1], out=out[..., 4:-1])
-    out[..., -1] = 1.0
+    # The trailing 1 takes its pinned component, and the pads theirs.
+    np.add(x[..., None, 4:], deltas[..., 3:], out=out[..., 4:])
     return out
 
 
 def _propagate_rows(rows, u, ctx):
     """propagate_batch on rows (..., r, 20), in place, under one control
-    (4,) or one per run (..., 4). rows must be contiguous, as the filters'
-    own buffers are, so that its flat (-1, 20) form is a view."""
+    (4,) or one per run (..., 4). rows may be a column slice of a buffer,
+    as a padded QUKF's first 20 components are, but their flat (-1, 20)
+    form must be a view of them: ValueError otherwise."""
     if u.ndim > 1:
         u = np.repeat(u.reshape(-1, 4), rows.shape[-2], axis=0)
-    flat = rows.reshape(-1, rows.shape[-1])
+    flat = rows.reshape(-1, rows.shape[-1], copy=False)
     dyn.propagate_batch(flat, u, ctx, out=flat)
     return rows
 
@@ -226,7 +212,7 @@ def _sigma_points(x, s, scale, deltas, out):
     n = s.shape[-1]
     np.multiply(scale, s.swapaxes(-1, -2), out=deltas[..., 1:n + 1, :])
     np.negative(deltas[..., 1:n + 1, :], out=deltas[..., n + 1:, :])
-    deltas[..., -1] = 0.0
+    deltas[..., PIN] = 0.0
     return _apply_deltas(x, deltas, out)
 
 
@@ -241,9 +227,9 @@ def _residuals(pts, mean, out=None):
 
 
 def _pin(p):
-    """Zero the pinned trailing error component's row and column."""
-    p[..., -1, :] = 0.0
-    p[..., :, -1] = 0.0
+    """Zero the pinned error component's row and column."""
+    p[..., PIN, :] = 0.0
+    p[..., :, PIN] = 0.0
     return p
 
 
@@ -330,9 +316,9 @@ def _posterior(p, gain, pyy):
 class QuaternionUkf:
     """Unscented filter on the quaternion manifold with wrench observer states.
 
-    ``pad_dims`` appends inert error dimensions (identity dynamics, zero
-    noise) between the observer block and the pinned trailing component;
-    they exist so the cost scaling of the linear algebra can be measured.
+    ``pad_dims`` appends inert dimensions (identity dynamics, zero noise)
+    after the trailing 1 and its pinned error component; they exist so the
+    cost scaling of the linear algebra can be measured.
 
     Buffer ownership: the filter owns its four (2n+1)-row arrays (the
     error-space displacements, the sigma points, the residuals and the
@@ -341,10 +327,9 @@ class QuaternionUkf:
     ``x`` and ``P``) and otherwise overwrites them. At n=99 each is about
     155 KiB, above glibc's 128 KiB mmap threshold; allocated afresh at
     each step, they would go back to the OS when freed and be faulted in
-    again on the next step. The sigma points are propagated in place,
-    through ``propagate_batch(..., out=)``, in the workspace of the
-    filter's ``ctx``; a padded filter propagates a copy of its non-pad
-    components and writes it back. ``x`` and ``P`` are new arrays after
+    again on the next step. The sigma points' first 20 components are
+    propagated in place, through ``propagate_batch(..., out=)``, in the
+    workspace of the filter's ``ctx``. ``x`` and ``P`` are new arrays after
     every ``predict`` and ``update``, so a caller may keep them.
     ``_sigma`` and ``_res`` are views of the buffers, valid until the next
     ``predict``.
@@ -363,16 +348,11 @@ class QuaternionUkf:
         self.eta, self.w_mean, self.w_cov = ut_weights(self.n, phi, gamma, sigma)
         self.scale = np.sqrt(self.n + self.eta)
 
-        if initial is None:
-            initial = AugmentedState.hover()
-        base = initial.as_vector()
-        # State rows carry pads between the observer block and the trailing 1.
-        self.x = np.concatenate([base[:19], np.zeros(self.pad_dims), base[19:]])
+        body = initial if initial is not None else dyn.BodyState.hover()
+        self.x = np.concatenate([body.as_vector(), np.zeros(6), [1.0],
+                                 np.zeros(self.pad_dims)])
         diag = p0_diag if p0_diag is not None else DEFAULT_P0_DIAG
-        diag = np.asarray(diag, dtype=float)
-        if self.pad_dims:
-            diag = np.concatenate([diag[:-1], np.zeros(self.pad_dims), diag[-1:]])
-        self.P = np.diag(diag)
+        self.P = np.diag(np.concatenate([diag, np.zeros(self.pad_dims)]))
         self.q_disc = self.noise.q_discrete(self.dt, self.pad_dims)
         self.r_mat = self.noise.r_matrix()
         self.ctx = dyn.TransitionContext(self.params, self.dt)
@@ -385,10 +365,6 @@ class QuaternionUkf:
     # -- state views -------------------------------------------------------
 
     @property
-    def augmented_state(self):
-        return AugmentedState.from_vector(np.concatenate([self.x[:19], [1.0]]))
-
-    @property
     def wrench(self):
         return dyn.wrench_estimate(self.x[..., 13:19], self.x[..., 7:10],
                                    self.x[..., 10:13], self.params)
@@ -399,22 +375,14 @@ class QuaternionUkf:
         lead = self.x.shape[:-1]
         if self._pts is None or self._pts.shape[:-2] != lead:
             rows = lead + (2 * self.n + 1,)
-            self._deltas = np.zeros(rows + (self.n,))  # row 0, column -1 stay 0
+            self._deltas = np.zeros(rows + (self.n,))  # row 0 stays 0
             self._pts = np.empty(rows + self.x.shape[-1:])
             self._res_buf = np.empty(rows + (self.n,))
             self._wres = np.empty(rows + (self.n,))    # _res_buf * w_cov[:, None]
         pts = _sigma_points(self.x, cov_sqrt(self.P), self.scale, self._deltas,
                             self._pts)
-        # The points are propagated in place. Pad components keep their
-        # values (identity dynamics), so a padded filter propagates a copy
-        # of its other components and writes them back.
-        if self.pad_dims:
-            core = np.concatenate([pts[..., :19], pts[..., -1:]], axis=-1)
-            _propagate_rows(core, control.as_vector(), self.ctx)
-            pts[..., :19] = core[..., :19]
-            pts[..., -1] = core[..., -1]
-        else:
-            _propagate_rows(pts, control.as_vector(), self.ctx)
+        # Pads keep their values (identity dynamics).
+        _propagate_rows(pts[..., :20], control.as_vector(), self.ctx)
 
         try:
             mean_q = qt.weighted_quat_average(pts[..., 0:4], self.w_mean)
@@ -430,7 +398,7 @@ class QuaternionUkf:
                     pass
         mean = np.concatenate([mean_q, self.w_mean @ pts[..., 4:]], axis=-1)
         mean[..., 0:4] = qt.quat_normalize(mean[..., 0:4])
-        mean[..., -1] = 1.0
+        mean[..., dyn.IDUMMY] = 1.0
         self._mean_q = mean[..., 0:4].copy()
         res = _residuals(pts, mean, self._res_buf)
         self.P = _sigma_cov(res, self.w_cov, self.q_disc, self._wres)
@@ -452,12 +420,9 @@ class QuaternionUkf:
         gain, self.last_nis = _gain(pyy, pxy, innov)
 
         dx = dyn.matvec(gain, innov)
-        dx[..., -1] = 0.0
         x = self.x.copy()
-        x[..., 0:4] = qt.quat_mul(qt.rotvec_to_quat(dx[..., 0:3]), x[..., 0:4])
-        x[..., 4:-1] += dx[..., 3:-1]
-        x[..., -1] = 1.0
-        x[..., 0:4] = qt.quat_normalize(x[..., 0:4])
+        x[..., 0:4] = qt.oplus(x[..., 0:4], dx[..., 0:3])
+        x[..., 4:] += dx[..., 3:]  # the pinned component adds 0.0 to the 1
         self.x = x
         self._mean_q = x[..., 0:4].copy()
         self.P = _pin(_posterior(self.P, gain, pyy))
@@ -505,9 +470,8 @@ class ExtendedKalman:
         self.params = params if params is not None else dyn.SystemParams()
         self.noise = noise if noise is not None else NoiseConfig()
         self.dt = float(dt)
-        if initial is None:
-            initial = AugmentedState.hover()
-        self.x = initial.as_vector()[:19]
+        body = initial if initial is not None else dyn.BodyState.hover()
+        self.x = np.concatenate([body.as_vector(), np.zeros(6)])
 
         diag = np.asarray(p0_diag if p0_diag is not None else DEFAULT_P0_DIAG,
                           dtype=float)
@@ -519,12 +483,6 @@ class ExtendedKalman:
         self.ctx = dyn.TransitionContext(self.params, self.dt)
         self.last_nis = None
         self._rows = None  # the difference rows, propagated in place
-
-    @property
-    def augmented_state(self):
-        x = self.x.copy()
-        x[0:4] = qt.quat_normalize(x[0:4])
-        return AugmentedState.from_vector(np.concatenate([x, [1.0]]))
 
     @property
     def wrench(self):

@@ -31,7 +31,7 @@ __all__ = [
     "ForceSegment", "ForceProfile", "default_profile", "force_profile_eval",
     "smoothstep", "AdmittanceParams", "ReferenceState", "admittance_reference",
     "ControllerGains", "tracking_controller", "NoiseStreams", "inject_noise",
-    "EstimatorTrack", "ScenarioRun", "run_scenario",
+    "EstimatorTrack", "ScenarioRun", "validate_run", "run_scenario",
     "run_study", "convergence_time", "MetricsReport", "compute_metrics",
 ]
 
@@ -103,11 +103,12 @@ def default_profile():
 
 
 def force_profile_eval(profile, t):
-    """Wrench applied at time t: ramped inside segments, zero elsewhere.
+    """Wrench [force, torque] (6,) applied at time t: ramped inside
+    segments, zero elsewhere.
 
     A segment covers [start, end), so segments that touch never add up.
     """
-    return dyn.Wrench.from_vector(_profile_table(profile, np.array([t], dtype=float))[0])
+    return _profile_table(profile, np.array([t], dtype=float))[0]
 
 
 def _profile_table(profile, times):
@@ -396,6 +397,27 @@ def _draw_noise(seed, n_steps, noise):
     return noise_q, noise_r, noise_w
 
 
+def validate_run(dt, duration, seed, estimators):
+    """The run settings' one rule, for RunConfig and the loop: the step
+    count and the filter names, or ValidationError listing every
+    violation. seed is one seed or a list of them."""
+    bad = []
+    if not (dt > 0.0 and math.isfinite(dt)):
+        bad.append("run.t_step must be positive and finite, got %r" % (dt,))
+    elif not (math.isfinite(duration / dt) and round(duration / dt) >= 1):
+        bad.append("run.duration must cover at least one step")
+    for s in (seed if np.ndim(seed) else [seed]):
+        if not (isinstance(s, (int, np.integer)) and s >= 0):
+            bad.append("run.seed must be a nonnegative integer, got %r" % (s,))
+    names = [n for n in ("qukf", "ekf") if n in estimators]
+    if len(names) != len(set(estimators)) or not names:
+        bad.append("run.estimators must be a nonempty subset of "
+                   "{'qukf', 'ekf'}, got %r" % (estimators,))
+    if bad:
+        raise ValidationError(bad)
+    return int(round(duration / dt)), names
+
+
 def _closed_loop(profile, seed, params, noise, admittance, gains, dt, duration,
                  estimators, scaling, p0_diag, collect_timing):
     """run_scenario's loop for one seed, or for a stack of runs (a list of
@@ -413,21 +435,8 @@ def _closed_loop(profile, seed, params, noise, admittance, gains, dt, duration,
     admittance.validate()
     profile.validate()
 
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise ValidationError(["run.t_step must be positive and finite, "
-                               "got %r" % (dt,)])
-    n_steps = int(round(duration / dt))
-    if n_steps < 1:
-        raise ValidationError(["run.duration must cover at least one step"])
+    n_steps, names = validate_run(dt, duration, seed, estimators)
     lead = np.shape(seed)
-    for s in (seed if lead else [seed]):
-        if not (isinstance(s, (int, np.integer)) and s >= 0):
-            raise ValidationError(["run.seed must be a nonnegative integer, "
-                                   "got %r" % (s,)])
-    names = [n for n in ("qukf", "ekf") if n in estimators]
-    if len(names) != len(set(estimators)) or not names:
-        raise ValidationError(["run.estimators must be a nonempty subset of "
-                               "{'qukf', 'ekf'}, got %r" % (estimators,)])
 
     filters = {}
     if "qukf" in names:

@@ -78,7 +78,7 @@ def test_02_compact_model_consistency():
         u = dyn.ControlInput(thrust=rng.uniform(0.0, 40.0),
                              moments=rng.normal(size=3))
         tau = rng.normal(size=6)
-        d = dyn.system_derivative(s, u, dyn.Wrench.from_vector(tau), p)
+        d = dyn.system_derivative(s, u, tau, p)
         m, g, w = dyn.compact_matrices(s.q, s.omega, p)
         rec = m @ d[7:13] + g + w @ u.as_vector()
         worst = max(worst, np.abs(rec - tau).max())
@@ -204,7 +204,7 @@ def test_06_stiff_channel_discretization():
 
     dt = 0.01
     ctx = dyn.TransitionContext(p, dt)
-    x0 = est.AugmentedState.hover().as_vector()
+    x0 = np.concatenate([dyn.BodyState.hover().as_vector(), np.zeros(6), [1.0]])
     x1 = x0.copy()
     x1[17] += 1.0  # pitch-torque observer channel, the fast one
     xs = np.stack([x0, x1])
@@ -291,8 +291,7 @@ def test_10_long_run_filter_health():
     truth = dyn.BodyState(q=qt.quat_identity(), r=np.zeros(3),
                           v=np.array([0.1, -0.1, 0.05]), omega=np.zeros(3))
     u = dyn.ControlInput.hover(p)
-    f = est.QuaternionUkf(initial=est.AugmentedState(
-        body=truth, observer=dyn.ObserverState.zero()))
+    f = est.QuaternionUkf(initial=truth)
     streams = sim.NoiseStreams(seed=11)
     r_diag = est.DEFAULT_R_DIAG
 

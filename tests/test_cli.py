@@ -110,6 +110,17 @@ class TestExitCodes:
                          "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
         assert "run.seed must be a nonnegative integer, got -2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, shown", [
+        (".inf", "inf"), (".nan", "nan"), ("0", "0.0"), ("-0.01", "-0.01")])
+    def test_bad_step_is_3(self, tmp_path, capsys, text, shown):
+        cfg = tmp_path / "step.yaml"
+        cfg.write_text("run:\n  t_step: %s\n" % text)
+        assert run_main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "invalid configuration:\n"
+            "  - run.t_step must be positive and finite, got %s\n" % shown)
+
     def test_collapsed_sigma_spread_is_3(self, tmp_path, capsys):
         # 19 + sigma <= 0 collapses the sigma-point spread; validation
         # names the field instead of failing inside the filter.

@@ -150,6 +150,21 @@ class TestValidation:
                            match="run.seed must be a nonnegative integer, got -2"):
             cfgm.parse_config(write(tmp_path, "run:\n  seed: -2\n"))
 
+    @pytest.mark.parametrize("dt", [float("inf"), float("nan"), 0.0, -0.01])
+    def test_bad_step_named(self, dt):
+        # An infinite step was reported as too short a duration.
+        with pytest.raises(ValidationError) as exc:
+            cfgm.RunConfig(t_step=dt).validate()
+        assert exc.value.violations == [
+            "run.t_step must be positive and finite, got %r" % (dt,)]
+
+    @pytest.mark.parametrize("duration", [float("inf"), float("nan"), 0.001])
+    def test_duration_without_a_finite_step_count(self, duration):
+        # An infinite duration passed and then overflowed the step count.
+        with pytest.raises(ValidationError,
+                           match=r"^run\.duration must cover at least one step$"):
+            cfgm.RunConfig(duration=duration).validate()
+
     def test_filter_diag_shapes(self, tmp_path):
         with pytest.raises(ValidationError, match="filter.r_diag"):
             cfgm.parse_config(write(tmp_path, "filter:\n  r_diag: [1.0, 2.0]\n"))

@@ -49,7 +49,7 @@ class TestSystemDerivative:
     def test_hover_equilibrium(self):
         p = dyn.SystemParams()
         s = dyn.BodyState.hover()
-        d = dyn.system_derivative(s, hover_control(p), dyn.Wrench.zero(), p)
+        d = dyn.system_derivative(s, hover_control(p), np.zeros(6), p)
         assert np.allclose(d, np.zeros(13), atol=1e-12)
         assert abs(hover_control(p).thrust - HOVER_THRUST) < 1e-10
 
@@ -57,20 +57,20 @@ class TestSystemDerivative:
         p = dyn.SystemParams()
         s = dyn.BodyState.hover()
         u = dyn.ControlInput(thrust=0.0, moments=np.zeros(3))
-        d = dyn.system_derivative(s, u, dyn.Wrench.zero(), p)
+        d = dyn.system_derivative(s, u, np.zeros(6), p)
         assert np.allclose(d[7:10], [0.0, 0.0, -9.81], atol=1e-12)
 
     def test_yaw_torque(self):
         p = dyn.SystemParams()
         s = dyn.BodyState.hover()
         u = dyn.ControlInput(thrust=HOVER_THRUST, moments=np.array([0.0, 0.0, 1.0]))
-        d = dyn.system_derivative(s, u, dyn.Wrench.zero(), p)
+        d = dyn.system_derivative(s, u, np.zeros(6), p)
         assert np.allclose(d[10:13], [0.0, 0.0, 1.0 / 3.277], atol=1e-12)
 
     def test_external_force_accelerates(self):
         p = dyn.SystemParams()
         s = dyn.BodyState.hover()
-        tau = dyn.Wrench(force=np.array([2.0, 0.0, 0.0]), torque=np.zeros(3))
+        tau = np.array([2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         d = dyn.system_derivative(s, hover_control(p), tau, p)
         assert np.allclose(d[7:10], [2.0 / 3.49, 0.0, 0.0], atol=1e-12)
 
@@ -79,7 +79,7 @@ class TestSystemDerivative:
         q = random_quat(rng)
         s = dyn.BodyState(q=q, r=np.zeros(3), v=np.zeros(3), omega=np.zeros(3))
         u = dyn.ControlInput(thrust=10.0, moments=np.zeros(3))
-        d = dyn.system_derivative(s, u, dyn.Wrench.zero(), p)
+        d = dyn.system_derivative(s, u, np.zeros(6), p)
         expected = qt.quat_to_rot(q) @ np.array([0.0, 0.0, 10.0 / 3.49])
         expected[2] -= 9.81
         assert np.allclose(d[7:10], expected, atol=1e-12)
@@ -114,7 +114,7 @@ class TestComponentConsistency:
             demand = rot_total @ u_c
             s = dyn.BodyState(q=q, r=rng.normal(size=3), v=v, omega=omega)
             u = dyn.ControlInput.from_vector(demand)
-            d = dyn.system_derivative(s, u, dyn.Wrench.from_vector(tau_h), p)
+            d = dyn.system_derivative(s, u, tau_h, p)
             vdot, wdot = d[7:10], d[10:13]
 
             rot = qt.quat_to_rot(q)
@@ -312,7 +312,7 @@ class TestCompactModel:
             u = dyn.ControlInput(thrust=rng.uniform(0.0, 40.0),
                                  moments=rng.normal(size=3))
             tau = rng.normal(size=6)
-            d = dyn.system_derivative(s, u, dyn.Wrench.from_vector(tau), p)
+            d = dyn.system_derivative(s, u, tau, p)
             m, g, w = dyn.compact_matrices(s.q, s.omega, p)
             chidot = d[7:13]
             rec = m @ chidot + g + w @ u.as_vector()
@@ -326,7 +326,7 @@ def integrate_observer_truth(p, tau, u, state0, upsilon0, h, steps):
 
     def f(z):
         s = dyn.BodyState.from_vector(z[:13])
-        ds = dyn.system_derivative(s, u, dyn.Wrench.from_vector(tau), p)
+        ds = dyn.system_derivative(s, u, tau, p)
         dob = dyn.observer_derivative(z[13:], s, dyn.ControlInput.from_vector(uv), p)
         return np.concatenate([ds, dob])
 
@@ -511,19 +511,17 @@ class TestDiscreteTransition:
     def test_equilibrium_fixed_point(self):
         p = dyn.SystemParams()
         s = dyn.BodyState.hover(position=(0.0, 0.0, 5.0))
-        ob = dyn.ObserverState.zero()
         for method in ("closed", "expm"):
-            s2, ob2 = dyn.discrete_transition(s, ob, hover_control(p), p, 0.01,
-                                              method=method)
+            s2, ups = dyn.discrete_transition(s, np.zeros(6), hover_control(p), p,
+                                              0.01, method=method)
             assert np.max(np.abs(s2.as_vector() - s.as_vector())) < 1e-10
-            assert np.max(np.abs(ob2.upsilon)) < 1e-10
+            assert np.max(np.abs(ups)) < 1e-10
 
     def test_pure_rotation_advance(self):
         p = dyn.SystemParams()
         s = dyn.BodyState.hover()
         s.omega = np.array([0.0, 0.0, 1.0])
-        s2, _ = dyn.discrete_transition(s, dyn.ObserverState.zero(),
-                                        hover_control(p), p, 0.01)
+        s2, _ = dyn.discrete_transition(s, np.zeros(6), hover_control(p), p, 0.01)
         assert np.allclose(qt.quat_diff(s2.q, s.q), [0.0, 0.0, 0.01], atol=1e-8)
 
     def test_closed_matches_expm(self, rng):
@@ -531,12 +529,12 @@ class TestDiscreteTransition:
         for _ in range(200):
             s = dyn.BodyState(q=random_quat(rng), r=rng.normal(size=3),
                               v=rng.normal(size=3), omega=rng.normal(scale=2.0, size=3))
-            ob = dyn.ObserverState(upsilon=rng.normal(size=6))
+            ups = rng.normal(size=6)
             u = dyn.ControlInput(thrust=rng.uniform(0.0, 40.0), moments=rng.normal(size=3))
-            s_c, ob_c = dyn.discrete_transition(s, ob, u, p, 0.01, method="closed")
-            s_e, ob_e = dyn.discrete_transition(s, ob, u, p, 0.01, method="expm")
+            s_c, ups_c = dyn.discrete_transition(s, ups, u, p, 0.01, method="closed")
+            s_e, ups_e = dyn.discrete_transition(s, ups, u, p, 0.01, method="expm")
             assert np.max(np.abs(s_c.as_vector() - s_e.as_vector())) < 1e-12
-            assert np.max(np.abs(ob_c.upsilon - ob_e.upsilon)) < 1e-11
+            assert np.max(np.abs(ups_c - ups_e)) < 1e-11
 
     def test_affine_scaling_matches_expm(self, rng):
         # The fast path must agree with the dense exponential even when the
@@ -554,11 +552,11 @@ class TestDiscreteTransition:
     def test_stiff_channel_decays(self):
         p = dyn.SystemParams()
         s = dyn.BodyState.hover()
-        ob = dyn.ObserverState(upsilon=np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0]))
+        ups = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
         rate = 72.0 / 0.061  # 1180.33: eleven decades per decisecond
-        _, ob2 = dyn.discrete_transition(s, ob, hover_control(p), p, 0.01)
-        assert abs(ob2.upsilon[4] - np.exp(-rate * 0.01)) < 1e-9
-        assert np.isfinite(ob2.upsilon).all()
+        _, ups2 = dyn.discrete_transition(s, ups, hover_control(p), p, 0.01)
+        assert abs(ups2[4] - np.exp(-rate * 0.01)) < 1e-9
+        assert np.isfinite(ups2).all()
 
     def test_explicit_euler_reference_diverges(self):
         # The same generator stepped with x + fc x T blows up at T = 0.01
@@ -574,10 +572,10 @@ class TestDiscreteTransition:
         assert abs(y[17]) > 1e9
 
         z = dyn.BodyState.hover()
-        ob = dyn.ObserverState(upsilon=np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0]))
+        ups = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
         for _ in range(10):
-            z, ob = dyn.discrete_transition(z, ob, hover_control(p), p, 0.01)
-        assert np.max(np.abs(ob.upsilon)) < 1.0
+            z, ups = dyn.discrete_transition(z, ups, hover_control(p), p, 0.01)
+        assert np.max(np.abs(ups)) < 1.0
 
     @staticmethod
     def _fuzzed_rows(rng, k):

@@ -114,10 +114,12 @@ class TestNoiseConfig:
         assert qd[18, 18] == 0.0
 
     def test_pad_insertion(self):
-        qd = est.NoiseConfig().q_discrete(0.01, pad_dims=3)
+        nc = est.NoiseConfig()
+        qd = nc.q_discrete(0.01, pad_dims=3)
         assert qd.shape == (22, 22)
-        assert np.allclose(np.diag(qd)[18:21], 0.0)
-        assert qd[21, 21] == 0.0
+        # The pads come after the pinned component.
+        assert np.array_equal(qd[:19, :19], nc.q_discrete(0.01))
+        assert not qd[19:].any() and not qd[:, 19:].any()
 
 
 class TestSigmaGeometry:
@@ -401,7 +403,7 @@ class TestStaticConvergence:
                              r=np.array([0.3, -0.2, 0.1]),
                              v=np.array([0.05, 0.0, -0.05]),
                              omega=np.zeros(3))
-        return est.AugmentedState(body=body, observer=dyn.ObserverState.zero())
+        return body
 
     @pytest.mark.parametrize("make", [
         lambda init: est.QuaternionUkf(initial=init),
@@ -413,7 +415,7 @@ class TestStaticConvergence:
         truth = dyn.BodyState.hover()
         for _ in range(50):
             f.step(u, exact_measurement(truth))
-        s = f.augmented_state.body
+        s = dyn.BodyState.from_vector(f.x[:13])
         # The angular-rate error transiently grows from the attitude offset
         # and is the slowest channel to drain; 50 updates bring every
         # component three orders of magnitude below its starting offset.
@@ -435,7 +437,7 @@ class TestStaticConvergence:
             ukf.step(u, exact_measurement(truth))
             ekf.step(u, exact_measurement(truth))
         for f, floor in ((ukf, 2e-5), (ekf, 1e-12)):
-            s = f.augmented_state.body
+            s = dyn.BodyState.from_vector(f.x[:13])
             e = np.concatenate([qt.quat_diff(s.q, truth.q), s.r, s.v, s.omega])
             assert np.linalg.norm(e) < floor
 
@@ -519,7 +521,7 @@ class NaiveUkf:
         self.n = 20
         self.eta, self.wm, self.wc = est.ut_weights(self.n)
         self.scale = np.sqrt(self.n + self.eta)
-        self.x = initial.as_vector()
+        self.x = np.concatenate([initial.as_vector(), np.zeros(6), [1.0]])
         diag = est.DEFAULT_P0_DIAG
         self.P = np.diag(np.concatenate([est._q_block_diag(diag[0:3]),
                                          diag[3:18], [0.0]]))
@@ -567,11 +569,9 @@ class TestManifoldAgainstFlat:
         x = np.concatenate([qt.quat_identity(), np.zeros(6), [1.5, -1.0, 2.0]])
         j_inv = np.linalg.inv(p.inertia)
         u = dyn.ControlInput(thrust=0.0, moments=np.zeros(3))
-        init = est.AugmentedState(
-            body=dyn.BodyState(q=qt.rotvec_to_quat(np.array([0.3, 0.0, 0.0])),
-                               r=np.zeros(3), v=np.zeros(3),
-                               omega=np.array([1.5, -1.0, 2.0])),
-            observer=dyn.ObserverState.zero())
+        init = dyn.BodyState(q=qt.rotvec_to_quat(np.array([0.3, 0.0, 0.0])),
+                             r=np.zeros(3), v=np.zeros(3),
+                             omega=np.array([1.5, -1.0, 2.0]))
         manifold = est.QuaternionUkf(initial=init)
         flat = NaiveUkf(init)
         errs_m, errs_f = [], []
@@ -710,24 +710,43 @@ class TestPaddedDimensions:
                                 omega=np.zeros(3))
             base.step(u, m)
             padded.step(u, m)
-            assert np.allclose(padded.x[19:-1], 0.0, atol=0.0)
-            assert np.allclose(padded.P[19:24, :], 0.0, atol=0.0)
-            assert np.allclose(padded.P[:, 19:24], 0.0, atol=0.0)
+            # The trailing 1, then the pads; the pin's and the pads' rows
+            # and columns of P.
+            assert padded.x[19] == 1.0 and not padded.x[20:].any()
+            assert not padded.P[18:, :].any() and not padded.P[:, 18:].any()
         # The two runs factor the covariance in different bases; rounding
         # in the factor feeds the stiff momentum coupling, which is why the
         # long-horizon tolerance is looser than the single-step one.
         assert np.abs(padded.x[:19] - base.x[:19]).max() < 1e-6
         assert np.abs(padded.P[core] - base.P[core]).max() < 1e-6
 
+    def test_padded_stack_matches_lone_filters(self, rng):
+        # A padded stack propagates a strided view of its sigma buffer;
+        # each run must still be the lone padded filter, bit for bit.
+        u = hover_control()
+        seqs = [noisy_measurements(rng, 50) for _ in range(3)]
+        lone = [est.QuaternionUkf(pad_dims=20) for _ in seqs]
+        stack = est.QuaternionUkf(pad_dims=20)
+        stack.x = np.tile(stack.x, (3, 1))
+        stack.P = np.tile(stack.P, (3, 1, 1))
+        for ms in zip(*seqs):
+            stack.step(u, est.Measurement(*(np.stack([getattr(m, a) for m in ms])
+                                            for a in ("q", "r", "omega"))))
+            for i, (f, m) in enumerate(zip(lone, ms)):
+                f.step(u, m)
+                assert same_bits(stack.x[i], f.x) and same_bits(stack.P[i], f.P)
+                assert stack.last_nis[i] == f.last_nis
 
-class TestAugmentedState:
-    def test_vector_round_trip(self, rng):
-        body = dyn.BodyState(q=random_quat(rng), r=rng.normal(size=3),
-                             v=rng.normal(size=3), omega=rng.normal(size=3))
-        aug = est.AugmentedState(body=body,
-                                 observer=dyn.ObserverState(upsilon=rng.normal(size=6)))
-        x = aug.as_vector()
-        assert x.shape == (20,)
-        assert x[-1] == 1.0
-        back = est.AugmentedState.from_vector(x)
-        assert np.allclose(back.as_vector(), x, atol=0.0)
+    def test_rows_without_a_flat_view_raise(self, rng):
+        # Rows whose flat form would be a copy would be propagated and
+        # dropped; the filters' rows are never such, and none is accepted.
+        ctx = dyn.TransitionContext(dyn.SystemParams(), 0.01)
+        u = hover_control().as_vector()
+        buf = np.tile(est.QuaternionUkf(pad_dims=5).x, (4, 3, 1))
+        buf[..., 7:13] = rng.normal(size=(4, 3, 6))
+        rows = buf[..., :20].reshape(-1, 20).copy()
+        est._propagate_rows(buf[..., :20], u, ctx)
+        assert same_bits(buf[..., :20].reshape(-1, 20), dyn.propagate_batch(rows, u, ctx))
+        assert not buf[..., 20:].any()
+        with pytest.raises(ValueError):
+            est._propagate_rows(buf.transpose(1, 0, 2)[..., :20], u, ctx)

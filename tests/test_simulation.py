@@ -15,13 +15,13 @@ from aerowrench.errors import (DegenerateSpectrum, DivergenceDetected,
 class TestForceProfile:
     def test_eval_inside_outside_and_ramp_midpoint(self):
         p = sim.default_profile()
-        assert np.array_equal(sim.force_profile_eval(p, 2.0).force, np.zeros(3))
-        assert np.array_equal(sim.force_profile_eval(p, 10.0).force,
+        assert np.array_equal(sim.force_profile_eval(p, 2.0)[:3], np.zeros(3))
+        assert np.array_equal(sim.force_profile_eval(p, 10.0)[:3],
                               np.array([2.0, 0.0, 0.0]))
         # halfway up a 1 s ramp toward 2 N
-        mid = sim.force_profile_eval(p, 5.5).force
+        mid = sim.force_profile_eval(p, 5.5)[:3]
         assert np.allclose(mid, [1.0, 0.0, 0.0], atol=1e-15)
-        assert np.array_equal(sim.force_profile_eval(p, 69.0).torque, np.zeros(3))
+        assert np.array_equal(sim.force_profile_eval(p, 69.0)[3:], np.zeros(3))
 
     def test_smoothstep_shape(self):
         assert sim.smoothstep(0.0) == 0.0
@@ -35,9 +35,7 @@ class TestForceProfile:
         times = np.arange(0.0, 70.0, 0.37)
         tab = sim._profile_table(p, times)
         for i, t in enumerate(times):
-            w = sim.force_profile_eval(p, t)
-            assert np.array_equal(tab[i, 0:3], w.force)
-            assert np.array_equal(tab[i, 3:6], w.torque)
+            assert np.array_equal(tab[i], sim.force_profile_eval(p, t))
 
     def test_validation_aggregates(self):
         prof = sim.ForceProfile(segments=[
@@ -58,7 +56,7 @@ class TestForceProfile:
             sim.ForceSegment(5.0, 10.0, force=np.array([2.0, 0.0, 0.0])),
         ]).validate()
         for t, fx in ((4.99, 1.0), (5.0, 2.0), (9.99, 2.0), (10.0, 0.0)):
-            assert sim.force_profile_eval(prof, t).force[0] == fx, t
+            assert sim.force_profile_eval(prof, t)[0] == fx, t
 
     def test_overlap_rejected(self):
         prof = sim.ForceProfile(segments=[
@@ -88,10 +86,10 @@ class TestAdmittance:
         # sampled solution the discretization must reproduce, not approximate.
         ap = sim.AdmittanceParams()
         ref = sim.ReferenceState.rest()
-        tau = dyn.Wrench(force=np.array([2.0, 0.0, 0.0]), torque=np.zeros(3))
+        tau = np.array([2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         c = 1.59
         for k in range(1, 120):
-            ref = sim.admittance_reference(tau.as_vector(), ref, ap, 0.01)
+            ref = sim.admittance_reference(tau, ref, ap, 0.01)
             expected = (2.0 / c) * (1.0 - np.exp(-c * k * 0.01))
             assert abs(ref.v[0] - expected) < 1e-12
 
@@ -245,7 +243,7 @@ class TestRunScenario:
         p = sim.default_profile()
         for k in (0, 450, 520, 699):
             w = sim.force_profile_eval(p, float(run.t[k]))
-            assert np.array_equal(run.wrench_true[k, 0:3], w.force)
+            assert np.array_equal(run.wrench_true[k, 0:3], w[:3])
 
     def test_null_scenario_drift_below_1mm(self):
         nc = est.NoiseConfig(r_diag=np.zeros(9))
@@ -456,8 +454,7 @@ class TestStackParityAwayFromHover:
         axis = np.array([1.0, 2.0, -1.0]) / np.sqrt(6.0)
         truth = np.concatenate([qt.rotvec_to_quat(np.deg2rad(170.0) * axis),
                                 np.zeros(6), 2.0 * axis])
-        start = est.AugmentedState(body=dyn.BodyState.from_vector(truth),
-                                   observer=dyn.ObserverState.zero())
+        start = dyn.BodyState.from_vector(truth)
         u = dyn.ControlInput.hover(params)
         j_inv = np.linalg.inv(params.inertia)
         labels = ["run 0", "run 1"]
@@ -481,7 +478,7 @@ class TestStackParityAwayFromHover:
                     near = k % 7 == 3
                     tiny += near
                     scale = 1e-7 if near else 1e-2
-                    base = f.augmented_state.body if near else dyn.BodyState.from_vector(truth)
+                    base = dyn.BodyState.from_vector(f.x[:13] if near else truth)
                     q = qt.quat_mul(qt.rotvec_to_quat(rng.normal(scale=scale, size=3)),
                                     base.q)
                     if (k + i) % 2:
@@ -514,9 +511,7 @@ class TestFlatSpectrumHold:
         # holds its previous mean; the run beside it, on the default
         # covariance, must not notice.
         q0 = qt.rotvec_to_quat(np.array([0.3, -0.2, 0.1]))
-        start = est.AugmentedState(body=dyn.BodyState(q=q0, r=np.zeros(3),
-                                                      v=np.zeros(3), omega=np.zeros(3)),
-                                   observer=dyn.ObserverState.zero())
+        start = dyn.BodyState(q=q0, r=np.zeros(3), v=np.zeros(3), omega=np.zeros(3))
         flat_p0 = np.zeros(19)
         flat_p0[0:3] = (np.pi / 2.0) ** 2
         phi = 2.0 / np.sqrt(19.0)

@@ -20,8 +20,11 @@
 #
 # Last, replays seed 0's first 400 (control, measurement) pairs through a
 # QUKF padded to n=99 (pad_dims=80), as gate 9's sweep and the benchmark's
-# wide replay step it, and compares the bytes of its state and covariance
-# after every step: the padded filter propagates a copy of its rows.
+# wide replay step it, and compares after every step the values that do
+# not depend on where the inert components sit: the first 19 state
+# components, the live 18x18 covariance block and the NIS. Each side also
+# checks that every other entry is inert: of the state, one exact 1 (the
+# affine component) and exact zeros (the pads); of the covariance, zeros.
 set -eu
 
 if [ $# -lt 1 ]; then
@@ -112,8 +115,10 @@ fi
 
 for side in parent change; do
     if [ "$side" = parent ]; then src="$work/parent/src"; else src="$root/src"; fi
-    PYTHONPATH="$src" python3 - "$work/out/$side/replay.bin" <<'PY'
+    if ! PYTHONPATH="$src" python3 - "$work/out/$side/replay.bin" <<'PY'
 import sys
+
+import numpy as np
 
 from aerowrench import dynamics as dyn
 from aerowrench import estimation as est
@@ -126,12 +131,21 @@ controls = [dyn.ControlInput.hover(f.params)]
 controls += [dyn.ControlInput(thrust=float(c[0]), moments=c[1:4].copy())
              for c in run.controls[:steps - 1]]
 with open(sys.argv[1], "wb") as fh:
-    for u, z in zip(controls, run.measurements[:steps]):
+    for k, (u, z) in enumerate(zip(controls, run.measurements[:steps])):
         f.step(u, est.Measurement(q=z[0:4].copy(), r=z[4:7].copy(),
                                   omega=z[7:10].copy()))
-        fh.write(f.x.tobytes())
-        fh.write(f.P.tobytes())
+        rest = f.x[19:]
+        if (np.count_nonzero(rest == 1.0) != 1 or np.count_nonzero(rest) != 1
+                or f.P[18:].any() or f.P[:, 18:].any()):
+            sys.exit("step %d: an inert entry of x or P is not inert" % k)
+        fh.write(f.x[:19].tobytes())
+        fh.write(f.P[:18, :18].tobytes())
+        fh.write(np.float64(f.last_nis).tobytes())
 PY
+    then
+        echo "padded QUKF replay ($side): inert entries changed"
+        status=1
+    fi
 done
 if cmp -s "$work/out/parent/replay.bin" "$work/out/change/replay.bin"; then
     echo "padded QUKF replay, seed 0, 400 steps: identical"
