@@ -110,9 +110,10 @@ def cmd_compare(args):
 
 
 def _bench_ukf(pad_dims, cfg):
+    phi, gamma, sigma = cfg.scaling()
     return est.QuaternionUkf(params=cfg.system_params(), noise=cfg.noise_config(),
                              dt=cfg.run.t_step, p0_diag=cfg.filter.p0_diag,
-                             pad_dims=pad_dims)
+                             phi=phi, gamma=gamma, sigma=sigma, pad_dims=pad_dims)
 
 
 def _bench_filter(pad_dims, steps, cfg):
@@ -181,8 +182,7 @@ def cmd_bench(args):
     print("filter step over %d iterations: mean %.4f ms, p99 %.4f ms"
           % (iterations, mean_ms, p99_ms))
 
-    pads = [int(p) for p in args.pads.split(",")]
-    dims, costs, faults, r2 = _bench_sweep(pads, args.sweep_steps, cfg)
+    dims, costs, faults, r2 = _bench_sweep(args.pads, args.sweep_steps, cfg)
     for dim, cost in zip(dims, costs):
         print("  error dim %2d: median step %.4f ms" % (dim, cost * 1e3))
     if faults is not None:
@@ -194,6 +194,22 @@ def cmd_bench(args):
         return EXIT_OK
     print("cubic fit over state dimension: R^2 = %.4f" % r2)
     return EXIT_OK
+
+
+def pad_list(text):
+    """--pads: a comma list of nonnegative integers (argparse reports a
+    ValueError as a usage error)."""
+    pads = [int(p) for p in text.split(",")]
+    if min(pads) < 0:
+        raise ValueError(text)
+    return pads
+
+
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
 
 
 def build_parser():
@@ -225,9 +241,9 @@ def build_parser():
     p_b.add_argument("--config", help="configuration file (default: built-in)")
     p_b.add_argument("--iterations", type=int, default=10_000,
                      help="timing iterations (floored at 10000)")
-    p_b.add_argument("--pads", default="0,20,40,60,80",
+    p_b.add_argument("--pads", type=pad_list, default="0,20,40,60,80",
                      help="comma list of padded dimensions for the sweep")
-    p_b.add_argument("--sweep-steps", type=int, default=300,
+    p_b.add_argument("--sweep-steps", type=positive_int, default=300,
                      help="steps per sweep point")
     p_b.set_defaults(func=cmd_bench)
     return ap

@@ -9,6 +9,7 @@ configuration.
 
 import hashlib
 import importlib.resources
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -49,20 +50,22 @@ class FilterConfig:
                                 ("p0_diag", self.p0_diag, 19)):
             if arr.shape != (size,):
                 bad.append("filter.%s must have %d entries" % (name, size))
-            elif np.any(arr < 0.0):
-                bad.append("filter.%s entries must be nonnegative" % name)
+            elif not np.all((arr >= 0.0) & (arr < math.inf)):
+                bad.append("filter.%s entries must be nonnegative and finite" % name)
         # the trailing state component is pinned, so it may carry no noise
         if self.q_diag.shape == (19,) and self.q_diag[-1] != 0.0:
             bad.append("filter.q_diag last entry must be zero")
         if self.p0_diag.shape == (19,) and self.p0_diag[-1] != 0.0:
             bad.append("filter.p0_diag last entry must be zero")
-        if not self.phi > 0.0:
-            bad.append("filter.phi must be positive")
+        for name in ("phi", "delta"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                bad.append("filter.%s must be positive and finite" % name)
+        if not math.isfinite(self.gamma):
+            bad.append("filter.gamma must be finite")
         # The sigma-point spread n + eta is phi^2 (n + sigma) at n = E_DIM.
-        if not est.E_DIM + self.sigma > 0.0:
-            bad.append("filter.sigma must exceed %d, got %r" % (-est.E_DIM, self.sigma))
-        if not self.delta > 0.0:
-            bad.append("filter.delta must be positive")
+        if not -est.E_DIM < self.sigma < math.inf:
+            bad.append("filter.sigma must exceed %d and be finite, got %r"
+                       % (-est.E_DIM, self.sigma))
         if bad:
             raise ValidationError(bad)
         return self
@@ -178,19 +181,21 @@ def _build_section(dc_type, sub, name, source, skip=()):
 
 def _coerce(value, default, path, source):
     try:
+        if isinstance(default, tuple):
+            return tuple(value)
+        # YAML reads true, yes and on as booleans, which float() and int()
+        # would take as 1; no numeric field takes a boolean.
+        if any(isinstance(v, bool) for v in np.ravel(np.array(value, dtype=object))):
+            raise TypeError
         if isinstance(default, np.ndarray):
             return np.asarray(value, dtype=float)
-        if isinstance(default, bool):
-            return bool(value)
         if isinstance(default, int):
             if int(value) != value:
                 raise TypeError
             return int(value)
         if isinstance(default, float):
             return float(value)
-        if isinstance(default, tuple):
-            return tuple(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError("%s: field '%s' has invalid value %r"
                          % (source, path, value)) from None
     return value

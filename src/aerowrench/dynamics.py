@@ -82,33 +82,26 @@ class SystemParams:
     def validate(self):
         """Raise ValidationError listing every violated constraint."""
         bad = []
-        if not self.mass > 0.0:
-            bad.append("system.mass must be positive, got %r" % self.mass)
+        for name in ("mass", "gravity", "u_max", "delta", "rotor_arm",
+                     "rotor_thrust_coeff", "rotor_drag_coeff"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                bad.append("system.%s must be positive and finite, got %r"
+                           % (name, value))
         j = self.inertia
         if j.shape != (3, 3):
             bad.append("system.inertia must be 3x3, got shape %s" % (j.shape,))
-        else:
-            if np.max(np.abs(j - j.T)) > 1e-9:
-                bad.append("system.inertia must be symmetric")
-            elif np.any(np.linalg.eigvalsh(j) <= 0.0):
-                bad.append("system.inertia must be positive definite")
-        if not self.gravity > 0.0:
-            bad.append("system.gravity must be positive, got %r" % self.gravity)
+        elif not np.isfinite(j).all() or np.max(np.abs(j - j.T)) > 1e-9:
+            bad.append("system.inertia must be finite and symmetric")
+        elif np.any(np.linalg.eigvalsh(j) <= 0.0):
+            bad.append("system.inertia must be positive definite")
         for name in ("attach_1", "attach_2"):
-            if getattr(self, name).shape != (3,):
-                bad.append("system.%s must be a 3-vector" % name)
-        if not self.u_max > 0.0:
-            bad.append("system.u_max must be positive, got %r" % self.u_max)
-        if not self.delta > 0.0:
-            bad.append("system.delta must be positive, got %r" % self.delta)
-        if not self.rotor_arm > 0.0:
-            bad.append("system.rotor_arm must be positive, got %r" % self.rotor_arm)
-        if not self.rotor_thrust_coeff > 0.0:
-            bad.append("system.rotor_thrust_coeff must be positive")
-        if not self.rotor_drag_coeff > 0.0:
-            bad.append("system.rotor_drag_coeff must be positive")
-        if self.alloc_weights.shape != (8,) or np.any(self.alloc_weights <= 0.0):
-            bad.append("system.alloc_weights must be 8 positive entries")
+            a = getattr(self, name)
+            if a.shape != (3,) or not np.isfinite(a).all():
+                bad.append("system.%s must be a finite 3-vector" % name)
+        w = self.alloc_weights
+        if w.shape != (8,) or not np.all((w > 0.0) & (w < math.inf)):
+            bad.append("system.alloc_weights must be 8 positive finite entries")
         if bad:
             raise ValidationError(bad)
         return self

@@ -73,15 +73,16 @@ class ForceProfile:
         bad = []
         for i, seg in enumerate(self.segments):
             tag = "profile.segments[%d]" % i
-            if not seg.end > seg.start:
-                bad.append("%s.end must exceed start, got [%r, %r]"
+            if not seg.start < seg.end < math.inf:
+                bad.append("%s.end must exceed start and be finite, got [%r, %r]"
                            % (tag, seg.start, seg.end))
-            if seg.start < 0.0:
+            if not seg.start >= 0.0:
                 bad.append("%s.start must be nonnegative" % tag)
-            if seg.ramp < 0.0:
-                bad.append("%s.ramp must be nonnegative" % tag)
-            if seg.force.shape != (3,) or seg.torque.shape != (3,):
-                bad.append("%s force and torque must be 3-vectors" % tag)
+            if not 0.0 <= seg.ramp < math.inf:
+                bad.append("%s.ramp must be nonnegative and finite" % tag)
+            if (seg.force.shape != (3,) or seg.torque.shape != (3,)
+                    or not np.isfinite([seg.force, seg.torque]).all()):
+                bad.append("%s force and torque must be finite 3-vectors" % tag)
         order = sorted(range(len(self.segments)),
                        key=lambda i: self.segments[i].start)
         for a, b in zip(order, order[1:]):
@@ -150,8 +151,8 @@ class AdmittanceParams:
         for name, mat in (("m_v", self.m_v), ("c_v", self.c_v), ("k_v", self.k_v)):
             if mat.shape != (3, 3):
                 bad.append("admittance.%s must be 3x3" % name)
-            elif np.max(np.abs(mat - mat.T)) > 1e-9:
-                bad.append("admittance.%s must be symmetric" % name)
+            elif not np.isfinite(mat).all() or np.max(np.abs(mat - mat.T)) > 1e-9:
+                bad.append("admittance.%s must be finite and symmetric" % name)
         if not bad:
             if np.any(np.linalg.eigvalsh(self.m_v) <= 0.0):
                 bad.append("admittance.m_v must be positive definite")
@@ -397,6 +398,14 @@ def _draw_noise(seed, n_steps, noise):
     return noise_q, noise_r, noise_w
 
 
+# The loop stores about 0.9 kB per step and run before it starts: 112
+# float64s (truth 13, measurement 10, control 4, rotors 8, the noise draws
+# 10, the profile at two instants 12, the time 1, and per filter 19 state,
+# 6 wrench, 1 NIS and 1 step time) and one saturation flag. A million
+# steps, 10^4 s at the default step, is about 0.9 GB per run.
+MAX_STEPS = 1_000_000
+
+
 def validate_run(dt, duration, seed, estimators):
     """The run settings' one rule, for RunConfig and the loop: the step
     count and the filter names, or ValidationError listing every
@@ -406,6 +415,9 @@ def validate_run(dt, duration, seed, estimators):
         bad.append("run.t_step must be positive and finite, got %r" % (dt,))
     elif not (math.isfinite(duration / dt) and round(duration / dt) >= 1):
         bad.append("run.duration must cover at least one step")
+    elif round(duration / dt) > MAX_STEPS:
+        bad.append("run.duration / run.t_step must be at most %d steps, got %.3g"
+                   % (MAX_STEPS, duration / dt))
     for s in (seed if np.ndim(seed) else [seed]):
         if not (isinstance(s, (int, np.integer)) and s >= 0):
             bad.append("run.seed must be a nonnegative integer, got %r" % (s,))
@@ -418,14 +430,24 @@ def validate_run(dt, duration, seed, estimators):
     return int(round(duration / dt)), names
 
 
-def _closed_loop(profile, seed, params, noise, admittance, gains, dt, duration,
-                 estimators, scaling, p0_diag, collect_timing):
-    """run_scenario's loop for one seed, or for a stack of runs (a list of
-    seeds).
+def run_scenario(profile=None, *, params=None, noise=None, admittance=None,
+                 dt=0.01, duration=70.0, seed=0, estimators=("qukf", "ekf"),
+                 scaling=None, p0_diag=None, collect_timing=False):
+    """Run the closed loop and return a ScenarioRun.
 
-    The seeds' shape, () or (S,), becomes the leading run shape of every
-    array of the loop. Returns a ScenarioRun whose arrays carry the run
-    axis after the step axis.
+    Per step: integrate the truth over [t, t+dt] under the previous control
+    and the profile wrench, measure, step every estimator on the identical
+    measurement, then derive the next control from the feed estimator (the
+    transform filter when enabled): its force estimate moves the admittance
+    reference, the tracking controller turns reference and state estimate
+    into a wrench demand, and allocation plus rotor saturation yield what
+    the plant actually receives. The estimators never see the truth.
+    A filter error or a divergence names the filter and the step.
+
+    seed is one seed, or a list of seeds to step as one stack of runs: the
+    seeds' shape, () or (S,), becomes the leading run shape of every array
+    of the loop, and the ScenarioRun's arrays carry the run axis after the
+    step axis.
     """
     params = params if params is not None else dyn.SystemParams()
     noise = noise if noise is not None else est.NoiseConfig()
@@ -453,7 +475,7 @@ def _closed_loop(profile, seed, params, noise, admittance, gains, dt, duration,
         f.P = np.tile(f.P, lead + (1, 1))
     feed = "qukf" if "qukf" in filters else "ekf"
     fd = filters[feed]
-    gains = gains if gains is not None else ControllerGains()
+    gains = ControllerGains()
     noise_q, noise_r, noise_w = (
         np.stack(d, axis=1).reshape((n_steps,) + lead + (-1,))
         for d in zip(*(_draw_noise(s, n_steps, noise) for s in np.ravel(seed))))
@@ -525,25 +547,6 @@ def _closed_loop(profile, seed, params, noise, admittance, gains, dt, duration,
                        tracks=tracks)
 
 
-def run_scenario(profile=None, *, params=None, noise=None, admittance=None,
-                 gains=None, dt=0.01, duration=70.0, seed=0,
-                 estimators=("qukf", "ekf"), scaling=None, p0_diag=None,
-                 collect_timing=False):
-    """Run the closed loop and return a ScenarioRun.
-
-    Per step: integrate the truth over [t, t+dt] under the previous control
-    and the profile wrench, measure, step every estimator on the identical
-    measurement, then derive the next control from the feed estimator (the
-    transform filter when enabled): its force estimate moves the admittance
-    reference, the tracking controller turns reference and state estimate
-    into a wrench demand, and allocation plus rotor saturation yield what
-    the plant actually receives. The estimators never see the truth.
-    A filter error or a divergence names the filter and the step.
-    """
-    return _closed_loop(profile, seed, params, noise, admittance, gains, dt,
-                        duration, estimators, scaling, p0_diag, collect_timing)
-
-
 def run_study(seeds, profile=None, *, duration=70.0, estimators=("qukf", "ekf")):
     """One closed-loop run per seed, all stepped together.
 
@@ -558,8 +561,8 @@ def run_study(seeds, profile=None, *, duration=70.0, estimators=("qukf", "ekf"))
     seeds = list(seeds)
     if not seeds:
         raise ValidationError(["study.seeds must name at least one seed"])
-    run = _closed_loop(profile, seeds, None, None, None, None, 0.01, duration,
-                       estimators, None, None, False)
+    run = run_scenario(profile, duration=duration, seed=seeds,
+                       estimators=estimators)
     return [ScenarioRun(dt=run.dt, seed=seed, feed=run.feed, t=run.t.copy(),
                         truth=run.truth[:, i], wrench_true=run.wrench_true.copy(),
                         measurements=run.measurements[:, i],

@@ -6,9 +6,12 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import aerowrench.cli as cli
+import aerowrench.config as cfgm
+import aerowrench.estimation as est
 
 
 def run_main(args):
@@ -72,6 +75,24 @@ class TestBench:
             assert "minor page faults per step: dim 19" in out
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--pads", "0,a"), ("--pads", "0,-5"), ("--sweep-steps", "0")])
+    def test_bad_sweep_argument_is_a_usage_error(self, capsys, flag, value):
+        # These raised a traceback, or printed NaN for an empty sweep.
+        with pytest.raises(SystemExit) as exc:
+            run_main(["bench", flag, value])
+        assert exc.value.code == 2
+        assert "argument %s" % flag in capsys.readouterr().err
+
+    def test_bench_filter_takes_config_scaling(self, tmp_path):
+        path = tmp_path / "scaled.yaml"
+        path.write_text("filter:\n  phi: 1.5\n  gamma: 1.0\n  sigma: 2.0\n")
+        f = cli._bench_ukf(0, cfgm.parse_config(path))
+        eta, w_mean, w_cov = est.ut_weights(f.n, 1.5, 1.0, 2.0)
+        assert f.eta == eta
+        assert np.array_equal(f.w_mean, w_mean) and np.array_equal(f.w_cov, w_cov)
+
+
 class TestExitCodes:
     def test_parse_error_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -120,6 +141,27 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "invalid configuration:\n"
             "  - run.t_step must be positive and finite, got %s\n" % shown)
+
+    @pytest.mark.parametrize("text, code, shown", [
+        ("system:\n  alloc_weights: [.nan, 1, 1, 1, 1, 1, 1, 1]\n",
+         cli.EXIT_VALIDATION, "system.alloc_weights"),
+        ("filter:\n  delta: .inf\n", cli.EXIT_VALIDATION, "filter.delta"),
+        ("filter:\n  r_diag: [.inf, 1, 1, 1, 1, 1, 1, 1, 1]\n",
+         cli.EXIT_VALIDATION, "filter.r_diag"),
+        ("profile:\n  segments:\n    - {start: 0.5, end: 2.0, ramp: .nan}\n",
+         cli.EXIT_VALIDATION, "profile.segments[0].ramp"),
+        ("run:\n  t_step: 1.0e-300\n", cli.EXIT_VALIDATION,
+         "run.duration / run.t_step must be at most"),
+        ("run:\n  seed: true\n", cli.EXIT_PARSE, "run.seed"),
+        ("filter:\n  phi: yes\n", cli.EXIT_PARSE, "filter.phi")])
+    def test_bad_number_is_named(self, tmp_path, capsys, text, code, shown):
+        # Each ran before: into a traceback, a filter divergence, or (the
+        # NaN ramp and the booleans) silently with another value.
+        cfg = tmp_path / "num.yaml"
+        cfg.write_text(text)
+        assert run_main(["run", "--config", str(cfg), "--duration", "1.0",
+                         "--out", str(tmp_path)]) == code
+        assert shown in capsys.readouterr().err
 
     def test_collapsed_sigma_spread_is_3(self, tmp_path, capsys):
         # 19 + sigma <= 0 collapses the sigma-point spread; validation

@@ -1,10 +1,17 @@
 """Configuration parsing, validation, and round-trip tests."""
 
+import re
+
 import numpy as np
 import pytest
 
 import aerowrench.config as cfgm
 from aerowrench.errors import ParseError, ValidationError
+
+
+def ones(n):
+    """n YAML ones, comma-separated."""
+    return ", ".join(["1"] * n)
 
 
 def write(tmp_path, text, name="cfg.yaml"):
@@ -98,6 +105,23 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="run.seed"):
             cfgm.parse_config(write(tmp_path, "run:\n  seed: 3.5\n"))
 
+    @pytest.mark.parametrize("text, path", [
+        ("run:\n  seed: true\n", "run.seed"),
+        ("run:\n  duration: yes\n", "run.duration"),
+        ("filter:\n  phi: true\n", "filter.phi"),
+        ("filter:\n  r_diag: [on, 1, 1, 1, 1, 1, 1, 1, 1]\n", "filter.r_diag"),
+        ("profile:\n  segments:\n    - {start: 1, end: 2, ramp: false}\n",
+         "profile.segments[0].ramp")])
+    def test_boolean_for_a_number_rejected(self, tmp_path, text, path):
+        # float() and int() would take a YAML boolean as 1 or 0.
+        with pytest.raises(ParseError, match=re.escape("field '%s' has invalid value" % path)):
+            cfgm.parse_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("text", [".inf", ".nan"])
+    def test_non_finite_seed_rejected(self, tmp_path, text):
+        with pytest.raises(ParseError, match="run.seed"):
+            cfgm.parse_config(write(tmp_path, "run:\n  seed: %s\n" % text))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="nope.yaml"):
             cfgm.parse_config(tmp_path / "nope.yaml")
@@ -164,6 +188,32 @@ class TestValidation:
         with pytest.raises(ValidationError,
                            match=r"^run\.duration must cover at least one step$"):
             cfgm.RunConfig(duration=duration).validate()
+
+    @pytest.mark.parametrize("text, field", [
+        ("system:\n  alloc_weights: [.nan, %s]\n" % ones(7), "system.alloc_weights"),
+        ("system:\n  attach_1: [.nan, 0, 0]\n", "system.attach_1"),
+        ("system:\n  gravity: .inf\n", "system.gravity"),
+        ("system:\n  u_max: .inf\n", "system.u_max"),
+        ("system:\n  inertia: [[.inf, 0, 0], [0, 1, 0], [0, 0, 1]]\n", "system.inertia"),
+        ("profile:\n  segments:\n    - {start: 1, end: 2, ramp: .nan}\n",
+         "profile.segments[0].ramp"),
+        ("profile:\n  segments:\n    - {start: 1, end: 2, force: [.nan, 0, 0]}\n",
+         "profile.segments[0] force"),
+        ("profile:\n  segments:\n    - {start: 1, end: .inf}\n", "profile.segments[0].end"),
+        ("admittance:\n  c_v: [[.nan, 0, 0], [0, 1, 0], [0, 0, 1]]\n", "admittance.c_v"),
+        ("filter:\n  q_diag: [.nan, %s, 0]\n" % ones(17), "filter.q_diag"),
+        ("filter:\n  r_diag: [.inf, %s]\n" % ones(8), "filter.r_diag"),
+        ("filter:\n  phi: .inf\n", "filter.phi"),
+        ("filter:\n  gamma: .nan\n", "filter.gamma"),
+        ("filter:\n  sigma: .inf\n", "filter.sigma"),
+        ("filter:\n  delta: .inf\n", "filter.delta")])
+    def test_non_finite_number_named(self, tmp_path, text, field):
+        # Each of these passed validation and then failed inside the run,
+        # or ran silently with a meaningless profile.
+        with pytest.raises(ValidationError) as exc:
+            cfgm.parse_config(write(tmp_path, text))
+        assert exc.value.violations
+        assert all(m.startswith(field) for m in exc.value.violations), exc.value.violations
 
     def test_filter_diag_shapes(self, tmp_path):
         with pytest.raises(ValidationError, match="filter.r_diag"):

@@ -429,6 +429,16 @@ class TestRunStudy:
             sim.run_scenario(duration=0.5, seed=0, dt=dt)
 
 
+    def test_step_count_bounded(self):
+        # 7e301 steps reached the noise draws, which failed with a bare
+        # ValueError; nothing is allocated before this check.
+        with pytest.raises(ValidationError,
+                           match=r"^run\.duration / run\.t_step must be at most "
+                                 r"1000000 steps, got 7e\+301$"):
+            sim.validate_run(1e-300, 70.0, 0, ("qukf", "ekf"))
+        assert sim.validate_run(1e-4, 100.0, 0, ("qukf",)) == (sim.MAX_STEPS, ["qukf"])
+
+
 def _stack(f, runs):
     """The filter f as a stack of ``runs`` copies of its state."""
     f.x = np.tile(f.x, (runs, 1))

@@ -15,16 +15,18 @@
 # its tolerance.
 #
 # Then runs run_study on seeds 0, 1 and 2 for 5 s, the stacked path of the
-# closed loop, from both trees, writes the bytes of every array of every
-# returned run to one file per side, and compares the two files with cmp.
+# closed loop, from both trees and compares every array of every returned
+# run; when any differs, prints per array its largest relative difference
+# (see compare below).
 #
 # Last, replays seed 0's first 400 (control, measurement) pairs through a
 # QUKF padded to n=99 (pad_dims=80), as gate 9's sweep and the benchmark's
 # wide replay step it, and compares after every step the values that do
 # not depend on where the inert components sit: the first 19 state
-# components, the live 18x18 covariance block and the NIS. Each side also
-# checks that every other entry is inert: of the state, one exact 1 (the
-# affine component) and exact zeros (the pads); of the covariance, zeros.
+# components, the live 18x18 covariance block and the NIS, as run_study's
+# arrays are compared. Each side also checks that every other entry is
+# inert: of the state, one exact 1 (the affine component) and exact zeros
+# (the pads); of the covariance, zeros.
 set -eu
 
 if [ $# -lt 1 ]; then
@@ -87,35 +89,68 @@ PY
     fi
 done
 
+# compare NAME: compares the parent's and this tree's NAME.npz. Prints
+# "identical" when every array matches bit for bit; otherwise, per array,
+# the largest difference of an entry relative to the largest magnitude of
+# its component over the run (the array's slice at each step index), so a
+# rounding-only change can state its tolerance. Returns 1 if any differs.
+compare() {
+    python3 - "$work/out/parent/$1.npz" "$work/out/change/$1.npz" <<'PY'
+import sys
+
+import numpy as np
+
+old, new = (np.load(p) for p in sys.argv[1:3])
+if sorted(old) != sorted(new):
+    sys.exit("  arrays differ: %s vs %s" % (sorted(old), sorted(new)))
+worst = {}
+for key in old:
+    a, b = old[key].astype(float), new[key].astype(float)
+    if a.shape != b.shape:
+        worst[key] = float("inf")
+    elif a.tobytes() != b.tobytes():
+        scale = np.abs(a).max(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.where(a == b, 0.0, np.abs(b - a) / scale)
+        worst[key] = float(np.nan_to_num(rel, nan=np.inf).max())
+if not worst:
+    print(": identical")
+    sys.exit(0)
+print(": differs")
+for key in sorted(worst):
+    print("  %-24s largest relative difference %.3g" % (key, worst[key]))
+sys.exit(1)
+PY
+}
+
 for side in parent change; do
     if [ "$side" = parent ]; then src="$work/parent/src"; else src="$root/src"; fi
     mkdir -p "$work/out/$side"
-    PYTHONPATH="$src" python3 - "$work/out/$side/study.bin" <<'PY'
+    PYTHONPATH="$src" python3 - "$work/out/$side/study.npz" <<'PY'
 import sys
+
+import numpy as np
 
 from aerowrench.simulation import run_study
 
-with open(sys.argv[1], "wb") as fh:
-    for run in run_study([0, 1, 2], duration=5.0):
-        for a in (run.t, run.truth, run.wrench_true, run.measurements,
-                  run.controls, run.rotors, run.saturated):
-            fh.write(a.tobytes())
-        for name in sorted(run.tracks):
-            tr = run.tracks[name]
-            for a in (tr.states, tr.wrench, tr.nis):
-                fh.write(a.tobytes())
+arrays = {}
+for run in run_study([0, 1, 2], duration=5.0):
+    for name in ("t", "truth", "wrench_true", "measurements", "controls",
+                 "rotors", "saturated"):
+        arrays["s%d.%s" % (run.seed, name)] = getattr(run, name)
+    for name in sorted(run.tracks):
+        for field in ("states", "wrench", "nis"):
+            arrays["s%d.%s.%s" % (run.seed, name, field)] = getattr(
+                run.tracks[name], field)
+np.savez(sys.argv[1], **arrays)
 PY
 done
-if cmp -s "$work/out/parent/study.bin" "$work/out/change/study.bin"; then
-    echo "run_study seeds 0-2, 5 s: identical"
-else
-    echo "run_study seeds 0-2, 5 s: differs"
-    status=1
-fi
+printf "run_study seeds 0-2, 5 s"
+compare study || status=1
 
 for side in parent change; do
     if [ "$side" = parent ]; then src="$work/parent/src"; else src="$root/src"; fi
-    if ! PYTHONPATH="$src" python3 - "$work/out/$side/replay.bin" <<'PY'
+    if ! PYTHONPATH="$src" python3 - "$work/out/$side/replay.npz" <<'PY'
 import sys
 
 import numpy as np
@@ -130,27 +165,24 @@ f = est.QuaternionUkf(pad_dims=80)
 controls = [dyn.ControlInput.hover(f.params)]
 controls += [dyn.ControlInput(thrust=float(c[0]), moments=c[1:4].copy())
              for c in run.controls[:steps - 1]]
-with open(sys.argv[1], "wb") as fh:
-    for k, (u, z) in enumerate(zip(controls, run.measurements[:steps])):
-        f.step(u, est.Measurement(q=z[0:4].copy(), r=z[4:7].copy(),
-                                  omega=z[7:10].copy()))
-        rest = f.x[19:]
-        if (np.count_nonzero(rest == 1.0) != 1 or np.count_nonzero(rest) != 1
-                or f.P[18:].any() or f.P[:, 18:].any()):
-            sys.exit("step %d: an inert entry of x or P is not inert" % k)
-        fh.write(f.x[:19].tobytes())
-        fh.write(f.P[:18, :18].tobytes())
-        fh.write(np.float64(f.last_nis).tobytes())
+x, cov, nis = [], [], []
+for k, (u, z) in enumerate(zip(controls, run.measurements[:steps])):
+    f.step(u, est.Measurement(q=z[0:4].copy(), r=z[4:7].copy(),
+                              omega=z[7:10].copy()))
+    rest = f.x[19:]
+    if (np.count_nonzero(rest == 1.0) != 1 or np.count_nonzero(rest) != 1
+            or f.P[18:].any() or f.P[:, 18:].any()):
+        sys.exit("step %d: an inert entry of x or P is not inert" % k)
+    x.append(f.x[:19].copy())
+    cov.append(f.P[:18, :18].copy())
+    nis.append(f.last_nis)
+np.savez(sys.argv[1], x=np.array(x), P=np.array(cov), nis=np.array(nis))
 PY
     then
         echo "padded QUKF replay ($side): inert entries changed"
         status=1
     fi
 done
-if cmp -s "$work/out/parent/replay.bin" "$work/out/change/replay.bin"; then
-    echo "padded QUKF replay, seed 0, 400 steps: identical"
-else
-    echo "padded QUKF replay, seed 0, 400 steps: differs"
-    status=1
-fi
+printf "padded QUKF replay, seed 0, 400 steps"
+compare replay || status=1
 exit $status
