@@ -197,8 +197,7 @@ def cmd_bench(args):
 
 
 def pad_list(text):
-    """--pads: a comma list of nonnegative integers (argparse reports a
-    ValueError as a usage error)."""
+    """--pads: comma-separated nonnegative integers; ValueError is a usage error."""
     pads = [int(p) for p in text.split(",")]
     if min(pads) < 0:
         raise ValueError(text)

@@ -9,7 +9,6 @@ configuration.
 
 import hashlib
 import importlib.resources
-import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -50,22 +49,19 @@ class FilterConfig:
                                 ("p0_diag", self.p0_diag, 19)):
             if arr.shape != (size,):
                 bad.append("filter.%s must have %d entries" % (name, size))
-            elif not np.all((arr >= 0.0) & (arr < math.inf)):
+            elif not np.all((arr >= 0.0) & (arr < np.inf)):
                 bad.append("filter.%s entries must be nonnegative and finite" % name)
         # the trailing state component is pinned, so it may carry no noise
         if self.q_diag.shape == (19,) and self.q_diag[-1] != 0.0:
             bad.append("filter.q_diag last entry must be zero")
         if self.p0_diag.shape == (19,) and self.p0_diag[-1] != 0.0:
             bad.append("filter.p0_diag last entry must be zero")
-        for name in ("phi", "delta"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                bad.append("filter.%s must be positive and finite" % name)
-        if not math.isfinite(self.gamma):
-            bad.append("filter.gamma must be finite")
         # The sigma-point spread n + eta is phi^2 (n + sigma) at n = E_DIM.
-        if not -est.E_DIM < self.sigma < math.inf:
-            bad.append("filter.sigma must exceed %d and be finite, got %r"
-                       % (-est.E_DIM, self.sigma))
+        for name, low in (("phi", 0), ("gamma", -np.inf), ("sigma", -est.E_DIM),
+                          ("delta", 0)):
+            if not low < getattr(self, name) < np.inf:
+                bad.append("filter.%s must be finite and exceed %g, got %r"
+                           % (name, low, getattr(self, name)))
         if bad:
             raise ValidationError(bad)
         return self
@@ -183,8 +179,7 @@ def _coerce(value, default, path, source):
     try:
         if isinstance(default, tuple):
             return tuple(value)
-        # YAML reads true, yes and on as booleans, which float() and int()
-        # would take as 1; no numeric field takes a boolean.
+        # YAML's true, yes and on are booleans, which float() would take as 1.
         if any(isinstance(v, bool) for v in np.ravel(np.array(value, dtype=object))):
             raise TypeError
         if isinstance(default, np.ndarray):

@@ -86,8 +86,7 @@ class SystemParams:
                      "rotor_thrust_coeff", "rotor_drag_coeff"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
-                bad.append("system.%s must be positive and finite, got %r"
-                           % (name, value))
+                bad.append("system.%s must be positive and finite, got %r" % (name, value))
         j = self.inertia
         if j.shape != (3, 3):
             bad.append("system.inertia must be 3x3, got shape %s" % (j.shape,))
@@ -437,52 +436,28 @@ def wrench_estimate(upsilon, v, omega, p):
 # Matrix exponential
 # ---------------------------------------------------------------------------
 
-# Numerator coefficients of the [m/m] Pade approximants to e^x.
-_PADE = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0,
-        1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-         16380.0, 182.0, 1.0),
-}
-# Per order m: theta_m, the largest eta_m at which the approximant is
-# accurate to unit roundoff, and 1/|c_{2m+1}| of its error series.
-_PADE_BOUNDS = {3: (1.495585217958292e-2, 100800.0),
-                5: (2.539398330063230e-1, 10059033600.0),
-                7: (9.504178996162932e-1, 4487938430976000.0),
-                9: (2.097847961257068e0, 5914384781877411840000.0),
-                13: (4.25, 113250775606021113483283660800000000.0)}
+# Numerator coefficients b_0 ... b_13 of the [13/13] Pade approximant to e^x.
+_PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+            1187353796428800.0, 129060195264000.0, 10559470521600.0,
+            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+            16380.0, 182.0, 1.0)
+# theta_13, the largest eta at which the approximant is accurate to unit
+# roundoff, and 1/|c_27| of its error series.
+_THETA_13 = 4.25
+_C27_INV = 113250775606021113483283660800000000.0
 
 
 def _norm1(a):
     return np.abs(a).sum(axis=0).max()
 
 
-def _extra_squarings(a, m):
-    """ell_m(A): squarings still needed where |A| is far from normal."""
-    abs_a = np.abs(a)
-    col = np.ones(len(a))
-    for _ in range(2 * m + 1):
-        col = col @ abs_a
-    norm_pow = col.max()                  # ||abs(A)^(2m+1)||_1
-    if not norm_pow:
-        return 0
-    alpha = norm_pow / (_norm1(a) * _PADE_BOUNDS[m][1])
-    return max(math.ceil(math.log2(alpha / 2.0 ** -53) / (2 * m)), 0)
-
-
 def expm(a):
     """Matrix exponential e^A of a square real matrix.
 
-    Pade scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4),
-    2005) with the order and the number of squarings chosen from the
-    1-norms of A^4 ... A^10 as in Al-Mohy & Higham (SIAM J. Matrix Anal.
-    Appl. 31(3), 2009); these are the thresholds scipy.linalg.expm uses.
+    The [13/13] Pade approximant with scaling and squaring (Higham, SIAM
+    J. Matrix Anal. Appl. 26(4), 2005), the number of squarings chosen
+    from the 1-norms of A^6, A^8 and A^10 and corrected for non-normal
+    |A| as in Al-Mohy & Higham (SIAM J. Matrix Anal. Appl. 31(3), 2009).
     Diagonal input returns diag(exp(d)) exactly; a non-finite entry
     raises ValueError.
     """
@@ -494,30 +469,25 @@ def expm(a):
         return np.diag(np.exp(d))
     a2 = a @ a
     a4 = a2 @ a2
-    pw = [np.eye(len(a)), a2, a4, a4 @ a2, a4 @ a4]    # I, A^2, ..., A^8
-    d4, d6, d8 = (_norm1(pw[k]) ** (0.5 / k) for k in (2, 3, 4))
-    for m, eta in ((3, max(d4, d6)), (5, max(d4, d6)),
-                   (7, max(d6, d8)), (9, max(d6, d8))):
-        if eta < _PADE_BOUNDS[m][0] and _extra_squarings(a, m) == 0:
-            s = 0
-            break
-    else:
-        m = 13
-        eta = min(max(d6, d8), max(d8, _norm1(pw[2] @ pw[3]) ** 0.1))
-        s = max(math.ceil(math.log2(eta / _PADE_BOUNDS[13][0])), 0) if eta else 0
-        s += _extra_squarings(a * 2.0 ** -s, 13)
-        a = a * 2.0 ** -s
-        pw = [p * 2.0 ** (-2 * k * s) for k, p in enumerate(pw[:4])]
-    b = _PADE[m]
-    if m == 13:
-        odd = (pw[3] @ (b[13] * pw[3] + b[11] * pw[2] + b[9] * pw[1])
-               + b[7] * pw[3] + b[5] * pw[2] + b[3] * pw[1] + b[1] * pw[0])
-        even = (pw[3] @ (b[12] * pw[3] + b[10] * pw[2] + b[8] * pw[1])
-                + b[6] * pw[3] + b[4] * pw[2] + b[2] * pw[1] + b[0] * pw[0])
-    else:
-        odd = sum(b[2 * k + 1] * pw[k] for k in reversed(range((m + 1) // 2)))
-        even = sum(b[2 * k] * pw[k] for k in reversed(range((m + 1) // 2)))
-    # r_m(A) = (V - U)^-1 (V + U), written as I + 2 (V - U)^-1 U so that
+    a6 = a4 @ a2
+    d6, d8 = _norm1(a6) ** (0.5 / 3), _norm1(a4 @ a4) ** (0.5 / 4)
+    eta = min(max(d6, d8), max(d8, _norm1(a4 @ a6) ** 0.1))
+    s = max(math.ceil(math.log2(eta / _THETA_13)), 0) if eta else 0
+    # ell_13(A): squarings still needed where |A| is far from normal.
+    abs_a = np.abs(a * 2.0 ** -s)
+    col = np.ones(len(a))
+    for _ in range(27):
+        col = col @ abs_a
+    if col.max():                         # ||abs(A)^27||_1
+        alpha = col.max() / (_norm1(abs_a) * _C27_INV)
+        s += max(math.ceil(math.log2(alpha / 2.0 ** -53) / 26), 0)
+    a, a2, a4, a6 = (m * 2.0 ** (-k * s) for k, m in ((1, a), (2, a2), (4, a4), (6, a6)))
+    b, eye = _PADE_13, np.eye(len(a))
+    odd = (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+           + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    even = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+            + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    # r_13(A) = (V - U)^-1 (V + U), written as I + 2 (V - U)^-1 U so that
     # the entries near 1 are not formed by cancellation.
     u = a @ odd
     x = np.linalg.solve(even - u, 2.0 * u)

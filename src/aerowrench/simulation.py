@@ -398,11 +398,9 @@ def _draw_noise(seed, n_steps, noise):
     return noise_q, noise_r, noise_w
 
 
-# The loop stores about 0.9 kB per step and run before it starts: 112
-# float64s (truth 13, measurement 10, control 4, rotors 8, the noise draws
-# 10, the profile at two instants 12, the time 1, and per filter 19 state,
-# 6 wrench, 1 NIS and 1 step time) and one saturation flag. A million
-# steps, 10^4 s at the default step, is about 0.9 GB per run.
+# run_scenario allocates about 0.9 kB per step and run up front (112 float64s
+# of records, noise draws and profile, read from the code), so a million
+# steps, 10^4 s at the default step, hold about 0.9 GB per run.
 MAX_STEPS = 1_000_000
 
 
@@ -444,10 +442,9 @@ def run_scenario(profile=None, *, params=None, noise=None, admittance=None,
     the plant actually receives. The estimators never see the truth.
     A filter error or a divergence names the filter and the step.
 
-    seed is one seed, or a list of seeds to step as one stack of runs: the
-    seeds' shape, () or (S,), becomes the leading run shape of every array
-    of the loop, and the ScenarioRun's arrays carry the run axis after the
-    step axis.
+    seed is one seed, or a list of seeds stepped as one stack of runs: the
+    seeds' shape, () or (S,), leads every array of the loop, and follows
+    the step axis in every array of the ScenarioRun.
     """
     params = params if params is not None else dyn.SystemParams()
     noise = noise if noise is not None else est.NoiseConfig()

@@ -482,13 +482,21 @@ class TestExpm:
             assert rel_err(dyn.expm(a), expm(a)) < 1e-13
             assert np.array_equal(dyn.TransitionContext(p, 0.01).decay, dyn.expm(a))
 
-    def test_every_pade_order(self, rng):
-        # Scales chosen so the draws use orders 3, 5, 7, 9 and 13, the
-        # last with and without squaring.
+    def test_random_matrices_over_scales(self, rng):
+        # From norms far below theta_13 = 4.25, where no squaring is
+        # needed, to norms that need squarings.
         for scale in (0.002, 0.05, 0.2, 0.5, 1.0, 3.0):
             for _ in range(20):
                 a = rng.normal(scale=scale / np.sqrt(6.0), size=(6, 6))
                 assert rel_err(dyn.expm(a), expm(a)) < 1e-12
+
+    @pytest.mark.parametrize("a", [[[-1.0, 1e4], [0.0, -2.0]],
+                                   [[-1e-3, 1e5], [0.0, -1e-3]]])
+    def test_non_normal_jordan_blocks(self, a):
+        # Squarings chosen from ||A||_1 (Higham 2005) overscale these and
+        # lose 3-4 digits; the eta of ||A^6||, ||A^8||, ||A^10|| does not.
+        a = np.array(a)
+        assert rel_err(dyn.expm(a), expm(a)) < 1e-14
 
     def test_diagonal_is_exact(self, rng):
         d = rng.normal(scale=5.0, size=7)
