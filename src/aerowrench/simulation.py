@@ -76,7 +76,7 @@ class ForceProfile:
             if not seg.start < seg.end < math.inf:
                 bad.append("%s.end must exceed start and be finite, got [%r, %r]"
                            % (tag, seg.start, seg.end))
-            if not seg.start >= 0.0:
+            if seg.start < 0.0:
                 bad.append("%s.start must be nonnegative" % tag)
             if not 0.0 <= seg.ramp < math.inf:
                 bad.append("%s.ramp must be nonnegative and finite" % tag)
