@@ -45,7 +45,7 @@ def _load_config(args):
     return cfg
 
 
-def _execute(cfg, collect_timing=False):
+def _execute(cfg):
     return sim.run_scenario(
         cfg.profile,
         params=cfg.system_params(),
@@ -57,7 +57,6 @@ def _execute(cfg, collect_timing=False):
         estimators=cfg.run.estimators,
         scaling=cfg.scaling(),
         p0_diag=cfg.filter.p0_diag,
-        collect_timing=collect_timing,
     )
 
 

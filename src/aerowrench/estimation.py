@@ -142,12 +142,11 @@ def cov_sqrt(p):
     Cholesky when every row after it is zero (pinned dimensions carry a
     zero row, and a matrix with no pinned dimension is one block);
     otherwise take an eigendecomposition with negative eigenvalues
-    clamped to zero. A stack outside the Cholesky case takes
-    the rule run by run; an error names its run in ``run``.
+    clamped to zero. The Cholesky case is tried on all runs at once;
+    outside it the rule goes run by run. An error for a run of a stack
+    names it in ``run``.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim == 2:
-        return _cov_sqrt(p)
     if np.isfinite(p).all():
         s = _block_cholesky(p)
         if s is not None:
@@ -156,25 +155,22 @@ def cov_sqrt(p):
     runs = out.reshape((-1,) + p.shape[-2:])
     for i, m in enumerate(p.reshape(runs.shape)):
         try:
-            runs[i] = _cov_sqrt(m)
+            if not np.isfinite(m).all():
+                raise FactorizationFailure("covariance contains non-finite entries")
+            s = _block_cholesky(m)
+            if s is None:
+                try:
+                    vals, vecs = np.linalg.eigh(m)
+                except np.linalg.LinAlgError as err:
+                    raise FactorizationFailure(
+                        f"eigendecomposition failed: {err}") from None
+                s = vecs * np.sqrt(np.maximum(vals, 0.0))
+            runs[i] = s
         except AerowrenchError as err:
-            err.run = i
+            if p.ndim > 2:
+                err.run = i
             raise
     return out
-
-
-def _cov_sqrt(p):
-    # cov_sqrt's rule on one matrix.
-    if not np.isfinite(p).all():
-        raise FactorizationFailure("covariance contains non-finite entries")
-    s = _block_cholesky(p)
-    if s is not None:
-        return s
-    try:
-        vals, vecs = np.linalg.eigh(p)
-    except np.linalg.LinAlgError as err:
-        raise FactorizationFailure(f"eigendecomposition failed: {err}") from None
-    return vecs * np.sqrt(np.maximum(vals, 0.0))
 
 
 # Filter kernels. Each takes one run's arrays or a stack of runs' (written

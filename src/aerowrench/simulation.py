@@ -411,13 +411,20 @@ def validate_run(dt, duration, seed, estimators):
     bad = []
     if not (dt > 0.0 and math.isfinite(dt)):
         bad.append("run.t_step must be positive and finite, got %r" % (dt,))
-    elif not (math.isfinite(duration / dt) and round(duration / dt) >= 1):
+    elif not math.isfinite(duration):
+        bad.append("run.duration must be finite, got %r" % (duration,))
+    # round(duration / dt) must lie in [1, MAX_STEPS]. Written as bounds on
+    # the ratio itself, the test also places a ratio that overflows to
+    # +-inf (a subnormal step) on the right side.
+    elif not duration / dt > 0.5:
         bad.append("run.duration must cover at least one step")
-    elif round(duration / dt) > MAX_STEPS:
+    elif duration / dt > MAX_STEPS + 0.5:
         bad.append("run.duration / run.t_step must be at most %d steps, got %.3g"
                    % (MAX_STEPS, duration / dt))
     for s in (seed if np.ndim(seed) else [seed]):
-        if not (isinstance(s, (int, np.integer)) and s >= 0):
+        # bool is an int, and np.bool_ is not an np.integer.
+        if not (isinstance(s, (int, np.integer)) and not isinstance(s, bool)
+                and s >= 0):
             bad.append("run.seed must be a nonnegative integer, got %r" % (s,))
     names = [n for n in ("qukf", "ekf") if n in estimators]
     if len(names) != len(set(estimators)) or not names:

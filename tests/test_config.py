@@ -184,10 +184,22 @@ class TestValidation:
 
     @pytest.mark.parametrize("duration", [float("inf"), float("nan"), 0.001])
     def test_duration_without_a_finite_step_count(self, duration):
-        # An infinite duration passed and then overflowed the step count.
-        with pytest.raises(ValidationError,
-                           match=r"^run\.duration must cover at least one step$"):
+        # An infinite duration passed and then overflowed the step count;
+        # then a non-finite one was reported as too short a run.
+        with pytest.raises(ValidationError) as exc:
             cfgm.RunConfig(duration=duration).validate()
+        assert exc.value.violations == [
+            "run.duration must be finite, got %r" % (duration,)
+            if not np.isfinite(duration)
+            else "run.duration must cover at least one step"]
+
+    @pytest.mark.parametrize("seed", [True, [0, True]])
+    def test_boolean_seed_rejected(self, seed):
+        # bool is an int, so True ran seed 1.
+        with pytest.raises(ValidationError) as exc:
+            cfgm.RunConfig(seed=seed).validate()
+        assert exc.value.violations == [
+            "run.seed must be a nonnegative integer, got True"]
 
     @pytest.mark.parametrize("text, field", [
         ("system:\n  alloc_weights: [.nan, %s]\n" % ones(7), "system.alloc_weights"),

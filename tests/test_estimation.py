@@ -100,8 +100,28 @@ class TestCovSqrt:
         # A pinned tail whose zero row leaves a NaN in its column.
         p = np.diag([1.0, 2.0, 0.0])
         p[0, 2] = np.nan
-        with pytest.raises(FactorizationFailure):
+        with pytest.raises(FactorizationFailure) as exc:
             est.cov_sqrt(p)
+        assert exc.value.run is None
+
+    def test_stack_matches_each_run_alone(self, rng):
+        # A run for the full Cholesky, an indefinite leading block for the
+        # clamp, then a NaN run: the stack leaves the shared Cholesky case
+        # and takes the rule run by run.
+        a = rng.normal(size=(3, 3))
+        p = np.zeros((3, 3, 3))
+        p[0] = a @ a.T + np.eye(3)
+        p[1, :2, :2] = [[1.0, 2.0], [2.0, 1.0]]
+        p[2] = np.eye(3)
+        p[2, 1, 1] = np.nan
+        before = p.copy()
+        s = est.cov_sqrt(p[:2])
+        for i in range(2):
+            assert s[i].tobytes() == est.cov_sqrt(p[i]).tobytes(), i
+        with pytest.raises(FactorizationFailure) as exc:
+            est.cov_sqrt(p)
+        assert exc.value.run == 2
+        assert p.tobytes() == before.tobytes()
 
 
 class TestNoiseConfig:

@@ -420,6 +420,14 @@ class TestRunStudy:
         with pytest.raises(ValidationError, match=r"run\.seed .* got -2$"):
             sim.run_scenario(duration=0.5, seed=-2)
 
+    def test_boolean_seed_rejected(self):
+        # bool is an int, so seed=True ran seed 1.
+        with pytest.raises(ValidationError,
+                           match=r"^run\.seed must be a nonnegative integer, got True$"):
+            sim.run_study([0, True], duration=0.5)
+        with pytest.raises(ValidationError, match=r"run\.seed .* got True$"):
+            sim.run_scenario(duration=0.5, seed=True)
+
     @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan"), float("inf")])
     def test_bad_step_rejected(self, dt):
         # A zero step divided the duration by zero, and a negative one
@@ -437,6 +445,21 @@ class TestRunStudy:
                                  r"1000000 steps, got 7e\+301$"):
             sim.validate_run(1e-300, 70.0, 0, ("qukf", "ekf"))
         assert sim.validate_run(1e-4, 100.0, 0, ("qukf",)) == (sim.MAX_STEPS, ["qukf"])
+
+    @pytest.mark.parametrize("dt, duration, message", [
+        # duration / dt overflows to inf: both were reported as too short
+        # a run.
+        (5e-324, 70.0, "run.duration / run.t_step must be at most 1000000 "
+                       "steps, got inf"),
+        (0.01, 1e308, "run.duration / run.t_step must be at most 1000000 "
+                      "steps, got inf"),
+        (5e-324, -1.0, "run.duration must cover at least one step"),
+        (0.01, float("inf"), "run.duration must be finite, got inf"),
+        (0.01, float("nan"), "run.duration must be finite, got nan")])
+    def test_overflowing_ratio_names_the_violation(self, dt, duration, message):
+        with pytest.raises(ValidationError) as exc:
+            sim.validate_run(dt, duration, 0, ("qukf",))
+        assert exc.value.violations == [message]
 
 
 def _stack(f, runs):
