@@ -1,6 +1,9 @@
 """Joint state and wrench estimators.
 
-Two filters share the same discrete process model from :mod:`.dynamics`:
+Two filters share the discrete process model of :mod:`.dynamics` and one
+update, which reads the innovation and cross covariances off the observed
+block of a covariance: the QUKF's P- less Q (the spread of its propagated
+sigma points), the EKF's P-. They differ in the innovation and correction.
 
 * :class:`QuaternionUkf` keeps the attitude on the unit-quaternion manifold.
   Sigma points and residuals live in a reduced error space (rotation vector
@@ -22,7 +25,7 @@ run axis. The methods are written with ``...``, and each run of a stack
 reproduces the lone filter bit for bit: BLAS gets a lone run's operands
 and layouts (numpy's matmul makes one BLAS call per matrix of a stack, a
 vector enters as an (..., m, 1) column through ``dynamics.matvec``, a
-fancy-indexed stack is made row-major first); every quaternion operation
+block taken out of a stack is row-major); every quaternion operation
 is a :mod:`.quat` helper, whose lone and row forms agree bit for bit; and
 the rare paths (a covariance outside ``cov_sqrt``'s Cholesky case, a flat
 top eigenvalue in the QUKF's mean) take the runs one at a time through
@@ -142,9 +145,8 @@ def cov_sqrt(p):
     Cholesky when every row after it is zero (pinned dimensions carry a
     zero row, and a matrix with no pinned dimension is one block);
     otherwise take an eigendecomposition with negative eigenvalues
-    clamped to zero. The Cholesky case is tried on all runs at once;
-    outside it the rule goes run by run. An error for a run of a stack
-    names it in ``run``.
+    clamped to zero. A stack takes the Cholesky case for all runs at once
+    or the rule run by run; an error names the run of a stack in ``run``.
     """
     p = np.asarray(p, dtype=float)
     if np.isfinite(p).all():
@@ -231,20 +233,10 @@ def _pin(p):
 
 def _sigma_cov(res, w_cov, q_disc, wres):
     """Predicted covariance from residuals (..., r, n), pinned; wres
-    receives the weighted residuals res * w_cov, which update reuses."""
+    receives the weighted residuals res * w_cov."""
     np.multiply(res, w_cov[:, None], out=wres)
     p = wres.swapaxes(-1, -2) @ res + q_disc
     return _pin(0.5 * (p + p.swapaxes(-1, -2)))
-
-
-def _observed_cov(res, wres, w_cov, r_mat):
-    """Innovation covariance Pyy and cross covariance Pxy of the QUKF's
-    observed error rows."""
-    # The fancy index comes back column-major; BLAS gets a row-major copy,
-    # since a transposed operand may round differently.
-    ry = np.ascontiguousarray(res[..., QuaternionUkf.OBS_IDX])
-    pyy = (ry * w_cov[:, None]).swapaxes(-1, -2) @ ry + r_mat
-    return pyy, wres.swapaxes(-1, -2) @ ry
 
 
 # The EKF's central-difference step, and the offsets subtracted from the
@@ -275,6 +267,14 @@ def _jacobian_cov(prop, p, q_disc):
            / (2.0 * FD_STEP))
     p = jac @ p @ jac.swapaxes(-1, -2) + q_disc
     return prop[..., 0, :19].copy(), 0.5 * (p + p.swapaxes(-1, -2))
+
+
+def _observed(p, idx, r_mat):
+    """Innovation covariance p[idx, idx] + R and cross covariance p[:, idx]
+    of a measurement of the state rows idx, from a covariance (..., n, n)."""
+    # take gives row-major blocks, of a stack too.
+    pxy = p.take(idx, -1)
+    return pxy.take(idx, -2) + r_mat, pxy
 
 
 def _gain(pyy, pxy, innov):
@@ -327,8 +327,7 @@ class QuaternionUkf:
     propagated in place, through ``propagate_batch(..., out=)``, in the
     workspace of the filter's ``ctx``. ``x`` and ``P`` are new arrays after
     every ``predict`` and ``update``, so a caller may keep them.
-    ``_sigma`` and ``_res`` are views of the buffers, valid until the next
-    ``predict``.
+    ``update`` reads none of the buffers, only ``x`` and ``P``.
     """
 
     # Error-state rows that the pose and rate measurement observes.
@@ -354,9 +353,7 @@ class QuaternionUkf:
         self.ctx = dyn.TransitionContext(self.params, self.dt)
         self.last_nis = None
         self._pts = None
-        self._sigma = None
-        self._res = None
-        self._mean_q = self.x[0:4].copy()
+        self._predicted = False  # set by predict, cleared by update
 
     # -- state views -------------------------------------------------------
 
@@ -386,7 +383,7 @@ class QuaternionUkf:
             # A flat spectrum leaves the average undefined; holding the
             # previous mean keeps the filter running through the ambiguity.
             # A stack averages run by run, so only its flat runs hold.
-            mean_q = np.array(np.broadcast_to(self._mean_q, lead + (4,)))
+            mean_q = self.x[..., 0:4].copy()
             for i in (np.ndindex(lead) if lead else ()):
                 try:
                     mean_q[i] = qt.weighted_quat_average(pts[i][:, 0:4], self.w_mean)
@@ -395,32 +392,25 @@ class QuaternionUkf:
         mean = np.concatenate([mean_q, self.w_mean @ pts[..., 4:]], axis=-1)
         mean[..., 0:4] = qt.quat_normalize(mean[..., 0:4])
         mean[..., dyn.IDUMMY] = 1.0
-        self._mean_q = mean[..., 0:4].copy()
         res = _residuals(pts, mean, self._res_buf)
         self.P = _sigma_cov(res, self.w_cov, self.q_disc, self._wres)
-        self.x, self._sigma, self._res = mean, pts, res
+        self.x, self._predicted = mean, True
         return self
 
     def update(self, meas):
-        if self._sigma is None:
-            raise SingularInnovation("update called before any prediction")
-        # The propagated points are observed directly, so the observation
-        # residuals are a column subset of the state residuals the predict
-        # step already formed about the same mean.
-        pyy, pxy = _observed_cov(self._res, self._wres, self.w_cov, self.r_mat)
+        if not self._predicted:
+            raise SingularInnovation("update needs a predict since the last update")
+        # P- less Q, the propagated points' own spread (see ROADMAP item 2).
+        pyy, pxy = _observed(self.P - self.q_disc, self.OBS_IDX, self.r_mat)
         innov = np.concatenate([
-            qt.quat_diff(qt.quat_normalize(meas.q), self._mean_q),
-            meas.r - self.x[..., 4:7],
-            meas.omega - self.x[..., 10:13],
-        ], axis=-1)
+            qt.quat_diff(qt.quat_normalize(meas.q), self.x[..., 0:4]),
+            meas.r - self.x[..., 4:7], meas.omega - self.x[..., 10:13]], axis=-1)
         gain, self.last_nis = _gain(pyy, pxy, innov)
-
         dx = dyn.matvec(gain, innov)
         x = self.x.copy()
         x[..., 0:4] = qt.oplus(x[..., 0:4], dx[..., 0:3])
         x[..., 4:] += dx[..., 3:]  # the pinned component adds 0.0 to the 1
-        self.x = x
-        self._mean_q = x[..., 0:4].copy()
+        self.x, self._predicted = x, False
         self.P = _pin(_posterior(self.P, gain, pyy))
         return self
 
@@ -505,9 +495,7 @@ class ExtendedKalman:
         else:
             zq = np.where((dot < 0.0)[..., None], -zq, zq)
         resid = np.concatenate([zq, meas.r, meas.omega], axis=-1) - self.x.take(idx, -1)
-        # take gives row-major blocks, of a stack too.
-        pxy = self.P.take(idx, -1)
-        pyy = pxy.take(idx, -2) + self.r_mat
+        pyy, pxy = _observed(self.P, idx, self.r_mat)
         gain, self.last_nis = _gain(pyy, pxy, resid)
         self.x = self.x + dyn.matvec(gain, resid)
         self.x[..., 0:4] = qt.quat_normalize(self.x[..., 0:4])

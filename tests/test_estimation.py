@@ -285,24 +285,70 @@ class TestUpdate:
         assert f.last_nis is not None and f.last_nis < 1e-9
 
     def test_nis_matches_direct_formula(self, rng):
-        f = est.QuaternionUkf()
-        f.predict(hover_control())
+        # The moments of the propagated sigma points about their mean
+        # predict the whole update: the NIS, and with the cross moment Pxy
+        # the posterior x and P. For a lone filter, a padded one, and each
+        # run of a stack of two.
         meas = est.Measurement(q=qt.rotvec_to_quat(np.array([0.02, -0.01, 0.03])),
                                r=np.array([0.05, -0.02, 0.01]),
                                omega=np.array([0.01, 0.02, -0.03]))
-        pts = f._sigma
-        wc = f.w_cov[:, None]
-        ry = np.empty((pts.shape[0], 9))
-        ry[:, 0:3] = qt.quat_diff(pts[:, 0:4], f._mean_q)
-        ry[:, 3:6] = pts[:, 4:7] - f.w_mean @ pts[:, 4:7]
-        ry[:, 6:9] = pts[:, 10:13] - f.w_mean @ pts[:, 10:13]
-        pyy = (ry * wc).T @ ry + f.r_mat
-        innov = np.concatenate([qt.quat_diff(meas.q, f._mean_q),
-                                meas.r - f.w_mean @ pts[:, 4:7],
-                                meas.omega - f.w_mean @ pts[:, 10:13]])
-        expected = innov @ np.linalg.solve(pyy, innov)
-        f.update(meas)
-        assert abs(f.last_nis - expected) < 1e-10
+        for pad_dims, runs in ((0, None), (5, None), (0, 2)):
+            f = est.QuaternionUkf(pad_dims=pad_dims)
+            u, ms = hover_control(), [meas]
+            if runs:
+                f.x = np.tile(f.x, (runs, 1))
+                f.P = np.tile(f.P, (runs, 1, 1))
+                f.x[1, 0:4] = qt.rotvec_to_quat(np.array([0.1, 0.0, -0.05]))
+                ms = [meas, est.Measurement(q=meas.q, r=-meas.r, omega=2.0 * meas.omega)]
+                u = dyn.ControlInput(thrust=np.full(runs, u.thrust),
+                                     moments=np.tile(u.moments, (runs, 1)))
+            f.predict(u)
+            expected = []
+            for i, m in enumerate(ms):
+                at = (i,) if runs else ()
+                pts, x, p = f._pts[at], f.x[at], f.P[at]
+                wc = f.w_cov[:, None]
+                ry = np.empty((pts.shape[0], 9))
+                ry[:, 0:3] = qt.quat_diff(pts[:, 0:4], x[0:4])
+                ry[:, 3:6] = pts[:, 4:7] - f.w_mean @ pts[:, 4:7]
+                ry[:, 6:9] = pts[:, 10:13] - f.w_mean @ pts[:, 10:13]
+                pyy = (ry * wc).T @ ry + f.r_mat
+                innov = np.concatenate([qt.quat_diff(m.q, x[0:4]),
+                                        m.r - f.w_mean @ pts[:, 4:7],
+                                        m.omega - f.w_mean @ pts[:, 10:13]])
+                rx = np.empty((pts.shape[0], f.n))
+                rx[:, 0:3] = ry[:, 0:3]
+                rx[:, 3:] = pts[:, 4:] - x[4:]
+                gain = np.linalg.solve(pyy, ((rx * wc).T @ ry).T).T
+                dx = gain @ innov
+                post = x.copy()
+                post[0:4] = qt.oplus(x[0:4], dx[0:3])
+                post[4:] += dx[3:]
+                expected.append((innov @ np.linalg.solve(pyy, innov), post,
+                                 p - gain @ pyy @ gain.T))
+            f.update(est.Measurement(*(np.stack([getattr(m, a) for m in ms])
+                                       if runs else getattr(meas, a)
+                                       for a in ("q", "r", "omega"))))
+            for i, (nis, post, cov) in enumerate(expected):
+                at = (i,) if runs else ()
+                assert abs(np.reshape(f.last_nis, -1)[i] - nis) < 1e-10
+                np.testing.assert_allclose(f.x[at], post, rtol=1e-12)
+                # Relative to sqrt(P_ii P_jj): entries that are zero in
+                # exact arithmetic come out near 1e-40 on either side.
+                d = np.sqrt(np.diagonal(cov))
+                assert (np.abs(f.P[at] - cov) <= 1e-12 * np.outer(d, d)).all()
+
+    def test_second_update_needs_a_predict(self):
+        # A second update on one prediction left P indefinite.
+        f = est.QuaternionUkf()
+        m = exact_measurement(dyn.BodyState.hover())
+        m.r = np.array([0.05, 0.0, 0.0])
+        f.predict(hover_control())
+        f.update(m)
+        with pytest.raises(SingularInnovation):
+            f.update(m)
+        f.predict(hover_control())
+        f.update(m)
 
     def test_degenerate_innovation_raises(self):
         nc = est.NoiseConfig(q_diag=np.zeros(19), r_diag=np.zeros(9))
@@ -683,11 +729,11 @@ class TestBufferOwnership:
         f.step(u, seq[0])
         # Holding the first views keeps their memory alive, so an array
         # allocated afresh by a later step cannot land at the same address.
-        first = (f._sigma, f._res)
+        first = (f._pts, f._res_buf)
         for m in seq[1:]:
             f.step(u, m)
-            assert f._sigma.ctypes.data == first[0].ctypes.data
-            assert f._res.ctypes.data == first[1].ctypes.data
+            assert f._pts.ctypes.data == first[0].ctypes.data
+            assert f._res_buf.ctypes.data == first[1].ctypes.data
 
 
 class TestPaddedDimensions:

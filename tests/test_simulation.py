@@ -560,8 +560,8 @@ class TestFlatSpectrumHold:
         for f in lone:
             f.predict(u)
         with pytest.raises(DegenerateSpectrum):
-            qt.weighted_quat_average(lone[0]._sigma[:, 0:4], lone[0].w_mean)
-        qt.weighted_quat_average(lone[1]._sigma[:, 0:4], lone[1].w_mean)
+            qt.weighted_quat_average(lone[0]._pts[:, 0:4], lone[0].w_mean)
+        qt.weighted_quat_average(lone[1]._pts[:, 0:4], lone[1].w_mean)
         assert np.array_equal(stack.x[0, 0:4], qt.quat_normalize(q0))
         assert np.array_equal(lone[0].x[0:4], qt.quat_normalize(q0))
         assert not np.array_equal(stack.x[1, 0:4], qt.quat_normalize(q0))
