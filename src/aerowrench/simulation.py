@@ -413,9 +413,9 @@ def validate_run(dt, duration, seed, estimators):
         bad.append("run.t_step must be positive and finite, got %r" % (dt,))
     elif not math.isfinite(duration):
         bad.append("run.duration must be finite, got %r" % (duration,))
-    # round(duration / dt) must lie in [1, MAX_STEPS]. Written as bounds on
-    # the ratio itself, the test also places a ratio that overflows to
-    # +-inf (a subnormal step) on the right side.
+    # round(duration / dt) must lie in [1, MAX_STEPS]. The checks bound the
+    # ratio itself, so a ratio that overflows to +-inf (a subnormal step)
+    # fails the bound it is beyond.
     elif not duration / dt > 0.5:
         bad.append("run.duration must cover at least one step")
     elif duration / dt > MAX_STEPS + 0.5:

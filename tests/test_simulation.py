@@ -445,21 +445,14 @@ class TestRunStudy:
                                  r"1000000 steps, got 7e\+301$"):
             sim.validate_run(1e-300, 70.0, 0, ("qukf", "ekf"))
         assert sim.validate_run(1e-4, 100.0, 0, ("qukf",)) == (sim.MAX_STEPS, ["qukf"])
-
-    @pytest.mark.parametrize("dt, duration, message", [
-        # duration / dt overflows to inf: both were reported as too short
-        # a run.
-        (5e-324, 70.0, "run.duration / run.t_step must be at most 1000000 "
-                       "steps, got inf"),
-        (0.01, 1e308, "run.duration / run.t_step must be at most 1000000 "
-                      "steps, got inf"),
-        (5e-324, -1.0, "run.duration must cover at least one step"),
-        (0.01, float("inf"), "run.duration must be finite, got inf"),
-        (0.01, float("nan"), "run.duration must be finite, got nan")])
-    def test_overflowing_ratio_names_the_violation(self, dt, duration, message):
-        with pytest.raises(ValidationError) as exc:
-            sim.validate_run(dt, duration, 0, ("qukf",))
-        assert exc.value.violations == [message]
+        # A ratio that overflows to +-inf was reported as too short a run.
+        too_many = "run.duration / run.t_step must be at most 1000000 steps, got inf"
+        for dt, duration, message in [
+                (5e-324, 70.0, too_many), (0.01, 1e308, too_many),
+                (5e-324, -1.0, "run.duration must cover at least one step")]:
+            with pytest.raises(ValidationError) as exc:
+                sim.validate_run(dt, duration, 0, ("qukf",))
+            assert exc.value.violations == [message], (dt, duration)
 
 
 def _stack(f, runs):
