@@ -294,12 +294,14 @@ class TestUpdate:
                                omega=np.array([0.01, 0.02, -0.03]))
         for pad_dims, runs in ((0, None), (5, None), (0, 2)):
             f = est.QuaternionUkf(pad_dims=pad_dims)
-            u, ms = hover_control(), [meas]
+            u, ms, z = hover_control(), [meas], meas
             if runs:
                 f.x = np.tile(f.x, (runs, 1))
                 f.P = np.tile(f.P, (runs, 1, 1))
                 f.x[1, 0:4] = qt.rotvec_to_quat(np.array([0.1, 0.0, -0.05]))
                 ms = [meas, est.Measurement(q=meas.q, r=-meas.r, omega=2.0 * meas.omega)]
+                z = est.Measurement(*(np.stack([getattr(m, a) for m in ms])
+                                      for a in ("q", "r", "omega")))
                 u = dyn.ControlInput(thrust=np.full(runs, u.thrust),
                                      moments=np.tile(u.moments, (runs, 1)))
             f.predict(u)
@@ -326,9 +328,7 @@ class TestUpdate:
                 post[4:] += dx[3:]
                 expected.append((innov @ np.linalg.solve(pyy, innov), post,
                                  p - gain @ pyy @ gain.T))
-            f.update(est.Measurement(*(np.stack([getattr(m, a) for m in ms])
-                                       if runs else getattr(meas, a)
-                                       for a in ("q", "r", "omega"))))
+            f.update(z)
             for i, (nis, post, cov) in enumerate(expected):
                 at = (i,) if runs else ()
                 assert abs(np.reshape(f.last_nis, -1)[i] - nis) < 1e-10
@@ -727,7 +727,7 @@ class TestBufferOwnership:
         u = hover_control()
         seq = noisy_measurements(rng, 8)
         f.step(u, seq[0])
-        # Holding the first views keeps their memory alive, so an array
+        # Holding the first arrays keeps their memory alive, so an array
         # allocated afresh by a later step cannot land at the same address.
         first = (f._pts, f._res_buf)
         for m in seq[1:]:
