@@ -39,7 +39,7 @@ def _load_config(args):
         cfg.run.seed = args.seed
     if getattr(args, "duration", None) is not None:
         cfg.run.duration = args.duration
-    if getattr(args, "estimators", None):
+    if getattr(args, "estimators", None) is not None:
         cfg.run.estimators = tuple(args.estimators.split(","))
     cfg.run.validate()
     return cfg

@@ -9,6 +9,8 @@ sigma points), the EKF's P-. They differ in the innovation and correction.
   Sigma points and residuals live in a reduced error space (rotation vector
   for attitude, plain differences elsewhere) and are mapped through the
   group operations from :mod:`.quat`, so no step ever leaves the manifold.
+  The points spread over the live block alone; the inert components (the
+  pin and any pads) keep the centre's values, and their residuals are 0.
 * :class:`ExtendedKalman` is the flat baseline: the quaternion is treated as
   four ordinary coordinates, Jacobians come from central differences, and
   the norm is restored by renormalizing after each step.
@@ -53,6 +55,7 @@ from .errors import (AerowrenchError, DegenerateScaling, DegenerateSpectrum,
 # so the error space has one dimension fewer than the state vector; then
 # position, velocity, body rates, observer states, the trailing 1's pinned
 # component (PIN) and any pads, each component at its state index less one.
+# Only the live block 0:PIN carries variance.
 E_DIM = 19  # includes the pinned component, not the pads
 PIN = 18
 
@@ -113,61 +116,34 @@ class Measurement:
         return cls(q=state.q.copy(), r=state.r.copy(), omega=state.omega.copy())
 
 
-def _block_cholesky(p):
-    """The Cholesky case of cov_sqrt's factor rule, for one matrix or a
-    stack (..., n, n) of finite ones.
-
-    The live block is the leading run of diagonal entries that are
-    positive in every matrix. When every row after it is zero, the
-    block's Cholesky factor, zero-padded to p's shape, is a factor of p.
-    Returns None when a row after the block is not zero or the block is
-    not positive definite.
-    """
-    live = p.diagonal(0, -2, -1) > 0.0
-    live = live.all(axis=tuple(range(live.ndim - 1)))
-    k = np.count_nonzero(np.logical_and.accumulate(live))
-    if p[..., k:, :].any():
-        return None
-    try:
-        c = np.linalg.cholesky(p[..., :k, :k])
-    except np.linalg.LinAlgError:
-        return None
-    s = np.zeros_like(p)
-    s[..., :k, :k] = c
-    return s
-
-
 def cov_sqrt(p):
     """Matrix square root factor S with S @ S.T == p for symmetric PSD p,
-    one matrix (n, n) or a stack (..., n, n).
-
-    One rule: factor the leading block of positive diagonal entries by
-    Cholesky when every row after it is zero (pinned dimensions carry a
-    zero row, and a matrix with no pinned dimension is one block);
-    otherwise take an eigendecomposition with negative eigenvalues
-    clamped to zero. A stack takes the Cholesky case for all runs at once
-    or the rule run by run; an error names the run of a stack in ``run``.
+    one matrix (n, n) or a stack (..., n, n): the Cholesky factor, or else
+    an eigendecomposition with negative eigenvalues clamped to zero. A
+    stack takes the Cholesky factor for all runs at once or this rule run
+    by run; an error names the run of a stack in ``run``.
     """
     p = np.asarray(p, dtype=float)
     if np.isfinite(p).all():
-        s = _block_cholesky(p)
-        if s is not None:
-            return s
+        try:
+            return np.linalg.cholesky(p)
+        except np.linalg.LinAlgError:
+            pass
     out = np.empty(p.shape)
     runs = out.reshape((-1,) + p.shape[-2:])
     for i, m in enumerate(p.reshape(runs.shape)):
         try:
             if not np.isfinite(m).all():
                 raise FactorizationFailure("covariance contains non-finite entries")
-            s = _block_cholesky(m)
-            if s is None:
+            try:
+                runs[i] = np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
                 try:
                     vals, vecs = np.linalg.eigh(m)
                 except np.linalg.LinAlgError as err:
                     raise FactorizationFailure(
                         f"eigendecomposition failed: {err}") from None
-                s = vecs * np.sqrt(np.maximum(vals, 0.0))
-            runs[i] = s
+                runs[i] = vecs * np.sqrt(np.maximum(vals, 0.0))
         except AerowrenchError as err:
             if p.ndim > 2:
                 err.run = i
@@ -204,13 +180,14 @@ def _propagate_rows(rows, u, ctx):
 
 
 def _sigma_points(x, s, scale, deltas, out):
-    """The 2n+1 sigma points about x from a covariance factor s (..., n, n),
-    written into out (..., 2n+1, m). deltas (..., 2n+1, n) receives the
-    displacements; its row 0 must be zero."""
-    n = s.shape[-1]
-    np.multiply(scale, s.swapaxes(-1, -2), out=deltas[..., 1:n + 1, :])
-    np.negative(deltas[..., 1:n + 1, :], out=deltas[..., n + 1:, :])
-    deltas[..., PIN] = 0.0
+    """The 2n+1 sigma points about x from a factor s (..., k, k) of the
+    live block, written into out (..., 2n+1, m). deltas (..., 2n+1, n)
+    receives the displacements scale * s.T in rows 1..k and their
+    negatives in rows n+1..n+k, in its leading k columns; everything else
+    in it must be zero, so the inert directions are copies of x."""
+    n, k = deltas.shape[-1], s.shape[-1]
+    np.multiply(scale, s.swapaxes(-1, -2), out=deltas[..., 1:k + 1, :k])
+    np.negative(deltas[..., 1:k + 1, :k], out=deltas[..., n + 1:n + k + 1, :k])
     return _apply_deltas(x, deltas, out)
 
 
@@ -224,19 +201,12 @@ def _residuals(pts, mean, out=None):
     return out
 
 
-def _pin(p):
-    """Zero the pinned error component's row and column."""
-    p[..., PIN, :] = 0.0
-    p[..., :, PIN] = 0.0
-    return p
-
-
 def _sigma_cov(res, w_cov, q_disc, wres):
-    """Predicted covariance from residuals (..., r, n), pinned; wres
-    receives the weighted residuals res * w_cov."""
+    """Predicted covariance from residuals (..., r, n); wres receives the
+    weighted residuals res * w_cov."""
     np.multiply(res, w_cov[:, None], out=wres)
     p = wres.swapaxes(-1, -2) @ res + q_disc
-    return _pin(0.5 * (p + p.swapaxes(-1, -2)))
+    return 0.5 * (p + p.swapaxes(-1, -2))
 
 
 # The EKF's central-difference step, and the offsets subtracted from the
@@ -320,7 +290,8 @@ class QuaternionUkf:
     error-space displacements, the sigma points, the residuals and the
     weighted residuals), with the leading shape of ``x``. ``predict``
     allocates them when that shape changes (a stack is made by tiling
-    ``x`` and ``P``) and otherwise overwrites them. At n=99 each is about
+    ``x`` and ``P``) and otherwise overwrites them; the displacements stay
+    zero outside the live block's rows and columns. At n=99 each is about
     155 KiB, above glibc's 128 KiB mmap threshold; allocated afresh at
     each step, they would go back to the OS when freed and be faulted in
     again on the next step. The sigma points' first 20 components are
@@ -368,12 +339,12 @@ class QuaternionUkf:
         lead = self.x.shape[:-1]
         if self._pts is None or self._pts.shape[:-2] != lead:
             rows = lead + (2 * self.n + 1,)
-            self._deltas = np.zeros(rows + (self.n,))  # row 0 stays 0
+            self._deltas = np.zeros(rows + (self.n,))  # zero off the live block
             self._pts = np.empty(rows + self.x.shape[-1:])
             self._res_buf = np.empty(rows + (self.n,))
             self._wres = np.empty(rows + (self.n,))    # _res_buf * w_cov[:, None]
-        pts = _sigma_points(self.x, cov_sqrt(self.P), self.scale, self._deltas,
-                            self._pts)
+        pts = _sigma_points(self.x, cov_sqrt(self.P[..., :PIN, :PIN]),
+                            self.scale, self._deltas, self._pts)
         # Pads keep their values (identity dynamics).
         _propagate_rows(pts[..., :20], control.as_vector(), self.ctx)
 
@@ -411,7 +382,7 @@ class QuaternionUkf:
         x[..., 0:4] = qt.oplus(x[..., 0:4], dx[..., 0:3])
         x[..., 4:] += dx[..., 3:]  # the pinned component adds 0.0 to the 1
         self.x, self._predicted = x, False
-        self.P = _pin(_posterior(self.P, gain, pyy))
+        self.P = _posterior(self.P, gain, pyy)
         return self
 
     def step(self, control, meas):

@@ -638,11 +638,15 @@ def _channel_errors(run, track, sl):
 def compute_metrics(run, window=1.0):
     """Per-channel RMSE, improvement, convergence times, mean step cost.
 
-    The window drops the leading transient from the RMSE. Convergence times
+    The window, in seconds, drops the leading transient from the RMSE; a
+    negative or non-finite one raises ValidationError. Convergence times
     are computed per wrench channel over its first applied pulse, from
     onset until the pulse leaves; channels never exercised report None.
     Improvement percentages appear only when both estimators ran.
     """
+    if not (window >= 0.0 and math.isfinite(window)):
+        raise ValidationError("window must be nonnegative and finite, got %r"
+                              % (window,))
     n = run.t.shape[0]
     skip = min(int(round(window / run.dt)), n - 1)
     sl = slice(skip, n)

@@ -131,6 +131,12 @@ class TestExitCodes:
                          "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
         assert "run.seed must be a nonnegative integer, got -2" in capsys.readouterr().err
 
+    def test_empty_estimators_is_3(self, tmp_path, capsys):
+        # An empty flag names no filter; it is not an absent flag.
+        assert run_main(["run", "--estimators", "", "--duration", "0.5",
+                         "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert "run.estimators must be a nonempty subset" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text, shown", [
         (".inf", "inf"), (".nan", "nan"), ("0", "0.0"), ("-0.01", "-0.01")])
     def test_bad_step_is_3(self, tmp_path, capsys, text, shown):

@@ -65,16 +65,14 @@ class TestCovSqrt:
         p = np.diag([1.0, 2.0, 0.0, 3.0])
         s = est.cov_sqrt(p)
         assert np.allclose(s @ s.T, p, atol=1e-14)
-        # A pinned tail of one or several rows (pads, then the scale anchor)
-        # takes the block path: the leading block's Cholesky factor, zero
-        # elsewhere.
+        # A zero tail of one or several rows, as a QUKF's pin and pads
+        # would give if factored with the live block.
         a = rng.normal(size=(5, 5))
         for tail in (1, 3):
             p = np.zeros((5 + tail, 5 + tail))
             p[:5, :5] = a @ a.T + np.eye(5)
             s = est.cov_sqrt(p)
-            assert np.array_equal(s[:5, :5], np.linalg.cholesky(p[:5, :5]))
-            assert not s[5:].any() and not s[:, 5:].any()
+            assert np.allclose(s @ s.T, p, atol=1e-12)
 
     def test_negative_eigenvalue_clamped(self):
         p = np.diag([1.0, -1e-12, 2.0])
@@ -83,7 +81,7 @@ class TestCovSqrt:
         assert rec[1, 1] >= 0.0
         assert np.allclose(rec[np.ix_([0, 2], [0, 2])], np.diag([1.0, 2.0]), atol=1e-14)
         # An indefinite leading block with a positive diagonal ahead of a
-        # pinned tail fails the block Cholesky and reaches the clamp, which
+        # zero tail fails the Cholesky factor and reaches the clamp, which
         # keeps its eigenvalue 3 (eigenvector [1, 1] / sqrt 2) and drops -1.
         p = np.zeros((3, 3))
         p[:2, :2] = [[1.0, 2.0], [2.0, 1.0]]
@@ -601,7 +599,9 @@ class NaiveUkf:
         self.ctx = dyn.TransitionContext(self.params, self.dt)
 
     def step(self, control, meas):
-        s = est.cov_sqrt(self.P)
+        # The trailing 1 carries no variance: factor the live block.
+        s = np.zeros_like(self.P)
+        s[:19, :19] = est.cov_sqrt(self.P[:19, :19])
         cols = self.scale * s.T
         pts = np.concatenate([self.x[None, :], self.x + cols, self.x - cols])
         pts[:, -1] = 1.0
@@ -734,6 +734,35 @@ class TestBufferOwnership:
             f.step(u, m)
             assert f._pts.ctypes.data == first[0].ctypes.data
             assert f._res_buf.ctypes.data == first[1].ctypes.data
+
+
+class TestPinnedComponent:
+    @pytest.mark.parametrize("pad_dims, runs", [(0, None), (5, None), (0, 2)],
+                             ids=["lone", "padded", "stack"])
+    def test_pin_variance_reaches_no_output(self, rng, pad_dims, runs):
+        # NoiseConfig and p0_diag taken directly skip FilterConfig's check
+        # that the pin carries no variance. The sigma points never spread
+        # along it, so x, the NIS and the live block of P stay the default
+        # filter's, bit for bit.
+        q_diag, p0_diag = est.DEFAULT_Q_DIAG.copy(), est.DEFAULT_P0_DIAG.copy()
+        q_diag[18], p0_diag[18] = 1e-2, 1.0
+        nc = est.NoiseConfig(q_diag=q_diag)
+        filters = [est.QuaternionUkf(pad_dims=pad_dims),
+                   est.QuaternionUkf(noise=nc, p0_diag=p0_diag, pad_dims=pad_dims)]
+        u = hover_control()
+        seqs = [noisy_measurements(rng, 200) for _ in range(runs or 1)]
+        if runs:
+            for f in filters:
+                f.x, f.P = np.tile(f.x, (runs, 1)), np.tile(f.P, (runs, 1, 1))
+            u = dyn.ControlInput(thrust=np.full(runs, u.thrust),
+                                 moments=np.tile(u.moments, (runs, 1)))
+        for ms in zip(*seqs):
+            z = est.Measurement(*(np.stack([getattr(m, a) for m in ms])
+                                  for a in ("q", "r", "omega"))) if runs else ms[0]
+            base, pinned = (f.step(u, z) for f in filters)
+            assert same_bits(pinned.x, base.x)
+            assert same_bits(np.asarray(pinned.last_nis), np.asarray(base.last_nis))
+            assert same_bits(pinned.P[..., :18, :18], base.P[..., :18, :18])
 
 
 class TestPaddedDimensions:

@@ -618,6 +618,14 @@ class TestMetrics:
         m = sim.compute_metrics(run, window=1.0)
         assert m.rmse["qukf"]["y_m"] == 0.0
 
+    @pytest.mark.parametrize("window", [-1.0, np.nan, np.inf])
+    def test_bad_window_rejected(self, window):
+        # A negative skip would index from the end: the RMSE of the last
+        # steps only.
+        with pytest.raises(ValidationError,
+                           match=r"^window must be nonnegative and finite, got"):
+            sim.compute_metrics(_mk_run(), window=window)
+
     def test_convergence_time_closed_form(self):
         dt = 0.01
         t = np.arange(1, 1001) * dt

@@ -21,7 +21,7 @@
 # run; when any differs, prints per array its largest relative difference
 # (see compare below).
 #
-# Last, replays seed 0's first 400 (control, measurement) pairs through a
+# Then replays seed 0's first 400 (control, measurement) pairs through a
 # QUKF padded to n=99 (pad_dims=80), as gate 9's sweep and the benchmark's
 # wide replay step it, and compares after every step the values that do
 # not depend on where the inert components sit: the first 19 state
@@ -29,6 +29,15 @@
 # arrays are compared. Each side also checks that every other entry is
 # inert: of the state, one exact 1 (the affine component) and exact zeros
 # (the pads); of the covariance, zeros.
+#
+# Last, replays gate 5's set-up through the QUKF for 100 steps: no process
+# noise and initial variance on position and velocity only, so the live
+# covariance block is singular and cov_sqrt takes its clamped
+# eigendecomposition, which none of the runs above reaches. Compares the
+# state, the covariance and the NIS after every step, as above. Entries
+# that are zero in exact arithmetic (attitude, rates, most cross
+# covariances) carry only rounding here, so a rounding-only change can
+# give them a relative difference above 1.
 set -eu
 
 if [ $# -lt 1 ]; then
@@ -187,4 +196,35 @@ PY
 done
 printf "padded QUKF replay, seed 0, 400 steps"
 compare replay || status=1
+
+for side in parent change; do
+    if [ "$side" = parent ]; then src="$work/parent/src"; else src="$root/src"; fi
+    PYTHONPATH="$src" python3 - "$work/out/$side/gate5.npz" <<'PY'
+import math
+import sys
+
+import numpy as np
+
+from aerowrench import dynamics as dyn
+from aerowrench import estimation as est
+from aerowrench import quat as qt
+
+diag = np.zeros(19)
+diag[3:6] = 1e-2
+diag[6:9] = 3e-2
+nc = est.NoiseConfig(q_diag=np.zeros(19), r_diag=est.DEFAULT_R_DIAG.copy())
+f = est.QuaternionUkf(noise=nc, p0_diag=diag)
+u = dyn.ControlInput.hover(f.params)
+x, cov, nis = [], [], []
+for k in range(100):
+    z = np.array([0.05 * math.sin(0.3 * k), 0.02 * k * 0.01, -0.03])
+    f.step(u, est.Measurement(q=qt.quat_identity(), r=z, omega=np.zeros(3)))
+    x.append(f.x.copy())
+    cov.append(f.P.copy())
+    nis.append(f.last_nis)
+np.savez(sys.argv[1], x=np.array(x), P=np.array(cov), nis=np.array(nis))
+PY
+done
+printf "gate-5 QUKF replay (clamp path), 100 steps"
+compare gate5 || status=1
 exit $status
