@@ -1,9 +1,12 @@
 """Joint state and wrench estimators.
 
 Two filters share the discrete process model of :mod:`.dynamics` and one
-update, which reads the innovation and cross covariances off the observed
-block of a covariance: the QUKF's P- less Q (the spread of its propagated
-sigma points), the EKF's P-. They differ in the innovation and correction.
+update in whitened form, fed the innovation and cross covariances from the
+observed columns of a covariance: the QUKF's P- less Q (the spread of its
+propagated sigma points), the EKF's P-. They differ in the innovation and
+correction. The QUKF's prediction and both updates' reductions of P are
+Gram products (of the sigma residuals, of the whitened gain), so exactly
+symmetric; only the EKF's J P J^T is symmetrized.
 
 * :class:`QuaternionUkf` keeps the attitude on the unit-quaternion manifold.
   Sigma points and residuals live in a reduced error space (rotation vector
@@ -201,12 +204,18 @@ def _residuals(pts, mean, out=None):
     return out
 
 
-def _sigma_cov(res, w_cov, q_disc, wres):
-    """Predicted covariance from residuals (..., r, n); wres receives the
-    weighted residuals res * w_cov."""
-    np.multiply(res, w_cov[:, None], out=wres)
-    p = wres.swapaxes(-1, -2) @ res + q_disc
-    return 0.5 * (p + p.swapaxes(-1, -2))
+def _sigma_cov(res, w_cov, q_disc):
+    """Predicted covariance c R1^T R1 + w0 r0 r0^T + Q from residuals
+    (..., 2n+1, n): r0 is the centre's row and R1 the 2n rows after it,
+    which share the weight c = w_cov[1]. R1^T R1 reaches BLAS as syrk (both
+    operands view one array); every term is exactly symmetric, as
+    w0 (r0_i r0_j) is and (w0 r0_i) r0_j need not be."""
+    r0, r1 = res[..., 0, :], res[..., 1:, :]
+    p = r1.swapaxes(-1, -2) @ r1
+    p *= w_cov[1]
+    p += w_cov[0] * (r0[..., :, None] * r0[..., None, :])
+    p += q_disc
+    return p
 
 
 # The EKF's central-difference step, and the offsets subtracted from the
@@ -239,20 +248,17 @@ def _jacobian_cov(prop, p, q_disc):
     return prop[..., 0, :19].copy(), 0.5 * (p + p.swapaxes(-1, -2))
 
 
-def _observed(p, idx, r_mat):
-    """Innovation covariance p[idx, idx] + R and cross covariance p[:, idx]
-    of a measurement of the state rows idx, from a covariance (..., n, n)."""
-    # take gives row-major blocks, of a stack too.
-    pxy = p.take(idx, -1)
-    return pxy.take(idx, -2) + r_mat, pxy
-
-
-def _gain(pyy, pxy, innov):
-    """Kalman gain (..., n, m) and NIS (...) from the innovation covariance
-    (..., m, m), the cross covariance (..., n, m) and the innovation
-    (..., m), with one solve for both."""
+def _whiten(pyy, pxy, innov):
+    """The correction K innov (..., n), the covariance reduction K Pyy K^T
+    (..., n, n) and the NIS (...), with K = Pxy Pyy^-1, from the innovation
+    covariance (..., m, m), the cross covariance (..., n, m) and the
+    innovation (..., m). One solve against the Cholesky factor L of Pyy
+    gives W = K L = Pxy L^-T and y = L^-1 innov: the correction is W y, the
+    reduction W W^T (syrk, exactly symmetric) and the NIS y^T y. The filters
+    take Pxy and Pyy from P with ``take``, which gives row-major blocks, of
+    a stack too."""
     try:
-        np.linalg.cholesky(pyy)
+        chol = np.linalg.cholesky(pyy)
     except np.linalg.LinAlgError:
         err = SingularInnovation("innovation covariance is not positive definite")
         # A stack names its first run without a Cholesky factor.
@@ -268,15 +274,10 @@ def _gain(pyy, pxy, innov):
     rhs = np.empty(pyy.shape[:-1] + (n + 1,))
     rhs[..., :n] = pxy.swapaxes(-1, -2)
     rhs[..., n] = innov
-    sol = np.linalg.solve(pyy, rhs)
-    nis = (innov[..., None, :] @ sol[..., n:])[..., 0, 0]
-    return sol[..., :n].swapaxes(-1, -2), nis[()]
-
-
-def _posterior(p, gain, pyy):
-    """Posterior covariance P - K Pyy K^T, symmetrized."""
-    p = p - gain @ pyy @ gain.swapaxes(-1, -2)
-    return 0.5 * (p + p.swapaxes(-1, -2))
+    sol = np.linalg.solve(chol, rhs)  # [W^T | y]
+    wt, y = sol[..., :n], np.ascontiguousarray(sol[..., n])
+    nis = (y[..., None, :] @ y[..., :, None])[..., 0, 0]
+    return dyn.matvec(wt.swapaxes(-1, -2), y), wt.swapaxes(-1, -2) @ wt, nis[()]
 
 
 class QuaternionUkf:
@@ -286,15 +287,14 @@ class QuaternionUkf:
     after the trailing 1 and its pinned error component; they exist so the
     cost scaling of the linear algebra can be measured.
 
-    Buffer ownership: the filter owns its four (2n+1)-row arrays (the
-    error-space displacements, the sigma points, the residuals and the
-    weighted residuals), with the leading shape of ``x``. ``predict``
-    allocates them when that shape changes (a stack is made by tiling
-    ``x`` and ``P``) and otherwise overwrites them; the displacements stay
-    zero outside the live block's rows and columns. At n=99 each is about
-    155 KiB, above glibc's 128 KiB mmap threshold; allocated afresh at
-    each step, they would go back to the OS when freed and be faulted in
-    again on the next step. The sigma points' first 20 components are
+    Buffer ownership: the filter owns its three (2n+1)-row arrays (the
+    error-space displacements, the sigma points and the residuals), with
+    the leading shape of ``x``. ``predict`` allocates them when that shape
+    changes (a stack is made by tiling ``x`` and ``P``) and otherwise
+    overwrites them; the displacements stay zero outside the live block's
+    rows and columns. At n=99 each is about 155 KiB, above glibc's 128 KiB
+    mmap threshold; allocated afresh at each step, they would go back to
+    the OS when freed and be faulted in again on the next step. The sigma points' first 20 components are
     propagated in place, through ``propagate_batch(..., out=)``, in the
     workspace of the filter's ``ctx``. ``x`` and ``P`` are new arrays after
     every ``predict`` and ``update``, so a caller may keep them.
@@ -342,7 +342,6 @@ class QuaternionUkf:
             self._deltas = np.zeros(rows + (self.n,))  # zero off the live block
             self._pts = np.empty(rows + self.x.shape[-1:])
             self._res_buf = np.empty(rows + (self.n,))
-            self._wres = np.empty(rows + (self.n,))    # _res_buf * w_cov[:, None]
         pts = _sigma_points(self.x, cov_sqrt(self.P[..., :PIN, :PIN]),
                             self.scale, self._deltas, self._pts)
         # Pads keep their values (identity dynamics).
@@ -364,25 +363,26 @@ class QuaternionUkf:
         mean[..., 0:4] = qt.quat_normalize(mean[..., 0:4])
         mean[..., dyn.IDUMMY] = 1.0
         res = _residuals(pts, mean, self._res_buf)
-        self.P = _sigma_cov(res, self.w_cov, self.q_disc, self._wres)
+        self.P = _sigma_cov(res, self.w_cov, self.q_disc)
         self.x, self._predicted = mean, True
         return self
 
     def update(self, meas):
         if not self._predicted:
             raise SingularInnovation("update needs a predict since the last update")
-        # P- less Q, the propagated points' own spread (see ROADMAP item 2).
-        pyy, pxy = _observed(self.P - self.q_disc, self.OBS_IDX, self.r_mat)
+        idx = self.OBS_IDX
+        # P- less Q, the propagated points' own spread (see ROADMAP item 2),
+        # in the observed columns.
+        pxy = self.P.take(idx, -1) - self.q_disc.take(idx, -1)
         innov = np.concatenate([
             qt.quat_diff(qt.quat_normalize(meas.q), self.x[..., 0:4]),
             meas.r - self.x[..., 4:7], meas.omega - self.x[..., 10:13]], axis=-1)
-        gain, self.last_nis = _gain(pyy, pxy, innov)
-        dx = dyn.matvec(gain, innov)
+        dx, drop, self.last_nis = _whiten(pxy.take(idx, -2) + self.r_mat, pxy, innov)
         x = self.x.copy()
         x[..., 0:4] = qt.oplus(x[..., 0:4], dx[..., 0:3])
         x[..., 4:] += dx[..., 3:]  # the pinned component adds 0.0 to the 1
         self.x, self._predicted = x, False
-        self.P = _posterior(self.P, gain, pyy)
+        self.P = self.P - drop
         return self
 
     def step(self, control, meas):
@@ -466,11 +466,11 @@ class ExtendedKalman:
         else:
             zq = np.where((dot < 0.0)[..., None], -zq, zq)
         resid = np.concatenate([zq, meas.r, meas.omega], axis=-1) - self.x.take(idx, -1)
-        pyy, pxy = _observed(self.P, idx, self.r_mat)
-        gain, self.last_nis = _gain(pyy, pxy, resid)
-        self.x = self.x + dyn.matvec(gain, resid)
+        pxy = self.P.take(idx, -1)
+        dx, drop, self.last_nis = _whiten(pxy.take(idx, -2) + self.r_mat, pxy, resid)
+        self.x = self.x + dx
         self.x[..., 0:4] = qt.quat_normalize(self.x[..., 0:4])
-        self.P = _posterior(self.P, gain, pyy)
+        self.P = self.P - drop
         return self
 
     def step(self, control, meas):

@@ -4,6 +4,7 @@ import pytest
 from aerowrench import dynamics as dyn
 from aerowrench import estimation as est
 from aerowrench import quat as qt
+from aerowrench import simulation as sim
 from aerowrench.errors import (DegenerateScaling, FactorizationFailure,
                                SingularInnovation)
 
@@ -158,13 +159,18 @@ class TestSigmaGeometry:
         assert np.allclose(pts[0], f.x, atol=0.0)
 
     def test_spread_matches_covariance(self):
+        # The filter's own construction: displacements from a factor of the
+        # live block, in a zero-filled buffer. Their weighted moments at
+        # Q = 0 give back the live block, and zeros in the pin's row and
+        # column.
         f = est.QuaternionUkf()
-        s = est.cov_sqrt(f.P)
-        cols = f.scale * s.T
-        deltas = np.concatenate([np.zeros((1, f.n)), cols, -cols])
-        _, _, wc = est.ut_weights(f.n)
-        rec = (deltas * wc[:, None]).T @ deltas
+        f.predict(hover_control())  # a full live block, zero pin row
+        deltas = np.zeros((2 * f.n + 1, f.n))
+        est._sigma_points(f.x, est.cov_sqrt(f.P[:est.PIN, :est.PIN]), f.scale,
+                          deltas, np.empty((2 * f.n + 1, f.x.size)))
+        rec = est._sigma_cov(deltas, f.w_cov, np.zeros((f.n, f.n)))
         assert np.allclose(rec, f.P, atol=1e-12)
+        assert not rec[est.PIN].any() and not rec[:, est.PIN].any()
 
 
 class TestPredict:
@@ -845,3 +851,120 @@ class TestPaddedDimensions:
         assert not buf[..., 20:].any()
         with pytest.raises(ValueError):
             est._propagate_rows(buf.transpose(1, 0, 2)[..., :20], u, ctx)
+
+
+def replayed_inputs(seeds, steps=200):
+    """Controls and measurements of simulated runs, as the closed loop hands
+    them to its filters: one seed's as lone inputs, several as a stack."""
+    runs = [sim.run_scenario(seed=s, duration=steps * 0.01) for s in seeds]
+    hover = dyn.ControlInput.hover(dyn.SystemParams()).as_vector()
+    u = np.stack([np.vstack([hover, r.controls[:steps - 1]]) for r in runs], axis=1)
+    z = np.stack([r.measurements[:steps] for r in runs], axis=1)
+    if len(seeds) == 1:
+        u, z = u[:, 0], z[:, 0]
+    return [(dyn.ControlInput(thrust=c[..., 0], moments=c[..., 1:4]),
+             est.Measurement(q=m[..., 0:4], r=m[..., 4:7], omega=m[..., 7:10]))
+            for c, m in zip(u, z)]
+
+
+def gram_reference(res, w_cov, q_disc):
+    """Sum of w_i r_i r_i^T over a filter's residual rows, plus Q."""
+    return sum(w * np.outer(r, r) for w, r in zip(w_cov, res)) + q_disc
+
+
+def assert_cov_close(got, want):
+    """Every entry within 1e-12 of sqrt(P_ii P_jj); entries that are zero
+    in exact arithmetic carry rounding only."""
+    d = np.sqrt(np.abs(np.diagonal(want, axis1=-2, axis2=-1)))
+    bound = 1e-12 * d[..., :, None] * d[..., None, :]
+    assert (np.abs(got - want) <= bound).all()
+
+
+class TestCovarianceKernels:
+    """Both filters build P from Gram products and update it in whitened
+    form: P is exactly symmetric after every predict and update, and the
+    kernels match the weighted-outer-product and gain forms."""
+
+    @pytest.mark.parametrize("make, seeds", [
+        (lambda: est.QuaternionUkf(), (0,)),
+        (lambda: est.QuaternionUkf(pad_dims=80), (0,)),
+        (lambda: est.QuaternionUkf(), (0, 1)),
+        (lambda: est.ExtendedKalman(), (0,)),
+        (lambda: est.ExtendedKalman(), (0, 1)),
+    ], ids=["qukf", "qukf-pad80", "qukf-stack", "ekf", "ekf-stack"])
+    def test_exactly_symmetric_after_every_step(self, make, seeds):
+        f = make()
+        if len(seeds) > 1:
+            f.x = np.tile(f.x, (len(seeds), 1))
+            f.P = np.tile(f.P, (len(seeds), 1, 1))
+        for u, z in replayed_inputs(seeds):
+            f.predict(u)
+            assert same_bits(f.P, f.P.swapaxes(-1, -2))
+            f.update(z)
+            assert same_bits(f.P, f.P.swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("gamma", [2.0, -1.0])
+    @pytest.mark.parametrize("pad_dims, runs", [(0, None), (5, None), (0, 2)],
+                             ids=["lone", "padded", "stack"])
+    def test_prediction_matches_weighted_outer_products(self, rng, gamma,
+                                                        pad_dims, runs):
+        # gamma = -1 gives the centre the weight -1: the signed rank-1 term.
+        f = est.QuaternionUkf(gamma=gamma, pad_dims=pad_dims)
+        assert (f.w_cov[0] < 0.0) == (gamma < 0.0)
+        u = hover_control()
+        seqs = [noisy_measurements(rng, 5) for _ in range(runs or 1)]
+        if runs:
+            f.x, f.P = np.tile(f.x, (runs, 1)), np.tile(f.P, (runs, 1, 1))
+            u = dyn.ControlInput(thrust=np.full(runs, u.thrust),
+                                 moments=np.tile(u.moments, (runs, 1)))
+        for ms in zip(*seqs):
+            f.predict(u)
+            for at in (np.ndindex(runs) if runs else [()]):
+                assert_cov_close(f.P[at], gram_reference(f._res_buf[at], f.w_cov,
+                                                         f.q_disc))
+            f.update(est.Measurement(*(np.stack([getattr(m, a) for m in ms])
+                                       for a in ("q", "r", "omega")))
+                     if runs else ms[0])
+
+    @pytest.mark.parametrize("make, runs", [
+        (lambda: est.QuaternionUkf(), None),
+        (lambda: est.QuaternionUkf(gamma=-1.0), 2),
+        (lambda: est.ExtendedKalman(), None),
+        (lambda: est.ExtendedKalman(), 2),
+    ], ids=["qukf", "qukf-stack", "ekf", "ekf-stack"])
+    def test_update_matches_gain_form(self, make, runs):
+        # From the predicted x and P (less Q in the QUKF's case, see ROADMAP
+        # item 2): x+ from K innov, P+ = P - K Pyy K^T and the NIS, with
+        # K = Pxy Pyy^-1.
+        f = make()
+        qukf = isinstance(f, est.QuaternionUkf)
+        if runs:
+            f.x, f.P = np.tile(f.x, (runs, 1)), np.tile(f.P, (runs, 1, 1))
+        for u, z in replayed_inputs((0, 1) if runs else (0,), steps=21)[:-1]:
+            f.step(u, z)
+        f.predict(u)
+        x, p = f.x.copy(), f.P.copy()
+        f.update(z)
+        for at in (np.ndindex(runs) if runs else [()]):
+            zq, idx = qt.quat_normalize(z.q[at]), f.OBS_IDX
+            pxy = (p[at] - f.q_disc)[:, idx] if qukf else p[at][:, idx]
+            pyy = pxy[idx] + f.r_mat
+            if qukf:
+                innov = np.concatenate([qt.quat_diff(zq, x[at][0:4]),
+                                        z.r[at] - x[at][4:7],
+                                        z.omega[at] - x[at][10:13]])
+            else:
+                zq = -zq if zq @ x[at][0:4] < 0.0 else zq
+                innov = np.concatenate([zq, z.r[at], z.omega[at]]) - x[at][idx]
+            gain = np.linalg.solve(pyy, pxy.T).T
+            dx, post = gain @ innov, x[at].copy()
+            if qukf:
+                post[0:4] = qt.oplus(post[0:4], dx[0:3])
+                post[4:] += dx[3:]
+            else:
+                post += dx
+                post[0:4] = qt.quat_normalize(post[0:4])
+            np.testing.assert_allclose(f.x[at], post, rtol=1e-12, atol=1e-15)
+            assert_cov_close(f.P[at], p[at] - gain @ pyy @ gain.T)
+            nis = innov @ np.linalg.solve(pyy, innov)
+            assert abs(np.asarray(f.last_nis)[at] - nis) <= 1e-12 * nis

@@ -388,8 +388,8 @@ class TestRunStudy:
             _assert_close(stack.last_nis[i:i + 1], np.array([f.last_nis]), "run %d nis" % i)
 
         with pytest.raises(SingularInnovation) as err:
-            est._gain(np.stack([np.eye(9), -np.eye(9)]), np.zeros((2, 19, 9)),
-                      np.zeros((2, 9)))
+            est._whiten(np.stack([np.eye(9), -np.eye(9)]), np.zeros((2, 19, 9)),
+                        np.zeros((2, 9)))
         assert err.value.run == 1
 
     def test_filter_error_names_seed_filter_and_step(self, monkeypatch):

@@ -18,8 +18,8 @@
 #
 # Then runs run_study on seeds 0, 1 and 2 for 5 s, the stacked path of the
 # closed loop, from both trees and compares every array of every returned
-# run; when any differs, prints per array its largest relative difference
-# (see compare below).
+# run; when any differs, prints per array its largest difference relative
+# to the array's largest magnitude (see compare below).
 #
 # Then replays seed 0's first 400 (control, measurement) pairs through a
 # QUKF padded to n=99 (pad_dims=80), as gate 9's sweep and the benchmark's
@@ -36,8 +36,8 @@
 # eigendecomposition, which none of the runs above reaches. Compares the
 # state, the covariance and the NIS after every step, as above. Entries
 # that are zero in exact arithmetic (attitude, rates, most cross
-# covariances) carry only rounding here, so a rounding-only change can
-# give them a relative difference above 1.
+# covariances) carry only rounding here; scaled by the array's largest
+# magnitude, as every comparison is, they stay at rounding level.
 set -eu
 
 if [ $# -lt 1 ]; then
@@ -102,9 +102,11 @@ done
 
 # compare NAME: compares the parent's and this tree's NAME.npz. Prints
 # "identical" when every array matches bit for bit; otherwise, per array,
-# the largest difference of an entry relative to the largest magnitude of
-# its component over the run (the array's slice at each step index), so a
-# rounding-only change can state its tolerance. Returns 1 if any differs.
+# the largest difference of an entry relative to the array's largest
+# magnitude over the run, so a rounding-only change can state its
+# tolerance. Scaling by each component's own largest magnitude would give
+# an entry that is zero in exact arithmetic, and so carries only rounding,
+# a figure near 1. Returns 1 if any differs.
 compare() {
     python3 - "$work/out/parent/$1.npz" "$work/out/change/$1.npz" <<'PY'
 import sys
@@ -120,16 +122,16 @@ for key in old:
     if a.shape != b.shape:
         worst[key] = float("inf")
     elif a.tobytes() != b.tobytes():
-        scale = np.abs(a).max(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(a == b, 0.0, np.abs(b - a) / scale)
+            rel = np.where(a == b, 0.0, np.abs(b - a) / np.abs(a).max())
         worst[key] = float(np.nan_to_num(rel, nan=np.inf).max())
 if not worst:
     print(": identical")
     sys.exit(0)
 print(": differs")
 for key in sorted(worst):
-    print("  %-24s largest relative difference %.3g" % (key, worst[key]))
+    print("  %-24s largest difference %.3g of its largest magnitude"
+          % (key, worst[key]))
 sys.exit(1)
 PY
 }
