@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularAllocation, ValidationError
-from .quat import (_QUAT_MUL_TERMS, _mul_terms, _term_table, quat_mul,
-                   quat_normalize, quat_to_rot, skew)
+from .quat import (_QUAT_MUL_TERMS, _SMALL_ANGLE, _mul_terms, _term_table,
+                   quat_mul, quat_normalize, quat_to_rot, skew)
 
 # Augmented-state slices (20-vector).
 IQ = slice(0, 4)
@@ -542,14 +542,13 @@ def build_fc(x, u, p):
 # The pair products of propagate_batch, gathered by quat._mul_terms from
 # its workspace rows [q(4), r, v, omega, upsilon, dummy, J omega(3)]:
 # qx qz + qw qy, qy qz - qw qx and qx^2 + qy^2 twice (the rows of bz: 2
-# times the first two, 1 minus twice the third), omega x (J omega), and
-# wx^2 + wz^2 (|omega|^2 less wy^2). Each output sums its two terms left
-# to right in the order _body_z_inertial and _gyroscopic write them, so
-# the bits are theirs.
+# times the first two, 1 minus twice the third) and omega x (J omega).
+# Each output sums its two terms left to right in the order
+# _body_z_inertial and _gyroscopic write them, so the bits are theirs.
 _PAIR_TERMS = _term_table(
-    [[1, 0], [2, 0], [1, 2]] * 2 + [[11, 12], [12, 10], [10, 11], [10, 12]],
-    [[3, 2], [3, 1], [1, 2]] * 2 + [[22, 21], [20, 22], [21, 20], [10, 12]],
-    [[1, 1], [1, -1], [1, 1]] * 2 + [[1, -1], [1, -1], [1, -1], [1, 1]])
+    [[1, 0], [2, 0], [1, 2]] * 2 + [[11, 12], [12, 10], [10, 11]],
+    [[3, 2], [3, 1], [1, 2]] * 2 + [[22, 21], [20, 22], [21, 20]],
+    [[1, 1], [1, -1], [1, 1]] * 2 + [[1, -1], [1, -1], [1, -1]])
 
 
 # bz twice from the first six pair products, [2 p0, 2 p1, 1 - 2 s] per
@@ -571,10 +570,10 @@ class _Workspace:
         self.rates = w[IV.start:IW.stop]    # chi = [v; omega]
         self.motion = w[IR.start:IW.stop]   # [r; v; omega]
         self.ups, self.scale = w[IU], w[IDUMMY]
-        self.pair = (np.empty((2, 10, k)), np.empty((2, 10, k)))
+        self.pair = (np.empty((2, 9, k)), np.empty((2, 9, k)))
         self.quat = (np.empty((4, 4, k)), np.empty((4, 4, k)))
-        self.pp = pp = np.empty((10, k))    # _PAIR_TERMS' outputs
-        self.bz2, self.gyro, self.ww = pp[0:6], pp[6:9], pp[9]
+        self.pp = pp = np.empty((9, k))     # _PAIR_TERMS' outputs
+        self.bz2, self.gyro = pp[0:6], pp[6:9]
         # [a_v; a_v; a_omega], for the position and the rate rows
         self.acc = np.empty((9, k))
         self.gwu = np.empty((6, k))         # G + W u - Gamma
@@ -672,29 +671,30 @@ def propagate_batch(xs, u, ctx, out=None):
     gwu -= ws.t6
     gwu[2] += p.mass * p.gravity
 
-    # q <- q * q(omega dt): right multiplication integrates body rates.
-    # Norms sum their squares in the order numpy's einsum("ij,ij->i")
-    # takes over a row on x86-64: (wx^2 + wz^2) + wy^2 here, and
-    # (q0^2 + q2^2) + (q1^2 + q3^2) below.
+    # q <- q * q(omega dt), then normalized: right multiplication
+    # integrates body rates. The step is quat.py's rule, written out on the
+    # workspace: quat_normalize(quat_mul(q, rotvec_to_quat(omega dt))), with
+    # the same operations in the same order, so the bits are theirs.
     ang, half, factor, norm = ws.ang
-    np.multiply(om[1], om[1], out=ang)
-    np.add(ws.ww, ang, out=ang)
+    dq = ws.dq
+    rv = dq[1:]
+    np.multiply(om, dt, out=rv)
+    np.multiply(rv, rv, out=t3)
+    np.add(t3[0], t3[1], out=ang)
+    ang += t3[2]
     np.sqrt(ang, out=ang)
-    ang *= dt
     np.multiply(ang, 0.5, out=half)
     # fmin skips NaN, whose rows are not small.
-    if np.fmin.reduce(ang, initial=np.inf) < 1e-8:
-        small = ang < 1e-8
-        factor[small] = (0.5 - ang[small] * ang[small] / 48.0) * dt
+    if np.fmin.reduce(ang, initial=np.inf) < _SMALL_ANGLE:
+        small = ang < _SMALL_ANGLE
+        factor[small] = 0.5 - ang[small] * ang[small] / 48.0
         ns = ~small
-        factor[ns] = np.sin(half[ns]) / ang[ns] * dt
+        factor[ns] = np.sin(half[ns]) / ang[ns]
     else:
         np.sin(half, out=factor)
         factor /= ang
-        factor *= dt
-    dq = ws.dq
     np.cos(half, out=dq[0])
-    np.multiply(om, factor, out=dq[1:])
+    rv *= factor
     # The gathers read q before the sums overwrite it.
     _mul_terms(ws.q, dq, _QUAT_MUL_TERMS, out=ws.q, work=ws.quat)
 
@@ -710,8 +710,9 @@ def propagate_batch(xs, u, ctx, out=None):
     np.add(gwu, ws.t6, out=ws.ups)
 
     np.multiply(ws.q, ws.q, out=dq)
-    np.add(dq[0:2], dq[2:4], out=dq[0:2])
     np.add(dq[0], dq[1], out=norm)
+    norm += dq[2]
+    norm += dq[3]
     ws.q /= np.sqrt(norm, out=norm)
     if out is None:
         out = np.empty_like(xs)

@@ -359,8 +359,8 @@ class QuaternionUkf:
                     mean_q[i] = qt.weighted_quat_average(pts[i][:, 0:4], self.w_mean)
                 except DegenerateSpectrum:
                     pass
+        # Unit already: the average, or the held mean, which update left unit.
         mean = np.concatenate([mean_q, self.w_mean @ pts[..., 4:]], axis=-1)
-        mean[..., 0:4] = qt.quat_normalize(mean[..., 0:4])
         mean[..., dyn.IDUMMY] = 1.0
         res = _residuals(pts, mean, self._res_buf)
         self.P = _sigma_cov(res, self.w_cov, self.q_disc)
@@ -447,7 +447,7 @@ class ExtendedKalman:
                                    self.x[..., 10:13], self.params)
 
     def predict(self, control):
-        self.x[..., 0:4] = qt.quat_normalize(self.x[..., 0:4])
+        # x's quaternion is unit: update and propagate_batch normalize it.
         shape = self.x.shape[:-1] + (39, 20)
         if self._rows is None or self._rows.shape != shape:
             self._rows = np.empty(shape)

@@ -23,8 +23,8 @@ This module is the package's one quaternion arithmetic. Each of
 rows (..., 4) or (..., 3), and writes out one rule for both forms:
 
 * dot products are written out: one product per component, summed left to
-  right (no BLAS dot, no einsum); the Hamilton product sums its terms in
-  the order of ``_QUAT_MUL_TERMS``;
+  right (no BLAS dot, no numpy reduction); the Hamilton product sums its
+  terms in the order of ``_QUAT_MUL_TERMS``;
 * one small-angle rule: below ``_SMALL_ANGLE`` the rotation-vector maps
   take their series factors, 1/2 - a^2/48 and 2, with no renormalization;
 * one sign rule: ``quat_to_rotvec`` flips ``w < 0``, and only
@@ -37,6 +37,10 @@ The two forms therefore agree bit for bit, which tests/test_quat.py checks
 on fuzzed inputs.
 
 ``oplus``, ``ominus_vec`` and ``weighted_quat_average`` build on these.
+The transition's attitude step, ``dynamics.propagate_batch``, writes the
+same rule out on its own workspace, so that it allocates nothing: its
+quaternions are ``quat_normalize(quat_mul(q, rotvec_to_quat(omega dt)))``
+bit for bit, which tests/test_dynamics.py checks on fuzzed rows.
 ``quat_to_rot`` and ``rot_to_quat`` convert one quaternion to and from its
 rotation matrix; a matrix reaches a rotation vector through
 ``quat_to_rotvec(rot_to_quat(r))``, the one route, exact near a half turn.

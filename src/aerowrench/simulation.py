@@ -29,10 +29,11 @@ IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
 __all__ = [
     "ForceSegment", "ForceProfile", "default_profile", "force_profile_eval",
-    "smoothstep", "AdmittanceParams", "ReferenceState", "admittance_reference",
-    "ControllerGains", "tracking_controller", "NoiseStreams", "inject_noise",
-    "EstimatorTrack", "ScenarioRun", "validate_run", "run_scenario",
-    "run_study", "convergence_time", "MetricsReport", "compute_metrics",
+    "smoothstep", "AdmittanceParams", "ReferenceState", "admittance_map",
+    "admittance_reference", "ControllerGains", "tracking_controller",
+    "NoiseStreams", "inject_noise", "EstimatorTrack", "ScenarioRun",
+    "validate_run", "run_scenario", "run_study", "convergence_time",
+    "MetricsReport", "compute_metrics",
 ]
 
 DIVERGENCE_LIMIT = 1e6
@@ -175,36 +176,26 @@ class ReferenceState:
         return cls(r=np.asarray(position, dtype=float), v=np.zeros(3))
 
 
-_admittance_cache = {}
+def admittance_map(params, dt):
+    """The exact one-step map (9, 9) of [r, v, F] with F held over dt."""
+    m_inv = np.linalg.inv(params.m_v)
+    a = np.zeros((9, 9))
+    a[0:3, 3:6] = np.eye(3)
+    a[3:6, 0:3] = -m_inv @ params.k_v
+    a[3:6, 3:6] = -m_inv @ params.c_v
+    a[3:6, 6:9] = m_inv
+    return dyn.expm(a * dt)
 
 
-def _admittance_phi(params, dt):
-    # Exact one-step map of [r, v, F] with F held constant; built once per
-    # parameter set since expm dominates the cost of the step itself.
-    key = (params.m_v.tobytes(), params.c_v.tobytes(), params.k_v.tobytes(),
-           float(dt))
-    phi = _admittance_cache.get(key)
-    if phi is None:
-        m_inv = np.linalg.inv(params.m_v)
-        a = np.zeros((9, 9))
-        a[0:3, 3:6] = np.eye(3)
-        a[3:6, 0:3] = -m_inv @ params.k_v
-        a[3:6, 3:6] = -m_inv @ params.c_v
-        a[3:6, 6:9] = m_inv
-        phi = dyn.expm(a * dt)
-        _admittance_cache[key] = phi
-    return phi
-
-
-def admittance_reference(tau_hat, ref, params, dt):
+def admittance_reference(tau_hat, ref, phi):
     """Advance the reference one step under the estimated force.
 
     tau_hat is the estimated wrench as a 6-vector [force, torque], or rows
     of them with the reference's r and v; only the force part drives the
-    virtual dynamics. The step is the exact solution of the linear system
-    with the force held over dt, so stiff virtual parameters cost nothing.
+    virtual dynamics. phi is admittance_map's exact step of the linear
+    system with the force held over dt, so stiff virtual parameters cost
+    nothing.
     """
-    phi = _admittance_phi(params, dt)
     z = (dyn.matvec(phi[:6, 0:3], ref.r) + dyn.matvec(phi[:6, 3:6], ref.v)
          + dyn.matvec(phi[:6, 6:9], tau_hat[..., :3]))
     return ReferenceState(r=z[..., 0:3], v=z[..., 3:6])
@@ -236,14 +227,18 @@ def tracking_controller(x, ref, params, gains=None):
     """Thrust and body moments [thrust, moments] (4,) steering an estimated
     state x [q, r, v, omega, ...] toward ref; rows (S, 4) for rows x.
 
-    Position PD gives a desired acceleration; its direction fixes the
-    desired thrust axis and hence a desired attitude with zero yaw. The
-    attitude loop is a PD on the left rotation error with gyroscopic
-    feed-forward. Thrust is clamped to [0, u_max]. As in :mod:`.quat`, one
-    state runs on Python floats and rows on arrays, with the same
-    operations in the same order; the rows take ``math.hypot`` and
-    ``math.atan2`` run by run (numpy's may differ in the last bit), and a
-    branch becomes a mask that keeps the lone form's treatment of NaN.
+    Position PD gives a desired force f; the desired attitude turns e_z
+    onto f along the shortest arc, with zero yaw:
+    quat_normalize([|f| + f_z, -f_y, f_x, 0]). It is the identity where f
+    gives no direction (|f| <= 1e-9, NaN) and where the arc is undefined
+    (f straight down). The default gains keep f_z >= m (g - 0.2) > 0;
+    below the horizon |f| + f_z cancels, and near straight down q_des is
+    accurate to about sqrt(eps) only. The attitude loop is a PD on the
+    left rotation error with gyroscopic feed-forward. Thrust is clamped to
+    [0, u_max]. As in :mod:`.quat`, one state runs on Python floats and
+    rows on arrays, with the same + - * / and square roots in the same
+    order, and a branch becomes a mask that keeps the lone form's
+    treatment of NaN, so a row's result is the lone one bit for bit.
     """
     g = gains if gains is not None else ControllerGains()
     m = params.mass
@@ -259,14 +254,11 @@ def tracking_controller(x, ref, params, gains=None):
         f1 = m * a[1]
         f2 = m * (a[2] + params.gravity)
         fmag = math.sqrt(f0 * f0 + f1 * f1 + f2 * f2)
+        arc_w = fmag + f2
         q_des = IDENTITY_Q
-        if fmag > 1e-9:
-            zb0, zb1, zb2 = f0 / fmag, f1 / fmag, f2 / fmag
-            # E_z x zb: rotation axis tilting the thrust column onto fvec.
-            s_ax = math.hypot(zb0, zb1)
-            if s_ax > 1e-12:
-                k = math.atan2(s_ax, zb2) / s_ax
-                q_des = qt.rotvec_to_quat(np.array([-zb1 * k, zb0 * k, 0.0]))
+        # quat_dot(arc, arc) > 0 for arc = [arc_w, -f1, f0, 0], as in the rows
+        if fmag > 1e-9 and arc_w * arc_w + f1 * f1 + f0 * f0 > 0.0:
+            q_des = qt.quat_normalize(np.array([arc_w, -f1, f0, 0.0]))
         w = x[10:13]
         out = np.empty(4)
         out[0] = fmag if fmag < params.u_max else params.u_max
@@ -283,20 +275,11 @@ def tracking_controller(x, ref, params, gains=None):
     f1 = m * a[:, 1]
     f2 = m * (a[:, 2] + params.gravity)
     fmag = np.sqrt(f0 * f0 + f1 * f1 + f2 * f2)
-    # An untilted run keeps a zero rotation vector, whose quaternion is
-    # the identity to the bit.
-    tilt = np.zeros((x.shape[0], 3))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        zb0, zb1, zb2 = f0 / fmag, f1 / fmag, f2 / fmag
-    for i in np.flatnonzero(fmag > 1e-9):
-        b0, b1, b2 = float(zb0[i]), float(zb1[i]), float(zb2[i])
-        s_ax = math.hypot(b0, b1)
-        if s_ax > 1e-12:
-            k = math.atan2(s_ax, b2) / s_ax
-            tilt[i] = (-b1 * k, b0 * k, 0.0)
+    arc = np.stack([fmag + f2, -f1, f0, np.zeros_like(f0)], axis=-1)
+    arc[~((fmag > 1e-9) & (qt.quat_dot(arc, arc) > 0.0))] = IDENTITY_Q
     out = np.empty((x.shape[0], 4))
     out[:, 0] = np.where(fmag < params.u_max, fmag, params.u_max)
-    e_rot = qt.quat_diff(qt.rotvec_to_quat(tilt), x[:, 0:4])
+    e_rot = qt.quat_diff(qt.quat_normalize(arc), x[:, 0:4])
     gyro = dyn._gyroscopic(w.T, dyn.matvec(params.inertia, w).T).T
     out[:, 1:4] = dyn.matvec(params.inertia, g.kp_att * e_rot - g.kd_att * w) + gyro
     return out
@@ -494,6 +477,7 @@ def run_scenario(profile=None, *, params=None, noise=None, admittance=None,
     ref = ReferenceState(r=np.zeros(lead + (3,)), v=np.zeros(lead + (3,)))
     j_inv = np.linalg.inv(params.inertia)
     alloc = dyn.RotorAllocation(params)
+    phi = admittance_map(admittance, dt)
 
     shape = (n_steps,) + lead
     truth_arr = np.empty(shape + (13,))
@@ -536,7 +520,7 @@ def run_scenario(profile=None, *, params=None, noise=None, admittance=None,
             tr.wrench[k] = f.wrench
             tr.nis[k] = f.last_nis
 
-        ref = admittance_reference(tracks[feed].wrench[k], ref, admittance, dt)
+        ref = admittance_reference(tracks[feed].wrench[k], ref, phi)
         demand = tracking_controller(fd.x, ref, params, gains)
         u, rotor_arr[k], sat_arr[k] = alloc(demand)
 
@@ -624,7 +608,7 @@ class MetricsReport:
 def _attitude_errors(est_q, truth_q):
     # Rowwise |quat_diff|: rotation angle between estimate and truth.
     rv = qt.quat_diff(est_q, truth_q)
-    return np.sqrt(np.einsum("ij,ij->i", rv, rv))
+    return np.sqrt(rv[:, 0] * rv[:, 0] + rv[:, 1] * rv[:, 1] + rv[:, 2] * rv[:, 2])
 
 
 def _channel_errors(run, track, sl):

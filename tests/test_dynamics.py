@@ -588,8 +588,8 @@ class TestDiscreteTransition:
     @staticmethod
     def _fuzzed_rows(rng, k):
         """k augmented rows with an arbitrary dummy scale and every kind of
-        rate: zero, rotating less than propagate_batch's 1e-8 series cut
-        over a step, NaN and ordinary."""
+        rate: zero, rotating less than quat._SMALL_ANGLE over a step, NaN
+        and ordinary."""
         xs = np.stack([np.concatenate([random_quat(rng), rng.normal(size=15),
                                        [rng.uniform(-2.0, 2.0)]])
                        for _ in range(k)])
@@ -639,6 +639,34 @@ class TestDiscreteTransition:
                 fresh = dyn.propagate_batch(xs, u, dyn.TransitionContext(p, 0.01))
                 assert dyn.propagate_batch(xs, u, ctx).tobytes() == fresh.tobytes()
 
+    def test_attitude_step_is_quat_rule(self, rng):
+        # The quaternion columns are quat.py's right-multiplied step, byte
+        # for byte: rates zero, below the small-angle cut (also between
+        # 1e-8 and it), just above it, ordinary, large and NaN, under a
+        # shared control and per-row controls, one row at a time and in
+        # batches of 39 and 780.
+        p = dyn.SystemParams()
+        dt = 0.01
+        ctx = dyn.TransitionContext(p, dt)
+        angles = np.array([1e-9, 5e-8, 5e-7, 0.999e-6, 1.001e-6, 3e-6, 1e-3,
+                           0.05, 1.0, 40.0, 400.0])
+        xs = self._fuzzed_rows(rng, 780)  # rows 0::3 at rest, row 4 NaN
+        om = xs[:, 10:13]
+        size = np.sqrt(np.sum(om * om, axis=1, keepdims=True)) * dt
+        with np.errstate(invalid="ignore", divide="ignore"):
+            # |omega| dt cycles through the angles; 33 rows meet each
+            xs[:, 10:13] = np.where(size > 0.0, om / size, om) * np.resize(
+                angles, (780, 1))
+            expect = qt.quat_normalize(qt.quat_mul(
+                xs[:, 0:4], qt.rotvec_to_quat(xs[:, 10:13] * dt)))
+            shared = np.array([20.0, 0.1, 0.0, -0.2])
+            per_row = shared + rng.normal(size=(780, 4))
+            batches = [slice(i, i + 1) for i in range(33)]
+            for sl in batches + [slice(0, 39), slice(0, 780)]:
+                for u in (shared, per_row[sl]):
+                    out = dyn.propagate_batch(xs[sl], u, ctx)
+                    assert out[:, 0:4].tobytes() == expect[sl].tobytes()
+
     def test_pair_products_match_written_out_helpers(self, rng):
         # The gathered pair products give _body_z_inertial's and
         # _gyroscopic's bits, signed zeros included.
@@ -651,9 +679,8 @@ class TestDiscreteTransition:
             assert bz.tobytes() == dyn._body_z_inertial(w[0:4]).tobytes()
         gyro = dyn._gyroscopic(w[10:13], w[20:23])
         assert pp[6:9].tobytes() == gyro.tobytes()
-        assert pp[9].tobytes() == (w[10] * w[10] + w[12] * w[12]).tobytes()
-        work = (np.empty((2, 10, 300)), np.empty((2, 10, 300)))
-        out = np.empty((10, 300))
+        work = (np.empty((2, 9, 300)), np.empty((2, 9, 300)))
+        out = np.empty((9, 300))
         assert qt._mul_terms(w, w, dyn._PAIR_TERMS, out=out, work=work) is out
         assert out.tobytes() == pp.tobytes()
 

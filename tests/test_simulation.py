@@ -73,23 +73,23 @@ class TestForceProfile:
 class TestAdmittance:
     def test_terminal_velocity(self):
         # K = 0 with constant force: v -> C^-1 F
-        ap = sim.AdmittanceParams()
+        phi = sim.admittance_map(sim.AdmittanceParams(), 0.01)
         ref = sim.ReferenceState.rest()
         tau = np.array([2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         for _ in range(4000):
-            ref = sim.admittance_reference(tau, ref, ap, 0.01)
+            ref = sim.admittance_reference(tau, ref, phi)
         assert abs(ref.v[0] - 2.0 / 1.59) < 1e-9
         assert abs(ref.v[1]) < 1e-15 and abs(ref.v[2]) < 1e-15
 
     def test_first_order_velocity_profile_is_exact(self):
         # With K = 0 and M = I each axis is vdot = F - c v, whose exact
         # sampled solution the discretization must reproduce, not approximate.
-        ap = sim.AdmittanceParams()
+        phi = sim.admittance_map(sim.AdmittanceParams(), 0.01)
         ref = sim.ReferenceState.rest()
         tau = np.array([2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         c = 1.59
         for k in range(1, 120):
-            ref = sim.admittance_reference(tau, ref, ap, 0.01)
+            ref = sim.admittance_reference(tau, ref, phi)
             expected = (2.0 / c) * (1.0 - np.exp(-c * k * 0.01))
             assert abs(ref.v[0] - expected) < 1e-12
 
@@ -99,6 +99,7 @@ class TestAdmittance:
         m, c, k, force = 2.0, 3.0, 4.0, 1.0
         ap = sim.AdmittanceParams(m_v=m * np.eye(3), c_v=c * np.eye(3),
                                   k_v=k * np.eye(3))
+        phi = sim.admittance_map(ap, 0.01)
         sigma = -c / (2.0 * m)
         omega = np.sqrt(4.0 * m * k - c * c) / (2.0 * m)
         zp = force / k
@@ -107,7 +108,7 @@ class TestAdmittance:
         ref = sim.ReferenceState.rest()
         tau = np.array([force, 0.0, 0.0, 0.0, 0.0, 0.0])
         for step in range(1, 200):
-            ref = sim.admittance_reference(tau, ref, ap, 0.01)
+            ref = sim.admittance_reference(tau, ref, phi)
             t = step * 0.01
             env = np.exp(sigma * t)
             z = zp + env * (c1 * np.cos(omega * t) + c2 * np.sin(omega * t))
@@ -151,17 +152,65 @@ class TestTrackingController:
         # The attitude target must rotate the body thrust axis onto the
         # demanded force direction; recover it from the commanded moments
         # at zero rates: moments = J kp_att e  =>  e = (J kp_att)^-1 moments.
+        # A wide accel_max tilts the thrust to within 0.01 degree of the
+        # horizon.
         p = dyn.SystemParams()
-        g = sim.ControllerGains()
-        ref = sim.ReferenceState(r=np.array([0.5, -0.3, 0.1]), v=np.zeros(3))
         state = dyn.BodyState.hover()
-        cmd = sim.tracking_controller(state.as_vector(), ref, p, g)
-        e = np.linalg.solve(p.inertia * g.kp_att, cmd[1:4])
-        q_des = qt.quat_mul(qt.rotvec_to_quat(e), state.q)
-        zb = qt.quat_to_rot(q_des) @ np.array([0.0, 0.0, 1.0])
-        a = np.clip(g.kp * (ref.r - state.r), -g.accel_max, g.accel_max)
-        f = p.mass * (a + p.gravity * np.array([0.0, 0.0, 1.0]))
-        assert np.allclose(zb, f / np.linalg.norm(f), atol=1e-12)
+        wide = sim.ControllerGains(accel_max=np.array([50.0, 50.0, 9.8]))
+        cases = [(sim.ControllerGains(), [0.5, -0.3, 0.1]),
+                 (sim.ControllerGains(), [-2.0, 3.0, -1.0]),
+                 (wide, [1.0, 0.0, 0.0]), (wide, [0.0, -4.0, -1.0]),
+                 (wide, [20.0, -20.0, -0.5]), (wide, [-30.0, 5.0, -9.0]),
+                 (wide, [0.0, 40.0, -50.0]), (wide, [25.0, 25.0, -50.0])]
+        for g, r in cases:
+            ref = sim.ReferenceState(r=np.array(r), v=np.zeros(3))
+            cmd = sim.tracking_controller(state.as_vector(), ref, p, g)
+            e = np.linalg.solve(p.inertia * g.kp_att, cmd[1:4])
+            q_des = qt.quat_mul(qt.rotvec_to_quat(e), state.q)
+            zb = qt.quat_to_rot(q_des) @ np.array([0.0, 0.0, 1.0])
+            a = np.clip(g.kp * (ref.r - state.r), -g.accel_max, g.accel_max)
+            f = p.mass * (a + p.gravity * np.array([0.0, 0.0, 1.0]))
+            assert np.allclose(zb, f / np.linalg.norm(f), atol=1e-12)
+            # zero yaw: the target turns about a horizontal axis
+            assert abs(q_des[3]) < 1e-15
+
+    def test_stacked_rows_match_lone_bit_for_bit(self):
+        # Each row of a stacked call gives the lone call's bytes, on fuzzed
+        # states and references and on the edge targets: exact hover, zero
+        # thrust and thrust straight down (both keep the identity), and a
+        # NaN state.
+        p = dyn.SystemParams()
+        rng = np.random.default_rng(11)
+        s = 40
+        x = np.concatenate([qt.quat_normalize(rng.normal(size=(s, 4))),
+                            rng.normal(size=(s, 9)) * 2.0,
+                            rng.normal(size=(s, 6))], axis=1)
+        ref = sim.ReferenceState(r=rng.normal(size=(s, 3)) * 3.0,
+                                 v=rng.normal(size=(s, 3)))
+        hover = dyn.BodyState.hover().as_vector()
+        x[0:4, 0:13] = hover
+        ref.r[0:4] = ref.v[0:4] = 0.0
+        ref.r[1:3, 2] = -1e3      # a_z clipped to -accel_max[2]
+        x[4, 8] = np.nan
+        x[5, 1] = np.nan
+        down = [sim.ControllerGains(accel_max=np.array([1.5, 1.5, az]))
+                for az in (p.gravity, 2.0 * p.gravity)]
+        for g in [sim.ControllerGains()] + down:
+            rows = sim.tracking_controller(x, ref, p, g)
+            for i in range(s):
+                lone = sim.tracking_controller(
+                    x[i], sim.ReferenceState(r=ref.r[i], v=ref.v[i]), p, g)
+                assert rows[i].tobytes() == lone.tobytes()
+        hover_cmd = sim.tracking_controller(x[0], sim.ReferenceState.rest(), p)
+        assert hover_cmd.tolist() == [p.mass * p.gravity, 0.0, 0.0, 0.0]
+        for g, thrust in zip(down, (0.0, p.mass * p.gravity)):
+            cmd = sim.tracking_controller(x[1], sim.ReferenceState(
+                r=ref.r[1], v=ref.v[1]), p, g)
+            assert cmd.tolist() == [thrust, 0.0, 0.0, 0.0]
+        # A NaN velocity gives f no direction: the thrust clamps and the
+        # target is the identity. A NaN attitude spoils the moments.
+        assert rows[4, 0] == p.u_max and np.isfinite(rows[4]).all()
+        assert np.isnan(rows[5, 1:4]).all()
 
     def test_closed_loop_holds_hover(self):
         # Noise-free loop must keep the hover within 1 cm past 5 s.
