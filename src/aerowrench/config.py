@@ -10,6 +10,7 @@ configuration.
 import hashlib
 import importlib.resources
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import get_args, get_origin
 
 import numpy as np
 import yaml
@@ -93,7 +94,7 @@ class ScenarioConfig:
     system: dyn.SystemParams = field(default_factory=dyn.SystemParams)
     filter: FilterConfig = field(default_factory=FilterConfig)
     admittance: sim.AdmittanceParams = field(default_factory=sim.AdmittanceParams)
-    profile: sim.ForceProfile = field(default_factory=sim.default_profile)
+    profile: sim.ForceProfile = field(default_factory=sim.ForceProfile)
     run: RunConfig = field(default_factory=RunConfig)
 
     # -- assembly helpers --------------------------------------------------
@@ -139,12 +140,9 @@ class ScenarioConfig:
         for key in data:
             if key not in sections:
                 raise ParseError("%s: unknown section '%s'" % (source, key))
-        del sections["profile"]  # a list of segments; see _parse_profile
-        return cls(
-            profile=_parse_profile(data.get("profile"), source),
-            **{name: _build_section(dc_type, data.get(name), name, source,
-                                    skip=("delta",) if name == "system" else ())
-               for name, dc_type in sections.items()})
+        return cls(**{name: _build_section(dc_type, data.get(name), name, source,
+                                           skip=("delta",) if name == "system" else ())
+                      for name, dc_type in sections.items()})
 
 
 def _plain(value):
@@ -161,7 +159,8 @@ def _plain(value):
 
 def _build_section(dc_type, sub, name, source, skip=()):
     """Instantiate a dataclass section, rejecting unknown keys; a missing
-    or null section takes the defaults."""
+    or null section takes the defaults. A field typed list[D] of a
+    dataclass D is a list of sections named like profile.segments[i]."""
     sub = {} if sub is None else sub
     if not isinstance(sub, dict):
         raise ParseError("%s: section '%s' must be a mapping" % (source, name))
@@ -170,8 +169,15 @@ def _build_section(dc_type, sub, name, source, skip=()):
     for key, value in sub.items():
         if key not in spec:
             raise ParseError("%s: unknown key '%s.%s'" % (source, name, key))
-        kwargs[key] = _coerce(value, getattr(dc_type(), key),
-                              "%s.%s" % (name, key), source)
+        path = "%s.%s" % (name, key)
+        if get_origin(spec[key].type) is list:
+            if not isinstance(value, list):
+                raise ParseError("%s: %s must be a list" % (source, path))
+            item, = get_args(spec[key].type)
+            kwargs[key] = [_build_section(item, raw, "%s[%d]" % (path, i), source)
+                           for i, raw in enumerate(value)]
+        else:
+            kwargs[key] = _coerce(value, getattr(dc_type(), key), path, source)
     return dc_type(**kwargs)
 
 
@@ -194,22 +200,6 @@ def _coerce(value, default, path, source):
         raise ParseError("%s: field '%s' has invalid value %r"
                          % (source, path, value)) from None
     return value
-
-
-def _parse_profile(sub, source):
-    if sub is None:
-        return sim.default_profile()
-    if not isinstance(sub, dict):
-        raise ParseError("%s: section 'profile' must be a mapping" % source)
-    for key in sub:
-        if key != "segments":
-            raise ParseError("%s: unknown key 'profile.%s'" % (source, key))
-    segs = sub.get("segments", [])
-    if not isinstance(segs, list):
-        raise ParseError("%s: profile.segments must be a list" % source)
-    return sim.ForceProfile(segments=[
-        _build_section(sim.ForceSegment, raw, "profile.segments[%d]" % i, source)
-        for i, raw in enumerate(segs)])
 
 
 def parse_config(path):

@@ -1,12 +1,15 @@
 """Joint state and wrench estimators.
 
-Two filters share the discrete process model of :mod:`.dynamics` and one
-update in whitened form, fed the innovation and cross covariances from the
-observed columns of a covariance: the QUKF's P- less Q (the spread of its
-propagated sigma points), the EKF's P-. They differ in the innovation and
-correction. The QUKF's prediction and both updates' reductions of P are
-Gram products (of the sigma residuals, of the whitened gain), so exactly
-symmetric; only the EKF's J P J^T is symmetrized.
+Two filters share one skeleton, ``_Filter``: the discrete process model
+of :mod:`.dynamics`, the wrench estimate, the step (predict, then update)
+and the correction in whitened form, fed the cross covariance Pxy from the
+observed columns of a covariance and the innovation covariance from Pxy's
+observed rows plus R: the QUKF's P- less Q (the spread of its propagated
+sigma points), the EKF's P-. Each filter writes only its prediction, its
+innovation and how it applies the correction to its state. The QUKF's
+prediction and both updates' reductions of P are Gram products (of the
+sigma residuals, of the whitened gain), so exactly symmetric; only the
+EKF's J P J^T is symmetrized.
 
 * :class:`QuaternionUkf` keeps the attitude on the unit-quaternion manifold.
   Sigma points and residuals live in a reduced error space (rotation vector
@@ -98,12 +101,6 @@ class NoiseConfig:
     """
     q_diag: np.ndarray = field(default_factory=lambda: DEFAULT_Q_DIAG.copy())
     r_diag: np.ndarray = field(default_factory=lambda: DEFAULT_R_DIAG.copy())
-
-    def q_discrete(self, dt, pad_dims=0):
-        return np.diag(np.concatenate([self.q_diag * dt, np.zeros(pad_dims)]))
-
-    def r_matrix(self):
-        return np.diag(self.r_diag)
 
 
 @dataclass
@@ -280,7 +277,42 @@ def _whiten(pyy, pxy, innov):
     return dyn.matvec(wt.swapaxes(-1, -2), y), wt.swapaxes(-1, -2) @ wt, nis[()]
 
 
-class QuaternionUkf:
+class _Filter:
+    """What both filters share: the model, the wrench estimate, the step and
+    the whitened correction. A filter defines ``predict`` and ``update``
+    (perfbench's tracer patches them in each class's own namespace) and
+    sets ``x``, ``P``, ``q_disc``, ``r_mat`` and ``OBS_IDX``, the rows of
+    P that the measurement observes."""
+
+    def __init__(self, params, noise, dt):
+        self.params = params if params is not None else dyn.SystemParams()
+        self.noise = noise if noise is not None else NoiseConfig()
+        self.dt = float(dt)
+        self.ctx = dyn.TransitionContext(self.params, self.dt)
+        self.last_nis = None
+
+    @property
+    def wrench(self):
+        return dyn.wrench_estimate(self.x[..., 13:19], self.x[..., 7:10],
+                                   self.x[..., 10:13], self.params)
+
+    def step(self, control, meas):
+        self.predict(control)
+        self.update(meas)
+        return self
+
+    def _correct(self, pxy, innov):
+        """The correction (..., n) for innovation innov (..., m), given the
+        cross covariance pxy (..., n, m) of P's observed columns: whitens
+        against Pyy = pxy's observed rows + R, takes the reduction off P
+        and stores the NIS."""
+        dx, drop, self.last_nis = _whiten(pxy.take(self.OBS_IDX, -2) + self.r_mat,
+                                          pxy, innov)
+        self.P = self.P - drop
+        return dx
+
+
+class QuaternionUkf(_Filter):
     """Unscented filter on the quaternion manifold with wrench observer states.
 
     ``pad_dims`` appends inert dimensions (identity dynamics, zero noise)
@@ -306,9 +338,7 @@ class QuaternionUkf:
 
     def __init__(self, params=None, noise=None, dt=0.01, initial=None,
                  p0_diag=None, phi=1.0, gamma=2.0, sigma=0.0, pad_dims=0):
-        self.params = params if params is not None else dyn.SystemParams()
-        self.noise = noise if noise is not None else NoiseConfig()
-        self.dt = float(dt)
+        super().__init__(params, noise, dt)
         self.pad_dims = int(pad_dims)
         self.n = E_DIM + self.pad_dims
         self.eta, self.w_mean, self.w_cov = ut_weights(self.n, phi, gamma, sigma)
@@ -319,21 +349,11 @@ class QuaternionUkf:
                                  np.zeros(self.pad_dims)])
         diag = p0_diag if p0_diag is not None else DEFAULT_P0_DIAG
         self.P = np.diag(np.concatenate([diag, np.zeros(self.pad_dims)]))
-        self.q_disc = self.noise.q_discrete(self.dt, self.pad_dims)
-        self.r_mat = self.noise.r_matrix()
-        self.ctx = dyn.TransitionContext(self.params, self.dt)
-        self.last_nis = None
+        self.q_disc = np.diag(np.concatenate([self.noise.q_diag * self.dt,
+                                              np.zeros(self.pad_dims)]))
+        self.r_mat = np.diag(self.noise.r_diag)
         self._pts = None
         self._predicted = False  # set by predict, cleared by update
-
-    # -- state views -------------------------------------------------------
-
-    @property
-    def wrench(self):
-        return dyn.wrench_estimate(self.x[..., 13:19], self.x[..., 7:10],
-                                   self.x[..., 10:13], self.params)
-
-    # -- filter steps ------------------------------------------------------
 
     def predict(self, control):
         lead = self.x.shape[:-1]
@@ -371,23 +391,16 @@ class QuaternionUkf:
         if not self._predicted:
             raise SingularInnovation("update needs a predict since the last update")
         idx = self.OBS_IDX
-        # P- less Q, the propagated points' own spread (see ROADMAP item 2),
-        # in the observed columns.
-        pxy = self.P.take(idx, -1) - self.q_disc.take(idx, -1)
         innov = np.concatenate([
             qt.quat_diff(qt.quat_normalize(meas.q), self.x[..., 0:4]),
             meas.r - self.x[..., 4:7], meas.omega - self.x[..., 10:13]], axis=-1)
-        dx, drop, self.last_nis = _whiten(pxy.take(idx, -2) + self.r_mat, pxy, innov)
+        # P- less Q, the propagated points' own spread (see ROADMAP item 2),
+        # in the observed columns.
+        dx = self._correct(self.P.take(idx, -1) - self.q_disc.take(idx, -1), innov)
         x = self.x.copy()
         x[..., 0:4] = qt.oplus(x[..., 0:4], dx[..., 0:3])
         x[..., 4:] += dx[..., 3:]  # the pinned component adds 0.0 to the 1
         self.x, self._predicted = x, False
-        self.P = self.P - drop
-        return self
-
-    def step(self, control, meas):
-        self.predict(control)
-        self.update(meas)
         return self
 
 
@@ -402,7 +415,7 @@ def _q_block_diag(rot_diag):
     return np.concatenate([[rot_diag.mean() / 4.0], rot_diag / 4.0])
 
 
-class ExtendedKalman:
+class ExtendedKalman(_Filter):
     """Additive-coordinate baseline filter over the same process model.
 
     State is the raw 19-vector (quaternion, position, velocity, body rates,
@@ -424,9 +437,7 @@ class ExtendedKalman:
 
     def __init__(self, params=None, noise=None, dt=0.01, initial=None,
                  p0_diag=None):
-        self.params = params if params is not None else dyn.SystemParams()
-        self.noise = noise if noise is not None else NoiseConfig()
-        self.dt = float(dt)
+        super().__init__(params, noise, dt)
         body = initial if initial is not None else dyn.BodyState.hover()
         self.x = np.concatenate([body.as_vector(), np.zeros(6)])
 
@@ -437,14 +448,7 @@ class ExtendedKalman:
         self.q_disc = np.diag(np.concatenate([_q_block_diag(qd[0:3]), qd[3:18]]))
         rd = self.noise.r_diag
         self.r_mat = np.diag(np.concatenate([_q_block_diag(rd[0:3]), rd[3:6], rd[6:9]]))
-        self.ctx = dyn.TransitionContext(self.params, self.dt)
-        self.last_nis = None
         self._rows = None  # the difference rows, propagated in place
-
-    @property
-    def wrench(self):
-        return dyn.wrench_estimate(self.x[..., 13:19], self.x[..., 7:10],
-                                   self.x[..., 10:13], self.params)
 
     def predict(self, control):
         # x's quaternion is unit: update and propagate_batch normalize it.
@@ -466,14 +470,6 @@ class ExtendedKalman:
         else:
             zq = np.where((dot < 0.0)[..., None], -zq, zq)
         resid = np.concatenate([zq, meas.r, meas.omega], axis=-1) - self.x.take(idx, -1)
-        pxy = self.P.take(idx, -1)
-        dx, drop, self.last_nis = _whiten(pxy.take(idx, -2) + self.r_mat, pxy, resid)
-        self.x = self.x + dx
+        self.x = self.x + self._correct(self.P.take(idx, -1), resid)
         self.x[..., 0:4] = qt.quat_normalize(self.x[..., 0:4])
-        self.P = self.P - drop
-        return self
-
-    def step(self, control, meas):
-        self.predict(control)
-        self.update(meas)
         return self

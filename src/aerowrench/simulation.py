@@ -28,7 +28,7 @@ from .errors import AerowrenchError, DivergenceDetected, ValidationError
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
 __all__ = [
-    "ForceSegment", "ForceProfile", "default_profile", "force_profile_eval",
+    "ForceSegment", "ForceProfile", "force_profile_eval",
     "smoothstep", "AdmittanceParams", "ReferenceState", "admittance_map",
     "admittance_reference", "ControllerGains", "tracking_controller",
     "NoiseStreams", "inject_noise", "EstimatorTrack", "ScenarioRun",
@@ -67,7 +67,15 @@ class ForceSegment:
 
 @dataclass
 class ForceProfile:
-    segments: list
+    """The interaction profile. The default's pulses exercise each force
+    axis and the yaw moment in turn."""
+
+    segments: list[ForceSegment] = field(default_factory=lambda: [
+        ForceSegment(5.0, 15.0, force=np.array([2.0, 0.0, 0.0]), ramp=1.0),
+        ForceSegment(20.0, 30.0, force=np.array([0.0, 2.0, 0.0]), ramp=1.0),
+        ForceSegment(35.0, 45.0, force=np.array([0.0, 0.0, 2.0]), ramp=1.0),
+        ForceSegment(50.0, 58.0, torque=np.array([0.0, 0.0, 0.5]), ramp=1.0),
+    ])
 
     def validate(self):
         """Raise ValidationError listing every violated constraint."""
@@ -92,16 +100,6 @@ class ForceProfile:
         if bad:
             raise ValidationError(bad)
         return self
-
-
-def default_profile():
-    """Pulses exercising each force axis and the yaw moment in turn."""
-    return ForceProfile(segments=[
-        ForceSegment(5.0, 15.0, force=np.array([2.0, 0.0, 0.0]), ramp=1.0),
-        ForceSegment(20.0, 30.0, force=np.array([0.0, 2.0, 0.0]), ramp=1.0),
-        ForceSegment(35.0, 45.0, force=np.array([0.0, 0.0, 2.0]), ramp=1.0),
-        ForceSegment(50.0, 58.0, torque=np.array([0.0, 0.0, 0.5]), ramp=1.0),
-    ])
 
 
 def force_profile_eval(profile, t):
@@ -303,19 +301,28 @@ class NoiseStreams:
         self.rate = np.random.Generator(np.random.PCG64(rate))
 
 
-def inject_noise(truth, r_diag, streams):
-    """Corrupt a true state into a measurement.
-
-    Position and rate noise are additive; attitude noise is a random
-    rotation-vector perturbation applied on the left, which keeps the
-    measured quaternion unit by construction.
-    """
+def _draw_noise(streams, shape, r_diag):
+    """Noise for measurements of shape ``shape``, () or (n_steps,): unit
+    quaternions (*shape, 4) and position and rate offsets (*shape, 3),
+    each stream drawn once. A bulk draw consumes a stream as the same
+    number of lone draws do."""
     sig = np.sqrt(np.asarray(r_diag, dtype=float))
-    dq = streams.attitude.normal(size=3) * sig[0:3]
-    q_m = qt.quat_mul(qt.rotvec_to_quat(dq), truth.q)
-    r_m = truth.r + streams.position.normal(size=3) * sig[3:6]
-    w_m = truth.omega + streams.rate.normal(size=3) * sig[6:9]
-    return est.Measurement(q=q_m, r=r_m, omega=w_m)
+    return (qt.rotvec_to_quat(streams.attitude.normal(size=shape + (3,)) * sig[0:3]),
+            streams.position.normal(size=shape + (3,)) * sig[3:6],
+            streams.rate.normal(size=shape + (3,)) * sig[6:9])
+
+
+def _measure(x, noise_q, noise_r, noise_w):
+    """The measurement of true states x (..., 13): attitude noise is a
+    rotation applied on the left, which keeps the measured quaternion unit
+    by construction; position and rate noise are additive."""
+    return est.Measurement(q=qt.quat_mul(noise_q, x[..., 0:4]),
+                           r=x[..., 4:7] + noise_r, omega=x[..., 10:13] + noise_w)
+
+
+def inject_noise(truth, r_diag, streams):
+    """Corrupt a true state into a measurement, as the closed loop does."""
+    return _measure(truth.as_vector(), *_draw_noise(streams, (), r_diag))
 
 
 # ---------------------------------------------------------------------------
@@ -366,19 +373,6 @@ def _check_finite(name, x, k, labels=None):
         raise DivergenceDetected(_name_run(
             "%s diverged at step %d: component %d = %.6g" % (name, k, i, rows[run, i]),
             labels, run))
-
-
-def _draw_noise(seed, n_steps, noise):
-    # Noise is independent of the loop, so every draw happens up front;
-    # bulk draws consume the generator streams in the same order as
-    # per-step calls would.
-    streams = NoiseStreams(seed)
-    sig = np.sqrt(np.asarray(noise.r_diag, dtype=float))
-    noise_q = qt.rotvec_to_quat(
-        streams.attitude.normal(size=(n_steps, 3)) * sig[0:3])
-    noise_r = streams.position.normal(size=(n_steps, 3)) * sig[3:6]
-    noise_w = streams.rate.normal(size=(n_steps, 3)) * sig[6:9]
-    return noise_q, noise_r, noise_w
 
 
 # run_scenario allocates about 0.9 kB per step and run up front (112 float64s
@@ -439,7 +433,7 @@ def run_scenario(profile=None, *, params=None, noise=None, admittance=None,
     params = params if params is not None else dyn.SystemParams()
     noise = noise if noise is not None else est.NoiseConfig()
     admittance = admittance if admittance is not None else AdmittanceParams()
-    profile = profile if profile is not None else default_profile()
+    profile = profile if profile is not None else ForceProfile()
     params.validate()
     admittance.validate()
     profile.validate()
@@ -463,9 +457,11 @@ def run_scenario(profile=None, *, params=None, noise=None, admittance=None,
     feed = "qukf" if "qukf" in filters else "ekf"
     fd = filters[feed]
     gains = ControllerGains()
+    # Noise is independent of the loop, so every draw happens up front.
     noise_q, noise_r, noise_w = (
         np.stack(d, axis=1).reshape((n_steps,) + lead + (-1,))
-        for d in zip(*(_draw_noise(s, n_steps, noise) for s in np.ravel(seed))))
+        for d in zip(*(_draw_noise(NoiseStreams(s), (n_steps,), noise.r_diag)
+                       for s in np.ravel(seed))))
     grid = np.arange(1, n_steps + 1) * dt
     tau_arr = _profile_table(profile, grid)
     # The truth steps a stack component-first: runs are columns of x.T.
@@ -497,9 +493,7 @@ def run_scenario(profile=None, *, params=None, noise=None, admittance=None,
         _check_finite("truth", x, k, labels)
         truth_arr[k] = x
 
-        meas = est.Measurement(q=qt.quat_mul(noise_q[k], x[..., 0:4]),
-                               r=x[..., 4:7] + noise_r[k],
-                               omega=x[..., 10:13] + noise_w[k])
+        meas = _measure(x, noise_q[k], noise_r[k], noise_w[k])
         control = dyn.ControlInput(thrust=u[..., 0], moments=u[..., 1:4])
         for name in names:
             f = filters[name]

@@ -56,7 +56,6 @@ def flatten_run(run):
     """(columns, data) for a ScenarioRun; data rows follow telemetry_columns."""
     names = _estimator_order(run.tracks)
     cols = telemetry_columns(names)
-    n = run.t.shape[0]
     parts = [run.t[:, None], run.truth, run.wrench_true, run.measurements]
     for name in names:
         tr = run.tracks[name]
@@ -134,20 +133,11 @@ def read_telemetry(path):
 # ---------------------------------------------------------------------------
 
 def build_metrics_document(report, config_digest, seed=None):
-    """Self-describing metrics payload: report plus provenance fields."""
-    return {
-        "schema": "aerowrench-metrics/1",
-        "code_version": __version__,
-        "config_digest": config_digest,
-        "seed": seed,
-        "units": "embedded in channel name suffixes; times in seconds",
-        "window_s": report.window_s,
-        "duration_s": report.duration_s,
-        "rmse": report.rmse,
-        "improvement_pct": report.improvement_pct,
-        "convergence_time_s": report.convergence_time_s,
-        "mean_update_s": report.mean_update_s,
-    }
+    """Self-describing metrics payload: every field of the report plus
+    provenance fields."""
+    return dict(vars(report), schema="aerowrench-metrics/1",
+                code_version=__version__, config_digest=config_digest, seed=seed,
+                units="embedded in channel name suffixes; times in seconds")
 
 
 def write_metrics_document(doc, path):

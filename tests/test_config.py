@@ -128,7 +128,8 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("name, value, text", [
         ("system", 0, "system: 0\n"), ("filter", "", "filter: ''\n"),
-        ("run", [], "run: []\n"), ("admittance", False, "admittance: false\n")])
+        ("run", [], "run: []\n"), ("admittance", False, "admittance: false\n"),
+        ("profile", 0, "profile: 0\n")])
     def test_falsy_section_is_not_a_mapping(self, tmp_path, name, value, text):
         # Only a missing or null section takes the defaults.
         match = "section '%s' must be a mapping" % name

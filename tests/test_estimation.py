@@ -125,19 +125,17 @@ class TestCovSqrt:
 
 class TestNoiseConfig:
     def test_discrete_scaling(self):
-        nc = est.NoiseConfig()
-        qd = nc.q_discrete(0.01)
+        qd = est.QuaternionUkf(dt=0.01).q_disc
         assert qd.shape == (19, 19)
         assert abs(qd[0, 0] - 1e-6) < 1e-18
         assert abs(qd[6, 6] - 1e-3) < 1e-15
         assert qd[18, 18] == 0.0
 
     def test_pad_insertion(self):
-        nc = est.NoiseConfig()
-        qd = nc.q_discrete(0.01, pad_dims=3)
+        qd = est.QuaternionUkf(dt=0.01, pad_dims=3).q_disc
         assert qd.shape == (22, 22)
         # The pads come after the pinned component.
-        assert np.array_equal(qd[:19, :19], nc.q_discrete(0.01))
+        assert np.array_equal(qd[:19, :19], est.QuaternionUkf(dt=0.01).q_disc)
         assert not qd[19:].any() and not qd[:, 19:].any()
 
 

@@ -14,7 +14,7 @@ from aerowrench.errors import (DegenerateSpectrum, DivergenceDetected,
 
 class TestForceProfile:
     def test_eval_inside_outside_and_ramp_midpoint(self):
-        p = sim.default_profile()
+        p = sim.ForceProfile()
         assert np.array_equal(sim.force_profile_eval(p, 2.0)[:3], np.zeros(3))
         assert np.array_equal(sim.force_profile_eval(p, 10.0)[:3],
                               np.array([2.0, 0.0, 0.0]))
@@ -31,7 +31,7 @@ class TestForceProfile:
         assert sim.smoothstep(7.0) == 1.0
 
     def test_table_matches_scalar_eval(self):
-        p = sim.default_profile()
+        p = sim.ForceProfile()
         times = np.arange(0.0, 70.0, 0.37)
         tab = sim._profile_table(p, times)
         for i, t in enumerate(times):
@@ -67,7 +67,7 @@ class TestForceProfile:
             prof.validate()
 
     def test_default_profile_is_valid(self):
-        sim.default_profile().validate()
+        sim.ForceProfile().validate()
 
 
 class TestAdmittance:
@@ -287,9 +287,26 @@ class TestRunScenario:
             assert np.array_equal(m.r, run.measurements[k, 4:7])
             assert np.array_equal(m.omega, run.measurements[k, 7:10])
 
+    @pytest.mark.parametrize("seed", [3, [3, 4]])
+    def test_measurement_is_inject_noise(self, seed):
+        # The loop measures with inject_noise's rule, lone or stacked, bit
+        # for bit.
+        run = sim.run_scenario(duration=0.5, seed=seed)
+        seeds = np.ravel(seed).tolist()
+        truth = run.truth.reshape(-1, len(seeds), 13)
+        meas = run.measurements.reshape(-1, len(seeds), 10)
+        r_diag = est.NoiseConfig().r_diag
+        for i, s in enumerate(seeds):
+            streams = sim.NoiseStreams(s)
+            for k in range(run.t.shape[0]):
+                m = sim.inject_noise(dyn.BodyState.from_vector(truth[k, i]),
+                                     r_diag, streams)
+                want = np.concatenate([m.q, m.r, m.omega])
+                assert want.tobytes() == meas[k, i].tobytes(), (s, k)
+
     def test_recorded_wrench_matches_profile(self):
         run = sim.run_scenario(duration=7.0, seed=0)
-        p = sim.default_profile()
+        p = sim.ForceProfile()
         for k in (0, 450, 520, 699):
             w = sim.force_profile_eval(p, float(run.t[k]))
             assert np.array_equal(run.wrench_true[k, 0:3], w[:3])
