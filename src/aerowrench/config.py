@@ -18,7 +18,7 @@ import yaml
 from . import dynamics as dyn
 from . import estimation as est
 from . import simulation as sim
-from .errors import ParseError, ValidationError
+from .errors import DegenerateScaling, ParseError, ValidationError
 
 __all__ = [
     "FilterConfig", "RunConfig", "ScenarioConfig", "parse_config",
@@ -63,6 +63,11 @@ class FilterConfig:
             if not low < getattr(self, name) < np.inf:
                 bad.append("filter.%s must be finite and exceed %g, got %r"
                            % (name, low, getattr(self, name)))
+        if not bad:  # the filter's own rule: phi^2 may underflow or overflow
+            try:
+                est.ut_weights(est.E_DIM, self.phi, self.gamma, self.sigma)
+            except DegenerateScaling as err:
+                bad.append("filter.phi, gamma and sigma: %s" % err)
         if bad:
             raise ValidationError(bad)
         return self
@@ -112,12 +117,18 @@ class ScenarioConfig:
 
     def validate(self):
         bad = []
-        for section in (self.system, self.filter, self.admittance,
-                        self.profile, self.run):
-            try:
-                section.validate()
-            except ValidationError as e:
-                bad.extend(e.violations)
+        with np.errstate(all="ignore"):  # an overflow is a violation below
+            for section in (self.system, self.filter, self.admittance,
+                            self.profile, self.run):
+                try:
+                    section.validate()
+                except ValidationError as e:
+                    bad.extend(e.violations)
+            if not bad:
+                try:
+                    sim.admittance_map(self.admittance, self.run.t_step)
+                except ValueError as err:
+                    bad.append("admittance.m_v, c_v and k_v at run.t_step: %s" % err)
         if bad:
             raise ValidationError(bad)
         return self

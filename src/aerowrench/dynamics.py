@@ -101,6 +101,11 @@ class SystemParams:
         w = self.alloc_weights
         if w.shape != (8,) or not np.all((w > 0.0) & (w < math.inf)):
             bad.append("system.alloc_weights must be 8 positive finite entries")
+        if not bad:
+            try:
+                RotorAllocation(self)
+            except SingularAllocation as err:
+                bad.append("system.alloc_weights, attach_1 and attach_2: %s" % err)
         if bad:
             raise ValidationError(bad)
         return self
@@ -357,8 +362,8 @@ class RotorAllocation:
     ``alloc``, with w = p.alloc_weights), the 8 rotor thrusts realizing u
     through each quadrotor's mixing_matrix, each rotor clipped to
     [0, u_max / 4], and the system wrench the clipped rotors deliver.
-    Raises SingularAllocation when the Gram matrix's condition number
-    exceeds ALLOC_COND_LIMIT.
+    Raises SingularAllocation when the Gram matrix is not finite or its
+    condition number exceeds ALLOC_COND_LIMIT.
     """
 
     def __init__(self, p):
@@ -366,6 +371,8 @@ class RotorAllocation:
         c = build_config_matrix(p)
         cw = c / (w * w)
         gram = cw @ c.T
+        if not np.isfinite(gram).all():
+            raise SingularAllocation("allocation Gram matrix is not finite")
         if np.linalg.cond(gram) > ALLOC_COND_LIMIT:
             raise SingularAllocation("allocation Gram matrix condition exceeds %g"
                                      % ALLOC_COND_LIMIT)
@@ -458,8 +465,8 @@ def expm(a):
     J. Matrix Anal. Appl. 26(4), 2005), the number of squarings chosen
     from the 1-norms of A^6, A^8 and A^10 and corrected for non-normal
     |A| as in Al-Mohy & Higham (SIAM J. Matrix Anal. Appl. 31(3), 2009).
-    Diagonal input returns diag(exp(d)) exactly; a non-finite entry
-    raises ValueError.
+    Diagonal input returns diag(exp(d)) exactly; a non-finite entry, or
+    powers of A whose norms overflow, raise ValueError.
     """
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
@@ -471,6 +478,8 @@ def expm(a):
     a4 = a2 @ a2
     a6 = a4 @ a2
     d6, d8 = _norm1(a6) ** (0.5 / 3), _norm1(a4 @ a4) ** (0.5 / 4)
+    if not math.isfinite(d6 + d8):  # then A^2, A^4 and A^6 are finite too
+        raise ValueError("expm overflows: the norms of A^6 and A^8 are not finite")
     eta = min(max(d6, d8), max(d8, _norm1(a4 @ a6) ** 0.1))
     s = max(math.ceil(math.log2(eta / _THETA_13)), 0) if eta else 0
     # ell_13(A): squarings still needed where |A| is far from normal.

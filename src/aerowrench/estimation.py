@@ -1,15 +1,13 @@
 """Joint state and wrench estimators.
 
-Two filters share one skeleton, ``_Filter``: the discrete process model
-of :mod:`.dynamics`, the wrench estimate, the step (predict, then update)
-and the correction in whitened form, fed the cross covariance Pxy from the
-observed columns of a covariance and the innovation covariance from Pxy's
-observed rows plus R: the QUKF's P- less Q (the spread of its propagated
-sigma points), the EKF's P-. Each filter writes only its prediction, its
-innovation and how it applies the correction to its state. The QUKF's
-prediction and both updates' reductions of P are Gram products (of the
-sigma residuals, of the whitened gain), so exactly symmetric; only the
-EKF's J P J^T is symmetrized.
+Two filters share one skeleton, ``_Filter``: the process model of
+:mod:`.dynamics`, the wrench estimate, the step and the whitened
+correction, fed Pxy, the observed columns of the QUKF's P- less Q (the
+spread of its propagated sigma points) or of the EKF's P-, and Pyy = Pxy's
+observed rows + R. Each filter writes only its prediction, its innovation
+and how it applies the correction. The QUKF's prediction and both updates'
+reductions of P are Gram products (of the sigma residuals, of the whitened
+gain), so exactly symmetric; only the EKF's J P J^T is symmetrized.
 
 * :class:`QuaternionUkf` keeps the attitude on the unit-quaternion manifold.
   Sigma points and residuals live in a reduced error space (rotation vector
@@ -77,7 +75,7 @@ def ut_weights(n, phi=1.0, gamma=2.0, sigma=0.0):
 
     Returns ``(eta, w_mean, w_cov)`` where ``eta`` is the composite scaling
     term and the weight arrays cover the 2n+1 sigma points.  Raises
-    :class:`DegenerateScaling` when the scaling collapses the point spread.
+    :class:`DegenerateScaling` when the point spread collapses or overflows.
     """
     eta = phi * phi * (n + sigma) - n
     if n + eta <= 0.0:
@@ -87,6 +85,8 @@ def ut_weights(n, phi=1.0, gamma=2.0, sigma=0.0):
     w_cov = w_mean.copy()
     w_mean[0] = eta / (n + eta)
     w_cov[0] = eta / (n + eta) + (1.0 - phi * phi + gamma)
+    if not np.isfinite(w_cov).all():  # phi^2 overflows
+        raise DegenerateScaling(f"the weights are not finite (n + eta = {n + eta:g})")
     return eta, w_mean, w_cov
 
 
@@ -278,11 +278,10 @@ def _whiten(pyy, pxy, innov):
 
 
 class _Filter:
-    """What both filters share: the model, the wrench estimate, the step and
-    the whitened correction. A filter defines ``predict`` and ``update``
+    """What both filters share. A filter defines ``predict`` and ``update``
     (perfbench's tracer patches them in each class's own namespace) and
-    sets ``x``, ``P``, ``q_disc``, ``r_mat`` and ``OBS_IDX``, the rows of
-    P that the measurement observes."""
+    sets ``x``, ``P``, ``q_disc``, ``r_mat`` and ``OBS_IDX``, the rows of P
+    that the measurement observes."""
 
     def __init__(self, params, noise, dt):
         self.params = params if params is not None else dyn.SystemParams()
@@ -302,10 +301,8 @@ class _Filter:
         return self
 
     def _correct(self, pxy, innov):
-        """The correction (..., n) for innovation innov (..., m), given the
-        cross covariance pxy (..., n, m) of P's observed columns: whitens
-        against Pyy = pxy's observed rows + R, takes the reduction off P
-        and stores the NIS."""
+        """The correction for innovation innov, given the cross covariance
+        pxy (P's observed columns); takes the reduction off P, stores the NIS."""
         dx, drop, self.last_nis = _whiten(pxy.take(self.OBS_IDX, -2) + self.r_mat,
                                           pxy, innov)
         self.P = self.P - drop

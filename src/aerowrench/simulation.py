@@ -303,9 +303,8 @@ class NoiseStreams:
 
 def _draw_noise(streams, shape, r_diag):
     """Noise for measurements of shape ``shape``, () or (n_steps,): unit
-    quaternions (*shape, 4) and position and rate offsets (*shape, 3),
-    each stream drawn once. A bulk draw consumes a stream as the same
-    number of lone draws do."""
+    quaternions (*shape, 4), position and rate offsets (*shape, 3). A bulk
+    draw consumes each stream as the same number of lone draws do."""
     sig = np.sqrt(np.asarray(r_diag, dtype=float))
     return (qt.rotvec_to_quat(streams.attitude.normal(size=shape + (3,)) * sig[0:3]),
             streams.position.normal(size=shape + (3,)) * sig[3:6],
@@ -313,9 +312,8 @@ def _draw_noise(streams, shape, r_diag):
 
 
 def _measure(x, noise_q, noise_r, noise_w):
-    """The measurement of true states x (..., 13): attitude noise is a
-    rotation applied on the left, which keeps the measured quaternion unit
-    by construction; position and rate noise are additive."""
+    """The measurement of true states x (..., 13): attitude noise is a left
+    rotation, so the quaternion stays unit; position and rate noise add."""
     return est.Measurement(q=qt.quat_mul(noise_q, x[..., 0:4]),
                            r=x[..., 4:7] + noise_r, omega=x[..., 10:13] + noise_w)
 

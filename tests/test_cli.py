@@ -159,15 +159,30 @@ class TestExitCodes:
         ("run:\n  t_step: 1.0e-300\n", cli.EXIT_VALIDATION,
          "run.duration / run.t_step must be at most"),
         ("run:\n  seed: true\n", cli.EXIT_PARSE, "run.seed"),
-        ("filter:\n  phi: yes\n", cli.EXIT_PARSE, "filter.phi")])
+        ("filter:\n  phi: yes\n", cli.EXIT_PARSE, "filter.phi"),
+        ("filter:\n  phi: 1.0e-200\n", cli.EXIT_VALIDATION, "filter.phi"),
+        ("filter:\n  phi: 1.0e+200\n", cli.EXIT_VALIDATION, "filter.phi"),
+        ("system:\n  alloc_weights: [1.0e-200, 1, 1, 1, 1, 1, 1, 1]\n",
+         cli.EXIT_VALIDATION, "system.alloc_weights"),
+        ("admittance:\n  m_v: [[1.0e-300, 0, 0], [0, 1, 0], [0, 0, 1]]\n",
+         cli.EXIT_VALIDATION, "admittance.m_v"),
+        ("profile:\n  segmnts: []\n", cli.EXIT_PARSE,
+         "unknown key 'profile.segmnts'"),
+        ("profile:\n  segments: 3\n", cli.EXIT_PARSE,
+         "profile.segments must be a list")])
     def test_bad_number_is_named(self, tmp_path, capsys, text, code, shown):
-        # Each ran before: into a traceback, a filter divergence, or (the
-        # NaN ramp and the booleans) silently with another value.
+        # Each ran before: into a traceback (among them phi, whose square
+        # underflows or overflows in the sigma-point weights, a weight whose
+        # square underflows in the allocation, and an m_v whose inverse
+        # overflows the admittance map's expm), a filter divergence, or (the
+        # NaN ramp and the booleans) silently with another value. The two
+        # profile parse errors name the key or the list.
         cfg = tmp_path / "num.yaml"
         cfg.write_text(text)
         assert run_main(["run", "--config", str(cfg), "--duration", "1.0",
                          "--out", str(tmp_path)]) == code
-        assert shown in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert shown in err and "Traceback" not in err
 
     def test_collapsed_sigma_spread_is_3(self, tmp_path, capsys):
         # 19 + sigma <= 0 collapses the sigma-point spread; validation

@@ -38,6 +38,9 @@
 # that are zero in exact arithmetic (attitude, rates, most cross
 # covariances) carry only rounding here; scaled by the array's largest
 # magnitude, as every comparison is, they stay at rounding level.
+#
+# Finally prints the package's size in both trees, the Python line count
+# `cat src/aerowrench/*.py | wc -l`.
 set -eu
 
 if [ $# -lt 1 ]; then
@@ -229,4 +232,6 @@ PY
 done
 printf "gate-5 QUKF replay (clamp path), 100 steps"
 compare gate5 || status=1
+echo "lines of src/aerowrench/*.py: parent $(cat "$work"/parent/src/aerowrench/*.py | wc -l)," \
+    "change $(cat "$root"/src/aerowrench/*.py | wc -l)"
 exit $status
