@@ -117,7 +117,7 @@ class ScenarioConfig:
 
     def validate(self):
         bad = []
-        with np.errstate(all="ignore"):  # an overflow is a violation below
+        with np.errstate(all="ignore"):  # overflows are reported as violations
             for section in (self.system, self.filter, self.admittance,
                             self.profile, self.run):
                 try:

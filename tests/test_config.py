@@ -139,7 +139,10 @@ class TestParseErrors:
             cfgm.parse_config(write(tmp_path, text))
 
     def test_null_section_takes_defaults(self, tmp_path):
-        cfg = cfgm.parse_config(write(tmp_path, "system:\nfilter: null\nrun: ~\n"))
+        # An empty profile mapping takes the default segments, as any
+        # missing key does.
+        cfg = cfgm.parse_config(write(tmp_path, "system:\nfilter: null\nrun: ~\n"
+                                                "profile: {}\n"))
         assert cfgm.config_digest(cfg) == cfgm.config_digest(cfgm.ScenarioConfig())
 
     def test_bare_segment_is_a_default_segment(self, tmp_path):
