@@ -41,7 +41,7 @@ def _load_config(args):
         cfg.run.duration = args.duration
     if getattr(args, "estimators", None) is not None:
         cfg.run.estimators = tuple(args.estimators.split(","))
-    cfg.run.validate()
+    cfg.validate()  # the overrides may name a filter parse_config did not step
     return cfg
 
 
@@ -115,18 +115,6 @@ def _bench_ukf(pad_dims, cfg):
                              phi=phi, gamma=gamma, sigma=sigma, pad_dims=pad_dims)
 
 
-def _bench_filter(pad_dims, steps, cfg):
-    f = _bench_ukf(pad_dims, cfg)
-    u = dyn.ControlInput.hover(f.params)
-    meas = est.Measurement.from_state(dyn.BodyState.hover())
-    times = np.empty(steps)
-    for i in range(steps):
-        tic = time.perf_counter()
-        f.step(u, meas)
-        times[i] = time.perf_counter() - tic
-    return times
-
-
 def _minor_faults():
     """This process's minor page-fault count; 0 without the resource module."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else 0
@@ -136,17 +124,15 @@ def _minor_faults():
 SWEEP_TURN = 10
 
 
-def _bench_sweep(pads, steps, cfg):
-    """QUKF step cost over padded error dimensions, with a cubic fit.
+def _step_times(pads, steps, cfg):
+    """Hover step times (len(pads), steps) of one QUKF per pad, and each
+    filter's minor page faults over its steps.
 
-    One filter per pad, the filters stepped in turns of SWEEP_TURN steps,
-    so a spell of host load falls on every pad alike; timed pad after
-    pad, a spell skews only the pads it overlaps, and the fit with them.
-    Turns of one step would distort the widest pads instead: their BLAS
-    calls are large enough to use worker threads, which then had to be
-    woken at every step. Returns (dims, median step seconds, minor page
-    faults per step or None, R^2 of the cubic fit or None for fewer than
-    four pads).
+    The filters step in turns of SWEEP_TURN steps, so a spell of host load
+    falls on every pad alike; timed pad after pad, a spell skews only the
+    pads it overlaps, and the sweep's fit with them. Turns of one step
+    would distort the widest pads instead: their BLAS calls are large
+    enough to use worker threads, which then had to be woken at every step.
     """
     filters = [_bench_ukf(pad, cfg) for pad in pads]
     u = dyn.ControlInput.hover(filters[0].params)
@@ -161,6 +147,20 @@ def _bench_sweep(pads, steps, cfg):
                 f.step(u, meas)
                 times[j, i] = time.perf_counter() - tic
                 faults[j] += _minor_faults() - before
+    return times, faults
+
+
+def _bench_filter(pad_dims, steps, cfg):
+    """Step times of one QUKF padded by pad_dims, stepping at hover."""
+    return _step_times([pad_dims], steps, cfg)[0][0]
+
+
+def _bench_sweep(pads, steps, cfg):
+    """QUKF step cost over padded error dimensions, the pads stepped in
+    turns (see _step_times), with a cubic fit. Returns (dims, median step
+    seconds, minor page faults per step or None, R^2 of the cubic fit or
+    None for fewer than four pads)."""
+    times, faults = _step_times(pads, steps, cfg)
     dims = 19.0 + np.array(pads, dtype=float)
     costs = np.median(times, axis=1)
     per_step = faults / steps if resource else None

@@ -18,7 +18,7 @@ import yaml
 from . import dynamics as dyn
 from . import estimation as est
 from . import simulation as sim
-from .errors import DegenerateScaling, ParseError, ValidationError
+from .errors import AerowrenchError, ParseError, ValidationError
 
 __all__ = [
     "FilterConfig", "RunConfig", "ScenarioConfig", "parse_config",
@@ -63,11 +63,6 @@ class FilterConfig:
             if not low < getattr(self, name) < np.inf:
                 bad.append("filter.%s must be finite and exceed %g, got %r"
                            % (name, low, getattr(self, name)))
-        if not bad:  # the filter's own rule: phi^2 may underflow or overflow
-            try:
-                est.ut_weights(est.E_DIM, self.phi, self.gamma, self.sigma)
-            except DegenerateScaling as err:
-                bad.append("filter.phi, gamma and sigma: %s" % err)
         if bad:
             raise ValidationError(bad)
         return self
@@ -129,9 +124,34 @@ class ScenarioConfig:
                     sim.admittance_map(self.admittance, self.run.t_step)
                 except ValueError as err:
                     bad.append("admittance.m_v, c_v and k_v at run.t_step: %s" % err)
+            if not bad:
+                bad.extend(self._first_step_violations())
         if bad:
             raise ValidationError(bad)
         return self
+
+    def _first_step_violations(self):
+        """The filter's own rule for values the bounds pass: each filter
+        that run.estimators names, built from this config, takes one
+        predict and update from hover. A filter error or a non-finite x or
+        P names the filter fields."""
+        names = ", ".join("filter.%s" % f.name for f in fields(FilterConfig))
+        params = self.system_params()
+        u = dyn.ControlInput.hover(params)
+        z = est.Measurement.from_state(dyn.BodyState.hover())
+        bad = []
+        for name in self.run.estimators:
+            try:
+                f = sim.make_filter(name, params, self.noise_config(), self.run.t_step,
+                                    self.scaling(), self.filter.p0_diag).step(u, z)
+            except (AerowrenchError, ValueError) as err:  # expm: "needs a finite matrix"
+                bad.append("%s: %s fails its first step from hover: %s"
+                           % (names, name, err))
+                continue
+            if not (np.isfinite(f.x).all() and np.isfinite(f.P).all()):
+                bad.append("%s: %s's first step from hover leaves x or P not finite"
+                           % (names, name))
+        return bad
 
     # -- plain-data conversion ---------------------------------------------
 

@@ -32,8 +32,8 @@ __all__ = [
     "smoothstep", "AdmittanceParams", "ReferenceState", "admittance_map",
     "admittance_reference", "ControllerGains", "tracking_controller",
     "NoiseStreams", "inject_noise", "EstimatorTrack", "ScenarioRun",
-    "validate_run", "run_scenario", "run_study", "convergence_time",
-    "MetricsReport", "compute_metrics",
+    "validate_run", "make_filter", "run_scenario", "run_study",
+    "convergence_time", "MetricsReport", "compute_metrics",
 ]
 
 DIVERGENCE_LIMIT = 1e6
@@ -410,6 +410,16 @@ def validate_run(dt, duration, seed, estimators):
     return int(round(duration / dt)), names
 
 
+def make_filter(name, params, noise, dt, scaling=None, p0_diag=None):
+    """The estimator run_scenario steps under ``name``, 'qukf' or 'ekf';
+    scaling is the QUKF's (phi, gamma, sigma), its defaults when None."""
+    if name == "qukf":
+        kw = dict(zip(("phi", "gamma", "sigma"), scaling)) if scaling else {}
+        return est.QuaternionUkf(params=params, noise=noise, dt=dt,
+                                 p0_diag=p0_diag, **kw)
+    return est.ExtendedKalman(params=params, noise=noise, dt=dt, p0_diag=p0_diag)
+
+
 def run_scenario(profile=None, *, params=None, noise=None, admittance=None,
                  dt=0.01, duration=70.0, seed=0, estimators=("qukf", "ekf"),
                  scaling=None, p0_diag=None, collect_timing=False):
@@ -439,15 +449,8 @@ def run_scenario(profile=None, *, params=None, noise=None, admittance=None,
     n_steps, names = validate_run(dt, duration, seed, estimators)
     lead = np.shape(seed)
 
-    filters = {}
-    if "qukf" in names:
-        kw = dict(zip(("phi", "gamma", "sigma"), scaling)) if scaling else {}
-        filters["qukf"] = est.QuaternionUkf(params=params, noise=noise, dt=dt,
-                                            p0_diag=p0_diag, **kw)
-    if "ekf" in names:
-        filters["ekf"] = est.ExtendedKalman(params=params, noise=noise, dt=dt,
-                                            p0_diag=p0_diag)
-
+    filters = {name: make_filter(name, params, noise, dt, scaling, p0_diag)
+               for name in names}
     labels = ["seed %r" % (s,) for s in seed] if lead else None
     for f in filters.values():
         f.x = np.tile(f.x, lead + (1,))

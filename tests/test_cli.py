@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -169,20 +170,31 @@ class TestExitCodes:
         ("profile:\n  segmnts: []\n", cli.EXIT_PARSE,
          "unknown key 'profile.segmnts'"),
         ("profile:\n  segments: 3\n", cli.EXIT_PARSE,
-         "profile.segments must be a list")])
+         "profile.segments must be a list"),
+        ("filter:\n  delta: 1.0e+300\n", cli.EXIT_VALIDATION, "filter.delta"),
+        ("filter:\n  gamma: 1.0e+300\n", cli.EXIT_VALIDATION, "filter.gamma"),
+        ("filter:\n  q_diag: [%s]\n  r_diag: [%s]\n  p0_diag: [%s]\n"
+         % (", ".join("0" * 19), ", ".join("0" * 9), ", ".join("0" * 19)),
+         cli.EXIT_VALIDATION, "filter.sigma, filter.delta: ekf fails its first"
+         " step from hover: innovation covariance is not positive definite")])
     def test_bad_number_is_named(self, tmp_path, capsys, text, code, shown):
         # Each ran before: into a traceback (among them phi, whose square
         # underflows or overflows in the sigma-point weights, a weight whose
         # square underflows in the allocation, and an m_v whose inverse
-        # overflows the admittance map's expm), a filter divergence, or (the
-        # NaN ramp and the booleans) silently with another value. The two
+        # overflows the admittance map's expm), a filter failure at step 0
+        # (delta and gamma, with numpy's warnings on stderr, and all-zero
+        # noise and initial covariance), a filter divergence, or (the NaN
+        # ramp and the booleans) silently with another value. The two
         # profile parse errors name the key or the list.
         cfg = tmp_path / "num.yaml"
         cfg.write_text(text)
-        assert run_main(["run", "--config", str(cfg), "--duration", "1.0",
-                         "--out", str(tmp_path)]) == code
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_main(["run", "--config", str(cfg), "--duration", "1.0",
+                             "--out", str(tmp_path)]) == code
         err = capsys.readouterr().err
         assert shown in err and "Traceback" not in err
+        assert not caught, [str(w.message) for w in caught]
 
     def test_collapsed_sigma_spread_is_3(self, tmp_path, capsys):
         # 19 + sigma <= 0 collapses the sigma-point spread; validation
@@ -192,6 +204,16 @@ class TestExitCodes:
         assert run_main(["run", "--config", str(bad), "--duration", "0.5",
                          "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
         assert "filter.sigma" in capsys.readouterr().err
+
+    def test_estimators_override_is_validated(self, tmp_path, capsys):
+        # The config's EKF never reads phi; --estimators adds the QUKF,
+        # whose weights phi = 1e-200 collapses, and validation names it.
+        cfg = tmp_path / "ekf.yaml"
+        cfg.write_text("filter:\n  phi: 1.0e-200\nrun:\n  estimators: [ekf]\n")
+        assert run_main(["run", "--config", str(cfg), "--duration", "0.5",
+                         "--estimators", "qukf,ekf",
+                         "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert "filter.phi" in capsys.readouterr().err
 
     def test_divergence_is_4(self, tmp_path, capsys):
         cfg = tmp_path / "boom.yaml"
@@ -203,17 +225,19 @@ class TestExitCodes:
                          "--out", str(tmp_path)]) == cli.EXIT_DIVERGENCE
 
     def test_singular_innovation_is_4(self, tmp_path, capsys):
-        # All-zero noise and initial covariance pass validation, but the
-        # first update has a zero innovation covariance: one line on
-        # stderr naming the filter and the step, no traceback.
+        # Zero process and measurement noise pass validation (the QUKF's
+        # first step from hover works), but an exact measurement leaves
+        # the observed block of P at zero (to rounding), so the next
+        # update has a singular innovation covariance: one line on stderr
+        # naming the filter and the step, no traceback.
         cfg = tmp_path / "zero.yaml"
-        cfg.write_text("filter:\n  q_diag: [%s]\n  r_diag: [%s]\n  p0_diag: [%s]\n"
-                       % (", ".join(["0.0"] * 19), ", ".join(["0.0"] * 9),
-                          ", ".join(["0.0"] * 19)))
+        cfg.write_text("filter:\n  q_diag: [%s]\n  r_diag: [%s]\n"
+                       "run:\n  estimators: [qukf]\n"
+                       % (", ".join(["0.0"] * 19), ", ".join(["0.0"] * 9)))
         assert run_main(["run", "--config", str(cfg), "--duration", "0.5",
                          "--out", str(tmp_path)]) == cli.EXIT_DIVERGENCE
         assert capsys.readouterr().err == (
-            "estimator failure: qukf failed at step 0: "
+            "estimator failure: qukf failed at step 1: "
             "innovation covariance is not positive definite\n")
 
     def test_io_error_is_5(self, tmp_path, capsys):
