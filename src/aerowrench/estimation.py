@@ -15,6 +15,9 @@ gain), so exactly symmetric; only the EKF's J P J^T is symmetrized.
   group operations from :mod:`.quat`, so no step ever leaves the manifold.
   The points spread over the live block alone; the inert components (the
   pin and any pads) keep the centre's values, and their residuals are 0.
+  The set has 2 E_DIM + 1 = 39 points at any padding: a pad's two points
+  would be copies of the centre, so the centre takes their weight, and
+  pads add only n x n covariance work.
 * :class:`ExtendedKalman` is the flat baseline: the quaternion is treated as
   four ordinary coordinates, Jacobians come from central differences, and
   the norm is restored by renormalizing after each step.
@@ -71,10 +74,13 @@ DEFAULT_P0_DIAG = np.array([1e-4] * 3 + [1e-2] * 3 + [1e-2] * 3
 
 
 def ut_weights(n, phi=1.0, gamma=2.0, sigma=0.0):
-    """Scaled unscented-transform weights for an n-dimensional error state.
+    """Scaled unscented-transform weights for a set spanning n dimensions.
 
     Returns ``(eta, w_mean, w_cov)`` where ``eta`` is the composite scaling
-    term and the weight arrays cover the 2n+1 sigma points.  Raises
+    term and the weight arrays cover the 2n+1 sigma points.  Each further
+    dimension that the set does not span adds 1 to ``sigma``: the spread
+    phi^2 (n + sigma) is the full set's, and the centre takes the weight of
+    the two points that would sit on it.  Raises
     :class:`DegenerateScaling` when the point spread collapses or overflows.
     """
     eta = phi * phi * (n + sigma) - n
@@ -180,14 +186,15 @@ def _propagate_rows(rows, u, ctx):
 
 
 def _sigma_points(x, s, scale, deltas, out):
-    """The 2n+1 sigma points about x from a factor s (..., k, k) of the
-    live block, written into out (..., 2n+1, m). deltas (..., 2n+1, n)
+    """The 2h+1 sigma points about x from a factor s (..., k, k) of the
+    live block, written into out (..., 2h+1, m). deltas (..., 2h+1, n)
     receives the displacements scale * s.T in rows 1..k and their
-    negatives in rows n+1..n+k, in its leading k columns; everything else
-    in it must be zero, so the inert directions are copies of x."""
-    n, k = deltas.shape[-1], s.shape[-1]
+    negatives in rows h+1..h+k, in its leading k columns; everything else
+    in it must be zero. h = E_DIM covers the live block and the pin, whose
+    points are copies of x; pads get no points."""
+    h, k = deltas.shape[-2] // 2, s.shape[-1]
     np.multiply(scale, s.swapaxes(-1, -2), out=deltas[..., 1:k + 1, :k])
-    np.negative(deltas[..., 1:k + 1, :k], out=deltas[..., n + 1:n + k + 1, :k])
+    np.negative(deltas[..., 1:k + 1, :k], out=deltas[..., h + 1:h + k + 1, :k])
     return _apply_deltas(x, deltas, out)
 
 
@@ -202,8 +209,8 @@ def _residuals(pts, mean, out=None):
 
 
 def _sigma_cov(res, w_cov, q_disc):
-    """Predicted covariance c R1^T R1 + w0 r0 r0^T + Q from residuals
-    (..., 2n+1, n): r0 is the centre's row and R1 the 2n rows after it,
+    """Predicted covariance c R1^T R1 + w0 r0 r0^T + Q, (..., n, n), from
+    residuals (..., 2h+1, n): r0 is the centre's row and R1 the 2h rows after it,
     which share the weight c = w_cov[1]. R1^T R1 reaches BLAS as syrk (both
     operands view one array); every term is exactly symmetric, as
     w0 (r0_i r0_j) is and (w0 r0_i) r0_j need not be."""
@@ -316,17 +323,16 @@ class QuaternionUkf(_Filter):
     after the trailing 1 and its pinned error component; they exist so the
     cost scaling of the linear algebra can be measured.
 
-    Buffer ownership: the filter owns its three (2n+1)-row arrays (the
-    error-space displacements, the sigma points and the residuals), with
-    the leading shape of ``x``. ``predict`` allocates them when that shape
-    changes (a stack is made by tiling ``x`` and ``P``) and otherwise
-    overwrites them; the displacements stay zero outside the live block's
-    rows and columns. At n=99 each is about 155 KiB, above glibc's 128 KiB
-    mmap threshold; allocated afresh at each step, they would go back to
-    the OS when freed and be faulted in again on the next step. The sigma points' first 20 components are
-    propagated in place, through ``propagate_batch(..., out=)``, in the
-    workspace of the filter's ``ctx``. ``x`` and ``P`` are new arrays after
-    every ``predict`` and ``update``, so a caller may keep them.
+    Buffer ownership: the filter owns its three 39-row arrays (the
+    error-space displacements, the sigma points and the residuals; pads
+    take no rows), with the leading shape of ``x``. ``predict`` allocates
+    them when that shape changes (a stack is made by tiling ``x`` and
+    ``P``) and otherwise overwrites them; the displacements stay zero
+    outside the live block's rows and columns. At n=99 each is about
+    30 KiB. The sigma points' first 20 components are propagated in place,
+    through ``propagate_batch(..., out=)``, in the workspace of the
+    filter's ``ctx``. ``x`` and ``P`` are new arrays after every
+    ``predict`` and ``update``, so a caller may keep them.
     ``update`` reads none of the buffers, only ``x`` and ``P``.
     """
 
@@ -338,8 +344,10 @@ class QuaternionUkf(_Filter):
         super().__init__(params, noise, dt)
         self.pad_dims = int(pad_dims)
         self.n = E_DIM + self.pad_dims
-        self.eta, self.w_mean, self.w_cov = ut_weights(self.n, phi, gamma, sigma)
-        self.scale = np.sqrt(self.n + self.eta)
+        # The pads' points would be copies of the centre (see ut_weights).
+        self.eta, self.w_mean, self.w_cov = ut_weights(E_DIM, phi, gamma,
+                                                       sigma + self.pad_dims)
+        self.scale = np.sqrt(E_DIM + self.eta)
 
         body = initial if initial is not None else dyn.BodyState.hover()
         self.x = np.concatenate([body.as_vector(), np.zeros(6), [1.0],
@@ -355,7 +363,7 @@ class QuaternionUkf(_Filter):
     def predict(self, control):
         lead = self.x.shape[:-1]
         if self._pts is None or self._pts.shape[:-2] != lead:
-            rows = lead + (2 * self.n + 1,)
+            rows = lead + (2 * E_DIM + 1,)
             self._deltas = np.zeros(rows + (self.n,))  # zero off the live block
             self._pts = np.empty(rows + self.x.shape[-1:])
             self._res_buf = np.empty(rows + (self.n,))

@@ -77,13 +77,34 @@ class TestBench:
 
 
     @pytest.mark.parametrize("flag, value", [
-        ("--pads", "0,a"), ("--pads", "0,-5"), ("--sweep-steps", "0")])
+        ("--pads", "0,a"), ("--pads", "0,-5"), ("--pads", "0,0,0,0"),
+        ("--sweep-steps", "0")])
     def test_bad_sweep_argument_is_a_usage_error(self, capsys, flag, value):
-        # These raised a traceback, or printed NaN for an empty sweep.
+        # These raised a traceback, printed NaN for an empty sweep, or fit
+        # a cubic to repeated dimensions (a RankWarning and R^2 = 0).
         with pytest.raises(SystemExit) as exc:
             run_main(["bench", flag, value])
         assert exc.value.code == 2
         assert "argument %s" % flag in capsys.readouterr().err
+
+    def test_sweep_reverses_the_pad_order_every_other_round(self, monkeypatch):
+        # Each turn follows its own pad's or a neighbour's, never the
+        # widest pad's turn followed by the narrowest's.
+        calls = []
+
+        class Recorder:
+            params = cli.dyn.SystemParams()
+
+            def __init__(self, pad):
+                self.pad = pad
+
+            def step(self, u, meas):
+                calls.append(self.pad)
+
+        monkeypatch.setattr(cli, "_bench_ukf", lambda pad, cfg: Recorder(pad))
+        cli._step_times([0, 20, 40], 3 * cli.SWEEP_TURN, None)
+        turns = [0, 20, 40, 40, 20, 0, 0, 20, 40]
+        assert calls == [pad for pad in turns for _ in range(cli.SWEEP_TURN)]
 
     def test_bench_filter_takes_config_scaling(self, tmp_path):
         path = tmp_path / "scaled.yaml"

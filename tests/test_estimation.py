@@ -770,10 +770,10 @@ class TestPinnedComponent:
 
 
 class TestPaddedDimensions:
-    """Pad dimensions exist to scale the sigma-point count for cost
-    measurements. They carry no variance and no dynamics, so on a problem
-    where the transform is exact they must not change the estimate even
-    though the spread scale and weights move with n."""
+    """Pad dimensions exist to scale the n x n covariance work for cost
+    measurements; they take no sigma points. They carry no variance and no
+    dynamics, so on a problem where the transform is exact they must not
+    change the estimate even though the centre's weight moves with n."""
 
     @staticmethod
     def make(pad_dims):
@@ -966,3 +966,53 @@ class TestCovarianceKernels:
             assert_cov_close(f.P[at], p[at] - gain @ pyy @ gain.T)
             nis = innov @ np.linalg.solve(pyy, innov)
             assert abs(np.asarray(f.last_nis)[at] - nis) <= 1e-12 * nis
+
+
+def full_sigma_predict(f, u, phi, gamma, sigma):
+    """The QUKF f's predict with the full (2n+1)-point set of ut_weights(n):
+    every pad gets its two points, copies of the centre. Returns (x-, P-)."""
+    n = f.n
+    eta, wm, wc = est.ut_weights(n, phi, gamma, sigma)
+    cols = np.sqrt(n + eta) * est.cov_sqrt(f.P[:est.PIN, :est.PIN]).T
+    deltas = np.zeros((2 * n + 1, n))
+    deltas[1:est.PIN + 1, :est.PIN] = cols
+    deltas[n + 1:n + est.PIN + 1, :est.PIN] = -cols
+    pts = est._apply_deltas(f.x, deltas)
+    pts[:, :20] = dyn.propagate_batch(pts[:, :20], u.as_vector(), f.ctx)
+    mean = np.concatenate([qt.weighted_quat_average(pts[:, 0:4], wm),
+                           wm @ pts[:, 4:]])
+    mean[dyn.IDUMMY] = 1.0
+    res = est._residuals(pts, mean)
+    return mean, (res * wc[:, None]).T @ res + f.q_disc
+
+
+class TestPadsTakeNoSigmaPoints:
+    """A pad's two sigma points would be copies of the centre, so the filter
+    leaves them out and gives their weight to the centre: 39 points at any
+    n, and the same filter as the full (2n+1)-point set to rounding."""
+
+    @pytest.mark.parametrize("pad_dims", [0, 5, 80])
+    @pytest.mark.parametrize("phi, gamma, sigma", [(1.0, 2.0, 0.0),
+                                                   (1.3, -1.0, 0.5)],
+                             ids=["default", "negative-centre"])
+    def test_matches_full_sigma_set(self, pad_dims, phi, gamma, sigma):
+        f = est.QuaternionUkf(phi=phi, gamma=gamma, sigma=sigma, pad_dims=pad_dims)
+        ref = est.QuaternionUkf(phi=phi, gamma=gamma, sigma=sigma, pad_dims=pad_dims)
+        # gamma = -1: the centre's folded covariance weight stays negative.
+        assert (f.w_cov[0] < 0.0) == (gamma < 0.0)
+        live = np.ix_(range(est.PIN), range(est.PIN))
+        for u, z in replayed_inputs((0,), steps=12):
+            f.predict(u)
+            assert f._pts.shape[-2] == 2 * est.E_DIM + 1
+            ref.x, ref.P = full_sigma_predict(ref, u, phi, gamma, sigma)
+            ref._predicted = True
+            np.testing.assert_allclose(f.x, ref.x, rtol=1e-12, atol=1e-15)
+            assert_cov_close(f.P[live], ref.P[live])
+            f.update(z)
+            ref.update(z)
+            np.testing.assert_allclose(f.x, ref.x, rtol=1e-12, atol=1e-15)
+            assert_cov_close(f.P[live], ref.P[live])
+            assert abs(f.last_nis - ref.last_nis) <= 1e-12 * ref.last_nis
+            # The pin and the pads stay inert.
+            assert f.x[dyn.IDUMMY] == 1.0 and not f.x[20:].any()
+            assert not f.P[est.PIN:].any() and not f.P[:, est.PIN:].any()
