@@ -180,12 +180,11 @@ def _bench_sweep(pads, steps, cfg):
 
 def cmd_bench(args):
     cfg = _load_config(args)
-    iterations = max(args.iterations, 10_000)
-    times = _bench_filter(0, iterations, cfg)
+    times = _bench_filter(0, args.iterations, cfg)
     mean_ms = times.mean() * 1e3
     p99_ms = float(np.percentile(times, 99)) * 1e3
     print("filter step over %d iterations: mean %.4f ms, p99 %.4f ms"
-          % (iterations, mean_ms, p99_ms))
+          % (args.iterations, mean_ms, p99_ms))
 
     dims, costs, faults, r2 = _bench_sweep(args.pads, args.sweep_steps, cfg)
     for dim, cost in zip(dims, costs):
@@ -211,11 +210,16 @@ def pad_list(text):
     return pads
 
 
-def positive_int(text):
+def positive_int(text, least=1):
     value = int(text)
-    if value < 1:
+    if value < least:
         raise ValueError(text)
     return value
+
+
+def iteration_count(text):
+    """--iterations: at least 10000, so 100 timed steps lie beyond the p99."""
+    return positive_int(text, 10_000)
 
 
 def build_parser():
@@ -245,8 +249,8 @@ def build_parser():
 
     p_b = sub.add_parser("bench", help="time filter steps, fit cost scaling")
     p_b.add_argument("--config", help="configuration file (default: built-in)")
-    p_b.add_argument("--iterations", type=int, default=10_000,
-                     help="timing iterations (floored at 10000)")
+    p_b.add_argument("--iterations", type=iteration_count, default=10_000,
+                     help="timing iterations, at least 10000")
     p_b.add_argument("--pads", type=pad_list, default="0,20,40,60,80",
                      help="comma list of padded dimensions for the sweep")
     p_b.add_argument("--sweep-steps", type=positive_int, default=300,

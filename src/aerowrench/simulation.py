@@ -29,7 +29,7 @@ IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
 __all__ = [
     "ForceSegment", "ForceProfile", "force_profile_eval",
-    "smoothstep", "AdmittanceParams", "ReferenceState", "admittance_map",
+    "smoothstep", "AdmittanceParams", "admittance_map",
     "admittance_reference", "ControllerGains", "tracking_controller",
     "NoiseStreams", "inject_noise", "EstimatorTrack", "ScenarioRun",
     "validate_run", "make_filter", "run_scenario", "run_study",
@@ -164,16 +164,6 @@ class AdmittanceParams:
         return self
 
 
-@dataclass
-class ReferenceState:
-    r: np.ndarray
-    v: np.ndarray
-
-    @classmethod
-    def rest(cls, position=(0.0, 0.0, 0.0)):
-        return cls(r=np.asarray(position, dtype=float), v=np.zeros(3))
-
-
 def admittance_map(params, dt):
     """The exact one-step map (9, 9) of [r, v, F] with F held over dt."""
     m_inv = np.linalg.inv(params.m_v)
@@ -185,18 +175,16 @@ def admittance_map(params, dt):
     return dyn.expm(a * dt)
 
 
-def admittance_reference(tau_hat, ref, phi):
-    """Advance the reference one step under the estimated force.
+def admittance_reference(tau_hat, z, phi):
+    """Advance the reference z = [r, v], the admittance system's state (6,)
+    or rows (S, 6), one step under the estimated force.
 
-    tau_hat is the estimated wrench as a 6-vector [force, torque], or rows
-    of them with the reference's r and v; only the force part drives the
-    virtual dynamics. phi is admittance_map's exact step of the linear
-    system with the force held over dt, so stiff virtual parameters cost
-    nothing.
+    tau_hat is the estimated wrench [force, torque] (6,), or one row per
+    row of z; only the force part drives the virtual dynamics. phi is
+    admittance_map's exact step of the linear system with the force held
+    over dt, so stiff virtual parameters cost nothing.
     """
-    z = (dyn.matvec(phi[:6, 0:3], ref.r) + dyn.matvec(phi[:6, 3:6], ref.v)
-         + dyn.matvec(phi[:6, 6:9], tau_hat[..., :3]))
-    return ReferenceState(r=z[..., 0:3], v=z[..., 3:6])
+    return dyn.matvec(phi[:6, :6], z) + dyn.matvec(phi[:6, 6:9], tau_hat[..., :3])
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +209,10 @@ class ControllerGains:
         self.accel_max = np.asarray(self.accel_max, dtype=float)
 
 
-def tracking_controller(x, ref, params, gains=None):
+def tracking_controller(x, z, params, gains=None):
     """Thrust and body moments [thrust, moments] (4,) steering an estimated
-    state x [q, r, v, omega, ...] toward ref; rows (S, 4) for rows x.
+    state x [q, r, v, omega, ...] toward the reference z = [r, v] (6,);
+    rows (S, 4) for rows x and z.
 
     Position PD gives a desired force f; the desired attitude turns e_z
     onto f along the shortest arc, with zero yaw:
@@ -242,10 +231,10 @@ def tracking_controller(x, ref, params, gains=None):
     m = params.mass
     if x.ndim == 1:
         r, v = x[4:7].tolist(), x[7:10].tolist()
-        rr, rv, am = ref.r.tolist(), ref.v.tolist(), g.accel_max.tolist()
+        ref, am = z.tolist(), g.accel_max.tolist()
         a = [0.0, 0.0, 0.0]
         for i in range(3):
-            ai = g.kp * (rr[i] - r[i]) + g.kd * (rv[i] - v[i])
+            ai = g.kp * (ref[i] - r[i]) + g.kd * (ref[3 + i] - v[i])
             lim = am[i]
             a[i] = lim if ai > lim else (-lim if ai < -lim else ai)
         f0 = m * a[0]
@@ -266,7 +255,7 @@ def tracking_controller(x, ref, params, gains=None):
         return out
 
     r, v, w = x[:, 4:7], x[:, 7:10], x[:, 10:13]
-    a = g.kp * (ref.r - r) + g.kd * (ref.v - v)
+    a = g.kp * (z[:, 0:3] - r) + g.kd * (z[:, 3:6] - v)
     lim = g.accel_max
     a = np.where(a > lim, lim, np.where(a < -lim, -lim, a))
     f0 = m * a[:, 0]
@@ -471,7 +460,7 @@ def run_scenario(profile=None, *, params=None, noise=None, admittance=None,
 
     x = np.tile(dyn.BodyState.hover().as_vector(), lead + (1,))
     u = np.tile(dyn.ControlInput.hover(params).as_vector(), lead + (1,))
-    ref = ReferenceState(r=np.zeros(lead + (3,)), v=np.zeros(lead + (3,)))
+    ref = np.zeros(lead + (6,))
     j_inv = np.linalg.inv(params.inertia)
     alloc = dyn.RotorAllocation(params)
     phi = admittance_map(admittance, dt)
@@ -489,40 +478,43 @@ def run_scenario(profile=None, *, params=None, noise=None, admittance=None,
         step_seconds=np.empty(n_steps) if collect_timing else None)
         for name in names}
 
-    for k in range(n_steps):
-        x = dyn.rk4_step(x.T, u.T, tau_mid[k], params, dt, j_inv).T
-        _check_finite("truth", x, k, labels)
-        truth_arr[k] = x
+    # A state past the envelope overflows before _check_finite names it;
+    # numpy's warnings would only precede that message.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            x = dyn.rk4_step(x.T, u.T, tau_mid[k], params, dt, j_inv).T
+            _check_finite("truth", x, k, labels)
+            truth_arr[k] = x
 
-        meas = _measure(x, noise_q[k], noise_r[k], noise_w[k])
-        control = dyn.ControlInput(thrust=u[..., 0], moments=u[..., 1:4])
-        for name in names:
-            f = filters[name]
-            try:
-                if collect_timing:
-                    tic = time.perf_counter()
-                    f.step(control, meas)
-                    tracks[name].step_seconds[k] = time.perf_counter() - tic
-                else:
-                    f.step(control, meas)
-            except AerowrenchError as err:
-                raise type(err)(_name_run("%s failed at step %d: %s" % (name, k, err),
-                                          labels, err.run)) from None
-            xs = f.x[..., :19]
-            _check_finite(name, xs, k, labels)
-            tr = tracks[name]
-            tr.states[k] = xs
-            tr.wrench[k] = f.wrench
-            tr.nis[k] = f.last_nis
+            meas = _measure(x, noise_q[k], noise_r[k], noise_w[k])
+            control = dyn.ControlInput(thrust=u[..., 0], moments=u[..., 1:4])
+            for name in names:
+                f = filters[name]
+                try:
+                    if collect_timing:
+                        tic = time.perf_counter()
+                        f.step(control, meas)
+                        tracks[name].step_seconds[k] = time.perf_counter() - tic
+                    else:
+                        f.step(control, meas)
+                except AerowrenchError as err:
+                    msg = "%s failed at step %d: %s" % (name, k, err)
+                    raise type(err)(_name_run(msg, labels, err.run)) from None
+                xs = f.x[..., :19]
+                _check_finite(name, xs, k, labels)
+                tr = tracks[name]
+                tr.states[k] = xs
+                tr.wrench[k] = f.wrench
+                tr.nis[k] = f.last_nis
 
-        ref = admittance_reference(tracks[feed].wrench[k], ref, phi)
-        demand = tracking_controller(fd.x, ref, params, gains)
-        u, rotor_arr[k], sat_arr[k] = alloc(demand)
+            ref = admittance_reference(tracks[feed].wrench[k], ref, phi)
+            demand = tracking_controller(fd.x, ref, params, gains)
+            u, rotor_arr[k], sat_arr[k] = alloc(demand)
 
-        meas_arr[k, ..., 0:4] = meas.q
-        meas_arr[k, ..., 4:7] = meas.r
-        meas_arr[k, ..., 7:10] = meas.omega
-        ctrl_arr[k] = u
+            meas_arr[k, ..., 0:4] = meas.q
+            meas_arr[k, ..., 4:7] = meas.r
+            meas_arr[k, ..., 7:10] = meas.omega
+            ctrl_arr[k] = u
 
     return ScenarioRun(dt=dt, seed=seed, feed=feed, t=grid, truth=truth_arr,
                        wrench_true=tau_arr, measurements=meas_arr,

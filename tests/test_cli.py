@@ -78,10 +78,11 @@ class TestBench:
 
     @pytest.mark.parametrize("flag, value", [
         ("--pads", "0,a"), ("--pads", "0,-5"), ("--pads", "0,0,0,0"),
-        ("--sweep-steps", "0")])
+        ("--sweep-steps", "0"), ("--iterations", "9999"), ("--iterations", "0")])
     def test_bad_sweep_argument_is_a_usage_error(self, capsys, flag, value):
-        # These raised a traceback, printed NaN for an empty sweep, or fit
-        # a cubic to repeated dimensions (a RankWarning and R^2 = 0).
+        # These raised a traceback, printed NaN for an empty sweep, fit a
+        # cubic to repeated dimensions (a RankWarning and R^2 = 0), or
+        # silently timed 10000 iterations in place of fewer.
         with pytest.raises(SystemExit) as exc:
             run_main(["bench", flag, value])
         assert exc.value.code == 2
@@ -260,6 +261,22 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "estimator failure: qukf failed at step 1: "
             "innovation covariance is not positive definite\n")
+
+    def test_overflowing_spread_is_4_without_warnings(self, tmp_path, capsys):
+        # sigma = 1e300 passes validation's first step, then overflows the
+        # sigma-point covariance. The divergence check names the filter,
+        # the step and the component; numpy's overflow and invalid-value
+        # warnings no longer precede that line.
+        cfg = tmp_path / "spread.yaml"
+        cfg.write_text("filter:\n  sigma: 1.0e+300\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_main(["run", "--config", str(cfg), "--duration", "0.05",
+                             "--out", str(tmp_path)]) == cli.EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("divergence: qukf diverged at step 2: ")
+        assert err.count("\n") == 1
+        assert not caught, [str(w.message) for w in caught]
 
     def test_io_error_is_5(self, tmp_path, capsys):
         blocker = tmp_path / "file"

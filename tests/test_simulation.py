@@ -74,24 +74,24 @@ class TestAdmittance:
     def test_terminal_velocity(self):
         # K = 0 with constant force: v -> C^-1 F
         phi = sim.admittance_map(sim.AdmittanceParams(), 0.01)
-        ref = sim.ReferenceState.rest()
+        z = np.zeros(6)
         tau = np.array([2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         for _ in range(4000):
-            ref = sim.admittance_reference(tau, ref, phi)
-        assert abs(ref.v[0] - 2.0 / 1.59) < 1e-9
-        assert abs(ref.v[1]) < 1e-15 and abs(ref.v[2]) < 1e-15
+            z = sim.admittance_reference(tau, z, phi)
+        assert abs(z[3] - 2.0 / 1.59) < 1e-9
+        assert abs(z[4]) < 1e-15 and abs(z[5]) < 1e-15
 
     def test_first_order_velocity_profile_is_exact(self):
         # With K = 0 and M = I each axis is vdot = F - c v, whose exact
         # sampled solution the discretization must reproduce, not approximate.
         phi = sim.admittance_map(sim.AdmittanceParams(), 0.01)
-        ref = sim.ReferenceState.rest()
+        z = np.zeros(6)
         tau = np.array([2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         c = 1.59
         for k in range(1, 120):
-            ref = sim.admittance_reference(tau, ref, phi)
+            z = sim.admittance_reference(tau, z, phi)
             expected = (2.0 / c) * (1.0 - np.exp(-c * k * 0.01))
-            assert abs(ref.v[0] - expected) < 1e-12
+            assert abs(z[3] - expected) < 1e-12
 
     def test_damped_oscillator_oracle(self):
         # m zdd + c zd + k z = F has a closed-form underdamped solution;
@@ -105,7 +105,7 @@ class TestAdmittance:
         zp = force / k
         c1 = -zp
         c2 = sigma * zp / omega
-        ref = sim.ReferenceState.rest()
+        ref = np.zeros(6)
         tau = np.array([force, 0.0, 0.0, 0.0, 0.0, 0.0])
         for step in range(1, 200):
             ref = sim.admittance_reference(tau, ref, phi)
@@ -114,8 +114,31 @@ class TestAdmittance:
             z = zp + env * (c1 * np.cos(omega * t) + c2 * np.sin(omega * t))
             zd = (sigma * env * (c1 * np.cos(omega * t) + c2 * np.sin(omega * t))
                   + env * omega * (-c1 * np.sin(omega * t) + c2 * np.cos(omega * t)))
-            assert abs(ref.r[0] - z) < 1e-10
-            assert abs(ref.v[0] - zd) < 1e-10
+            assert abs(ref[0] - z) < 1e-10
+            assert abs(ref[3] - zd) < 1e-10
+
+    def test_stacked_rows_match_lone_bit_for_bit_when_stiff(self):
+        # The closed loop's stacks step at k_v = 0 only, where the map's
+        # position-to-velocity block is zero. Here every entry of the map's
+        # state block is nonzero: with isotropic matrices each row would
+        # sum two nonzero terms, which no order of summation can change.
+        ap = sim.AdmittanceParams(
+            m_v=[[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.8]],
+            c_v=[[3.0, 0.5, -0.4], [0.5, 2.5, 0.3], [-0.4, 0.3, 2.0]],
+            k_v=[[4.0, -0.7, 0.6], [-0.7, 3.0, 0.2], [0.6, 0.2, 5.0]]).validate()
+        phi = sim.admittance_map(ap, 0.01)
+        assert np.all(phi[:6, :6] != 0.0)
+        rng = np.random.default_rng(5)
+        s = 6
+        rows = rng.normal(size=(s, 6))
+        lone = [row.copy() for row in rows]
+        for _ in range(50):
+            tau = rng.normal(size=(s, 6)) * 2.0
+            rows = sim.admittance_reference(tau, rows, phi)
+            lone = [sim.admittance_reference(tau[i], lone[i], phi) for i in range(s)]
+            assert rows.shape == (s, 6)
+            for i in range(s):
+                assert rows[i].tobytes() == lone[i].tobytes()
 
     def test_validation(self):
         bad = sim.AdmittanceParams(m_v=np.zeros((3, 3)))
@@ -131,20 +154,20 @@ class TestTrackingController:
     def test_hover_equilibrium_is_exact(self):
         p = dyn.SystemParams()
         cmd = sim.tracking_controller(dyn.BodyState.hover().as_vector(),
-                                      sim.ReferenceState.rest(), p)
+                                      np.zeros(6), p)
         assert cmd[0] == p.mass * p.gravity
         assert np.array_equal(cmd[1:4], np.zeros(3))
 
     def test_thrust_clamped_to_limits(self):
         p = dyn.SystemParams()
-        far = sim.ReferenceState(r=np.array([1e3, 0.0, 0.0]), v=np.zeros(3))
+        far = np.array([1e3, 0.0, 0.0, 0.0, 0.0, 0.0])
         hover = dyn.BodyState.hover().as_vector()
         cmd = sim.tracking_controller(hover, far, p)
         assert cmd[0] <= p.u_max
         rng = np.random.default_rng(4)
         for _ in range(50):
-            ref = sim.ReferenceState(r=rng.normal(size=3) * 10,
-                                     v=rng.normal(size=3) * 5)
+            ref = np.concatenate([rng.normal(size=3) * 10,
+                                  rng.normal(size=3) * 5])
             cmd = sim.tracking_controller(hover, ref, p)
             assert 0.0 <= cmd[0] <= p.u_max
 
@@ -163,12 +186,12 @@ class TestTrackingController:
                  (wide, [20.0, -20.0, -0.5]), (wide, [-30.0, 5.0, -9.0]),
                  (wide, [0.0, 40.0, -50.0]), (wide, [25.0, 25.0, -50.0])]
         for g, r in cases:
-            ref = sim.ReferenceState(r=np.array(r), v=np.zeros(3))
+            ref = np.concatenate([r, np.zeros(3)])
             cmd = sim.tracking_controller(state.as_vector(), ref, p, g)
             e = np.linalg.solve(p.inertia * g.kp_att, cmd[1:4])
             q_des = qt.quat_mul(qt.rotvec_to_quat(e), state.q)
             zb = qt.quat_to_rot(q_des) @ np.array([0.0, 0.0, 1.0])
-            a = np.clip(g.kp * (ref.r - state.r), -g.accel_max, g.accel_max)
+            a = np.clip(g.kp * (ref[0:3] - state.r), -g.accel_max, g.accel_max)
             f = p.mass * (a + p.gravity * np.array([0.0, 0.0, 1.0]))
             assert np.allclose(zb, f / np.linalg.norm(f), atol=1e-12)
             # zero yaw: the target turns about a horizontal axis
@@ -185,12 +208,12 @@ class TestTrackingController:
         x = np.concatenate([qt.quat_normalize(rng.normal(size=(s, 4))),
                             rng.normal(size=(s, 9)) * 2.0,
                             rng.normal(size=(s, 6))], axis=1)
-        ref = sim.ReferenceState(r=rng.normal(size=(s, 3)) * 3.0,
-                                 v=rng.normal(size=(s, 3)))
+        ref = np.concatenate([rng.normal(size=(s, 3)) * 3.0,
+                              rng.normal(size=(s, 3))], axis=1)
         hover = dyn.BodyState.hover().as_vector()
         x[0:4, 0:13] = hover
-        ref.r[0:4] = ref.v[0:4] = 0.0
-        ref.r[1:3, 2] = -1e3      # a_z clipped to -accel_max[2]
+        ref[0:4] = 0.0
+        ref[1:3, 2] = -1e3        # a_z clipped to -accel_max[2]
         x[4, 8] = np.nan
         x[5, 1] = np.nan
         down = [sim.ControllerGains(accel_max=np.array([1.5, 1.5, az]))
@@ -198,14 +221,12 @@ class TestTrackingController:
         for g in [sim.ControllerGains()] + down:
             rows = sim.tracking_controller(x, ref, p, g)
             for i in range(s):
-                lone = sim.tracking_controller(
-                    x[i], sim.ReferenceState(r=ref.r[i], v=ref.v[i]), p, g)
+                lone = sim.tracking_controller(x[i], ref[i], p, g)
                 assert rows[i].tobytes() == lone.tobytes()
-        hover_cmd = sim.tracking_controller(x[0], sim.ReferenceState.rest(), p)
+        hover_cmd = sim.tracking_controller(x[0], np.zeros(6), p)
         assert hover_cmd.tolist() == [p.mass * p.gravity, 0.0, 0.0, 0.0]
         for g, thrust in zip(down, (0.0, p.mass * p.gravity)):
-            cmd = sim.tracking_controller(x[1], sim.ReferenceState(
-                r=ref.r[1], v=ref.v[1]), p, g)
+            cmd = sim.tracking_controller(x[1], ref[1], p, g)
             assert cmd.tolist() == [thrust, 0.0, 0.0, 0.0]
         # A NaN velocity gives f no direction: the thrust clamps and the
         # target is the identity. A NaN attitude spoils the moments.

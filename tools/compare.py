@@ -20,6 +20,12 @@ determinism (exit status 1 if anything differs):
   QUKF's change in one overall figure.
 - run_study on seeds 0-2 for 5 s, the stacked path of the loop: every
   array of every run.
+- Seed 0 for 5 s with both filters under a stiff admittance (m_v = 2I,
+  c_v = 3I, k_v = 4I): every array. The default k_v = 0 leaves the
+  admittance map's position-to-velocity block zero, so the runs above
+  never feed the reference's position into its velocity. Isotropic
+  matrices keep two nonzero terms per row of the map's state block, so a
+  new order of summation inside a row shows only with coupled matrices.
 - Seed 0's first 400 (control, measurement) pairs replayed through a QUKF
   padded to n=99 (pad_dims=80), as gate 9's sweep and the benchmark's
   wide replay step it: after every step, the first 19 state components,
@@ -166,9 +172,10 @@ def rmse_lines(old, new):
         yield "  largest relative RMSE change, %s: %.3g (%s)" % ((name,) + worst)
 
 
-def study_arrays(pkg):
+def run_arrays(runs):
+    """Every array of every run, keyed by seed."""
     arrays = {}
-    for run in pkg.simulation.run_study([0, 1, 2], duration=5.0):
+    for run in runs:
         for name in ("t", "truth", "wrench_true", "measurements", "controls",
                      "rotors", "saturated"):
             arrays["s%d.%s" % (run.seed, name)] = getattr(run, name)
@@ -177,6 +184,19 @@ def study_arrays(pkg):
                 arrays["s%d.%s.%s" % (run.seed, name, field)] = getattr(
                     run.tracks[name], field)
     return arrays
+
+
+def study_arrays(pkg):
+    return run_arrays(pkg.simulation.run_study([0, 1, 2], duration=5.0))
+
+
+def stiff_arrays(pkg):
+    """Seed 0 for 5 s, both filters, under a stiff admittance, whose map
+    has the position-to-velocity block that the default k_v = 0 zeroes."""
+    sim = pkg.simulation
+    adm = sim.AdmittanceParams(m_v=2.0 * np.eye(3), c_v=3.0 * np.eye(3),
+                               k_v=4.0 * np.eye(3))
+    return run_arrays([sim.run_scenario(admittance=adm, seed=0, duration=5.0)])
 
 
 def padded_replay(pkg, side, steps=400):
@@ -234,6 +254,8 @@ def determinism(trees, seeds, work):
             print("\n".join(rmse_lines(old["metrics.json"], new["metrics.json"])))
     for label, arrays in (
             ("run_study seeds 0-2, 5 s", lambda pkg, side: study_arrays(pkg)),
+            ("stiff admittance (m_v 2I, c_v 3I, k_v 4I), seed 0, 5 s",
+             lambda pkg, side: stiff_arrays(pkg)),
             ("padded QUKF replay, seed 0, 400 steps", padded_replay),
             ("gate-5 QUKF replay (clamp path), 100 steps",
              lambda pkg, side: gate5_replay(pkg))):
