@@ -12,11 +12,6 @@ import time
 
 import numpy as np
 
-try:
-    import resource
-except ImportError:  # not available on every platform (Windows)
-    resource = None
-
 from . import config as cfgm
 from . import dynamics as dyn
 from . import estimation as est
@@ -72,7 +67,7 @@ def cmd_run(args):
     doc = tlm.build_metrics_document(report, cfgm.config_digest(cfg),
                                      seed=cfg.run.seed)
     tlm.write_metrics_document(doc, mpath)
-    print("scenario: %.1f s at dt=%g, seed %d, estimators %s"
+    print("scenario: %g s at dt=%g, seed %d, estimators %s"
           % (cfg.run.duration, cfg.run.t_step, cfg.run.seed,
              ",".join(cfg.run.estimators)))
     for name in run.tracks:
@@ -89,8 +84,8 @@ def cmd_compare(args):
     cfg.run.estimators = ("qukf", "ekf")
     run = _execute(cfg)
     report = sim.compute_metrics(run)
-    print("seed %d, %.1f s, window %.1f s" % (cfg.run.seed, cfg.run.duration,
-                                              report.window_s))
+    print("seed %d, %g s, window %g s" % (cfg.run.seed, cfg.run.duration,
+                                          report.window_s))
     header = "%-10s %12s %12s %12s" % ("channel", "qukf", "ekf", "improve %")
     print(header)
     print("-" * len(header))
@@ -115,18 +110,12 @@ def _bench_ukf(pad_dims, cfg):
                              phi=phi, gamma=gamma, sigma=sigma, pad_dims=pad_dims)
 
 
-def _minor_faults():
-    """This process's minor page-fault count; 0 without the resource module."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else 0
-
-
 # Steps each pad's filter takes per turn of the interleaved sweep.
 SWEEP_TURN = 10
 
 
 def _step_times(pads, steps, cfg):
-    """Hover step times (len(pads), steps) of one QUKF per pad, and each
-    filter's minor page faults over its steps.
+    """Hover step times (len(pads), steps) of one QUKF per pad.
 
     The filters step in turns of SWEEP_TURN steps, so a spell of host load
     falls on every pad alike; timed pad after pad, a spell skews only the
@@ -143,55 +132,41 @@ def _step_times(pads, steps, cfg):
     u = dyn.ControlInput.hover(filters[0][1].params)
     meas = est.Measurement.from_state(dyn.BodyState.hover())
     times = np.empty((len(pads), steps))
-    faults = np.zeros(len(pads))
     for start in range(0, steps, SWEEP_TURN):
         for j, f in filters:
             for i in range(start, min(start + SWEEP_TURN, steps)):
-                before = _minor_faults()
                 tic = time.perf_counter()
                 f.step(u, meas)
                 times[j, i] = time.perf_counter() - tic
-                faults[j] += _minor_faults() - before
         filters.reverse()
-    return times, faults
-
-
-def _bench_filter(pad_dims, steps, cfg):
-    """Step times of one QUKF padded by pad_dims, stepping at hover."""
-    return _step_times([pad_dims], steps, cfg)[0][0]
+    return times
 
 
 def _bench_sweep(pads, steps, cfg):
     """QUKF step cost over padded error dimensions, the pads stepped in
     turns (see _step_times), with a cubic fit. Returns (dims, median step
-    seconds, minor page faults per step or None, R^2 of the cubic fit or
-    None for fewer than four pads)."""
-    times, faults = _step_times(pads, steps, cfg)
+    seconds, R^2 of the cubic fit or None for fewer than four pads)."""
     dims = 19.0 + np.array(pads, dtype=float)
-    costs = np.median(times, axis=1)
-    per_step = faults / steps if resource else None
+    costs = np.median(_step_times(pads, steps, cfg), axis=1)
     if len(pads) < 4:
-        return dims, costs, per_step, None
+        return dims, costs, None
     fit = np.polyval(np.polyfit(dims, costs, 3), dims)
     ss_res = float(np.sum((costs - fit) ** 2))
     ss_tot = float(np.sum((costs - costs.mean()) ** 2))
-    return dims, costs, per_step, 1.0 - ss_res / ss_tot
+    return dims, costs, 1.0 - ss_res / ss_tot
 
 
 def cmd_bench(args):
     cfg = _load_config(args)
-    times = _bench_filter(0, args.iterations, cfg)
+    times = _step_times([0], args.iterations, cfg)[0]
     mean_ms = times.mean() * 1e3
     p99_ms = float(np.percentile(times, 99)) * 1e3
     print("filter step over %d iterations: mean %.4f ms, p99 %.4f ms"
           % (args.iterations, mean_ms, p99_ms))
 
-    dims, costs, faults, r2 = _bench_sweep(args.pads, args.sweep_steps, cfg)
+    dims, costs, r2 = _bench_sweep(args.pads, args.sweep_steps, cfg)
     for dim, cost in zip(dims, costs):
         print("  error dim %2d: median step %.4f ms" % (dim, cost * 1e3))
-    if faults is not None:
-        print("  minor page faults per step: "
-              + ", ".join("dim %d %.2f" % df for df in zip(dims, faults)))
     if r2 is None:
         # a cubic needs four points; report the sweep without a fit
         print("cubic fit skipped: need at least 4 sweep dimensions")

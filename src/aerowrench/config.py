@@ -215,6 +215,8 @@ def _build_section(dc_type, sub, name, source, skip=()):
 def _coerce(value, default, path, source):
     try:
         if isinstance(default, tuple):
+            if not isinstance(value, list):
+                raise TypeError
             return tuple(value)
         # YAML's true, yes and on are booleans, which float() would take as 1.
         if any(isinstance(v, bool) for v in np.ravel(np.array(value, dtype=object))):

@@ -391,7 +391,7 @@ def validate_run(dt, duration, seed, estimators):
                 and s >= 0):
             bad.append("run.seed must be a nonnegative integer, got %r" % (s,))
     names = [n for n in ("qukf", "ekf") if n in estimators]
-    if len(names) != len(set(estimators)) or not names:
+    if len(names) != len(estimators) or not names:
         bad.append("run.estimators must be a nonempty subset of "
                    "{'qukf', 'ekf'}, got %r" % (estimators,))
     if bad:

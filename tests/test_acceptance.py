@@ -273,11 +273,11 @@ def test_08_step_force_convergence_time():
 
 def test_09_step_latency_and_scaling():
     cfg = cfgmod.ScenarioConfig()
-    times = cli._bench_filter(0, N_CASES, cfg)
+    times = cli._step_times([0], N_CASES, cfg)[0]
     mean_ms = float(times.mean()) * 1e3
 
     # The pads are timed in interleaved turns (see cli._bench_sweep).
-    _, _, _, r2 = cli._bench_sweep((0, 20, 40, 60, 80), 200, cfg)
+    _, _, r2 = cli._bench_sweep((0, 20, 40, 60, 80), 200, cfg)
     report(9, "step latency and cubic scaling", mean_ms < 10.0 and r2 > 0.95,
            "mean %.3f ms over %d steps, sweep R^2 %.4f" % (mean_ms, N_CASES, r2))
 

@@ -30,12 +30,14 @@ class TestRun:
         assert doc["seed"] == 5
         assert "qukf" in doc["rmse"] and "ekf" in doc["rmse"]
 
-    def test_jsonl_format_flag(self, tmp_path):
+    def test_jsonl_format_flag(self, tmp_path, capsys):
         out = tmp_path / "o2"
-        code = run_main(["run", "--duration", "0.5", "--out", str(out),
+        code = run_main(["run", "--duration", "0.05", "--out", str(out),
                          "--format", "jsonl"])
         assert code == 0
         assert (out / "telemetry.jsonl").exists()
+        # The duration prints as given, not rounded to "0.0 s".
+        assert "scenario: 0.05 s at dt=0.01" in capsys.readouterr().out
 
     def test_estimator_subset_flag(self, tmp_path):
         out = tmp_path / "o3"
@@ -69,12 +71,20 @@ class TestBench:
         code = run_main(["bench", "--iterations", "10000",
                          "--pads", "0,6,12,18", "--sweep-steps", "40"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "mean" in out and "p99" in out
-        assert "R^2" in out
-        if cli.resource is not None:
-            assert "minor page faults per step: dim 19" in out
+        lines = capsys.readouterr().out.splitlines()
+        # The latency line, one line per dimension, the fit line.
+        assert len(lines) == 6
+        assert lines[0].startswith("filter step over 10000 iterations: mean ")
+        assert " ms, p99 " in lines[0]
+        assert [line.split(":")[0] for line in lines[1:5]] == [
+            "  error dim %2d" % d for d in (19, 25, 31, 37)]
+        assert lines[5].startswith("cubic fit over state dimension: R^2 = ")
 
+    def test_bench_without_fit_prints_the_skip_line(self, capsys):
+        assert run_main(["bench", "--pads", "0,6", "--sweep-steps", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4
+        assert lines[3] == "cubic fit skipped: need at least 4 sweep dimensions"
 
     @pytest.mark.parametrize("flag, value", [
         ("--pads", "0,a"), ("--pads", "0,-5"), ("--pads", "0,0,0,0"),
@@ -107,7 +117,7 @@ class TestBench:
         turns = [0, 20, 40, 40, 20, 0, 0, 20, 40]
         assert calls == [pad for pad in turns for _ in range(cli.SWEEP_TURN)]
 
-    def test_bench_filter_takes_config_scaling(self, tmp_path):
+    def test_bench_ukf_takes_config_scaling(self, tmp_path):
         path = tmp_path / "scaled.yaml"
         path.write_text("filter:\n  phi: 1.5\n  gamma: 1.0\n  sigma: 2.0\n")
         f = cli._bench_ukf(0, cfgm.parse_config(path))

@@ -122,6 +122,14 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="run.seed"):
             cfgm.parse_config(write(tmp_path, "run:\n  seed: %s\n" % text))
 
+    @pytest.mark.parametrize("text, shown", [
+        ("qukf", "'qukf'"), ("{qukf: 1}", "{'qukf': 1}")])
+    def test_estimators_must_be_a_list(self, tmp_path, text, shown):
+        # A scalar became its characters and a mapping its keys.
+        with pytest.raises(ParseError, match=re.escape(
+                "field 'run.estimators' has invalid value %s" % shown)):
+            cfgm.parse_config(write(tmp_path, "run:\n  estimators: %s\n" % text))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="nope.yaml"):
             cfgm.parse_config(tmp_path / "nope.yaml")

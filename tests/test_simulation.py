@@ -363,6 +363,9 @@ class TestRunScenario:
             sim.run_scenario(duration=0.5, seed=0, estimators=("ekf", "foo"))
         with pytest.raises(ValidationError):
             sim.run_scenario(duration=0.5, seed=0, estimators=())
+        # A repeated name ran one filter under another config digest.
+        with pytest.raises(ValidationError, match="run.estimators"):
+            sim.run_scenario(duration=0.5, seed=0, estimators=("qukf", "qukf"))
 
     def test_yaw_pulse_saturates_rotors(self):
         # Drag-to-thrust leverage is weak, so a large yaw moment demands

@@ -20,12 +20,13 @@ determinism (exit status 1 if anything differs):
   QUKF's change in one overall figure.
 - run_study on seeds 0-2 for 5 s, the stacked path of the loop: every
   array of every run.
-- Seed 0 for 5 s with both filters under a stiff admittance (m_v = 2I,
-  c_v = 3I, k_v = 4I): every array. The default k_v = 0 leaves the
-  admittance map's position-to-velocity block zero, so the runs above
-  never feed the reference's position into its velocity. Isotropic
-  matrices keep two nonzero terms per row of the map's state block, so a
-  new order of summation inside a row shows only with coupled matrices.
+- Seed 0 for 5 s with both filters under a stiff, coupled admittance
+  (the m_v, c_v and k_v of the admittance tests' stiff stack case): every
+  array. The default k_v = 0 leaves the admittance map's
+  position-to-velocity block zero, so the runs above never feed the
+  reference's position into its velocity. The coupled matrices make every
+  entry of the map's state block nonzero, so a new order of summation
+  inside a row shows; isotropic ones would keep two nonzero terms per row.
 - Seed 0's first 400 (control, measurement) pairs replayed through a QUKF
   padded to n=99 (pad_dims=80), as gate 9's sweep and the benchmark's
   wide replay step it: after every step, the first 19 state components,
@@ -191,11 +192,14 @@ def study_arrays(pkg):
 
 
 def stiff_arrays(pkg):
-    """Seed 0 for 5 s, both filters, under a stiff admittance, whose map
-    has the position-to-velocity block that the default k_v = 0 zeroes."""
+    """Seed 0 for 5 s, both filters, under a stiff, coupled admittance,
+    whose map has the position-to-velocity block that the default k_v = 0
+    zeroes, and no zero entry in its state block."""
     sim = pkg.simulation
-    adm = sim.AdmittanceParams(m_v=2.0 * np.eye(3), c_v=3.0 * np.eye(3),
-                               k_v=4.0 * np.eye(3))
+    adm = sim.AdmittanceParams(
+        m_v=[[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.8]],
+        c_v=[[3.0, 0.5, -0.4], [0.5, 2.5, 0.3], [-0.4, 0.3, 2.0]],
+        k_v=[[4.0, -0.7, 0.6], [-0.7, 3.0, 0.2], [0.6, 0.2, 5.0]])
     return run_arrays([sim.run_scenario(admittance=adm, seed=0, duration=5.0)])
 
 
@@ -254,7 +258,7 @@ def determinism(trees, seeds, work):
             print("\n".join(rmse_lines(old["metrics.json"], new["metrics.json"])))
     for label, arrays in (
             ("run_study seeds 0-2, 5 s", lambda pkg, side: study_arrays(pkg)),
-            ("stiff admittance (m_v 2I, c_v 3I, k_v 4I), seed 0, 5 s",
+            ("stiff coupled admittance, seed 0, 5 s",
              lambda pkg, side: stiff_arrays(pkg)),
             ("padded QUKF replay, seed 0, 400 steps", padded_replay),
             ("gate-5 QUKF replay (clamp path), 100 steps",
