@@ -5,9 +5,12 @@ Two filters share one skeleton, ``_Filter``: the process model of
 correction, fed Pxy, the observed columns of the QUKF's P- less Q (the
 spread of its propagated sigma points) or of the EKF's P-, and Pyy = Pxy's
 observed rows + R. Each filter writes only its prediction, its innovation
-and how it applies the correction. The QUKF's prediction and both updates'
-reductions of P are Gram products (of the sigma residuals, of the whitened
-gain), so exactly symmetric; only the EKF's J P J^T is symmetrized.
+and how it applies the correction. The QUKF's prediction is one Gram
+product of its sigma residuals scaled by the roots of their weights (as in
+the square-root UKF), and both updates' reductions of P one of the
+whitened gain, which the inverse of Pyy's m x m Cholesky factor gives in
+one product; so P is exactly symmetric, and only the EKF's J P J^T is
+symmetrized.
 
 * :class:`QuaternionUkf` keeps the attitude on the unit-quaternion manifold.
   Sigma points and residuals live in a reduced error space (rotation vector
@@ -208,16 +211,18 @@ def _residuals(pts, mean, out=None):
     return out
 
 
-def _sigma_cov(res, w_cov, q_disc):
-    """Predicted covariance c R1^T R1 + w0 r0 r0^T + Q, (..., n, n), from
-    residuals (..., 2h+1, n): r0 is the centre's row and R1 the 2h rows after it,
-    which share the weight c = w_cov[1]. R1^T R1 reaches BLAS as syrk (both
-    operands view one array); every term is exactly symmetric, as
-    w0 (r0_i r0_j) is and (w0 r0_i) r0_j need not be."""
-    r0, r1 = res[..., 0, :], res[..., 1:, :]
-    p = r1.swapaxes(-1, -2) @ r1
-    p *= w_cov[1]
-    p += w_cov[0] * (r0[..., :, None] * r0[..., None, :])
+def _sigma_cov(res, w_root, neg, q_disc):
+    """Predicted covariance sum_i w_i r_i r_i^T + Q, (..., n, n), from
+    residuals (..., r, n), with w_root = sqrt|w_i| (r, 1): the scaled rows
+    A from row neg on enter one Gram product A^T A (syrk: both operands
+    view one array). neg is 1 when the centre's weight is negative (no
+    other can be), and then a_0 a_0^T is subtracted; every term is exactly
+    symmetric."""
+    a = res * w_root
+    g = a[..., neg:, :]
+    p = g.swapaxes(-1, -2) @ g
+    if neg:
+        p -= a[..., 0, :, None] * a[..., 0, None, :]
     p += q_disc
     return p
 
@@ -256,13 +261,14 @@ def _whiten(pyy, pxy, innov):
     """The correction K innov (..., n), the covariance reduction K Pyy K^T
     (..., n, n) and the NIS (...), with K = Pxy Pyy^-1, from the innovation
     covariance (..., m, m), the cross covariance (..., n, m) and the
-    innovation (..., m). One solve against the Cholesky factor L of Pyy
-    gives W = K L = Pxy L^-T and y = L^-1 innov: the correction is W y, the
-    reduction W W^T (syrk, exactly symmetric) and the NIS y^T y. The filters
-    take Pxy and Pyy from P with ``take``, which gives row-major blocks, of
-    a stack too."""
+    innovation (..., m). The inverse of the Cholesky factor L of Pyy, an
+    m x m matrix, gives in one product L^-1 [Pxy^T | innov] = [W^T | y],
+    with W = K L = Pxy L^-T and y = L^-1 innov: the correction is W y, the
+    reduction W W^T (syrk, exactly symmetric) and the NIS y^T y. No n-sized
+    substitution is left to LAPACK. The filters take Pxy and Pyy from P
+    with ``take``, which gives row-major blocks, of a stack too."""
     try:
-        chol = np.linalg.cholesky(pyy)
+        linv = np.linalg.inv(np.linalg.cholesky(pyy))
     except np.linalg.LinAlgError:
         err = SingularInnovation("innovation covariance is not positive definite")
         # A stack names its first run without a Cholesky factor.
@@ -278,7 +284,7 @@ def _whiten(pyy, pxy, innov):
     rhs = np.empty(pyy.shape[:-1] + (n + 1,))
     rhs[..., :n] = pxy.swapaxes(-1, -2)
     rhs[..., n] = innov
-    sol = np.linalg.solve(chol, rhs)  # [W^T | y]
+    sol = linv @ rhs  # [W^T | y]
     wt, y = sol[..., :n], np.ascontiguousarray(sol[..., n])
     nis = (y[..., None, :] @ y[..., :, None])[..., 0, 0]
     return dyn.matvec(wt.swapaxes(-1, -2), y), wt.swapaxes(-1, -2) @ wt, nis[()]
@@ -312,7 +318,7 @@ class _Filter:
         pxy (P's observed columns); takes the reduction off P, stores the NIS."""
         dx, drop, self.last_nis = _whiten(pxy.take(self.OBS_IDX, -2) + self.r_mat,
                                           pxy, innov)
-        self.P = self.P - drop
+        self.P = np.subtract(self.P, drop, out=drop)  # drop is a new array
         return dx
 
 
@@ -348,6 +354,9 @@ class QuaternionUkf(_Filter):
         self.eta, self.w_mean, self.w_cov = ut_weights(E_DIM, phi, gamma,
                                                        sigma + self.pad_dims)
         self.scale = np.sqrt(E_DIM + self.eta)
+        # The centre's place in _sigma_cov's Gram product, fixed here.
+        self._w_root = np.sqrt(np.abs(self.w_cov))[:, None]
+        self._neg = int(self.w_cov[0] < 0.0)
 
         body = initial if initial is not None else dyn.BodyState.hover()
         self.x = np.concatenate([body.as_vector(), np.zeros(6), [1.0],
@@ -357,6 +366,7 @@ class QuaternionUkf(_Filter):
         self.q_disc = np.diag(np.concatenate([self.noise.q_diag * self.dt,
                                               np.zeros(self.pad_dims)]))
         self.r_mat = np.diag(self.noise.r_diag)
+        self._q_obs = self.q_disc.take(self.OBS_IDX, -1)
         self._pts = None
         self._predicted = False  # set by predict, cleared by update
 
@@ -388,7 +398,7 @@ class QuaternionUkf(_Filter):
         mean = np.concatenate([mean_q, self.w_mean @ pts[..., 4:]], axis=-1)
         mean[..., dyn.IDUMMY] = 1.0
         res = _residuals(pts, mean, self._res_buf)
-        self.P = _sigma_cov(res, self.w_cov, self.q_disc)
+        self.P = _sigma_cov(res, self._w_root, self._neg, self.q_disc)
         self.x, self._predicted = mean, True
         return self
 
@@ -401,7 +411,7 @@ class QuaternionUkf(_Filter):
             meas.r - self.x[..., 4:7], meas.omega - self.x[..., 10:13]], axis=-1)
         # P- less Q, the propagated points' own spread (see ROADMAP item 2),
         # in the observed columns.
-        dx = self._correct(self.P.take(idx, -1) - self.q_disc.take(idx, -1), innov)
+        dx = self._correct(self.P.take(idx, -1) - self._q_obs, innov)
         x = self.x.copy()
         x[..., 0:4] = qt.oplus(x[..., 0:4], dx[..., 0:3])
         x[..., 4:] += dx[..., 3:]  # the pinned component adds 0.0 to the 1

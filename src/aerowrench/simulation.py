@@ -610,7 +610,9 @@ def compute_metrics(run, window=1.0):
     """Per-channel RMSE, improvement, convergence times, mean step cost.
 
     The window, in seconds, drops the leading transient from the RMSE; a
-    negative or non-finite one raises ValidationError. Convergence times
+    negative or non-finite one raises ValidationError. A run no longer
+    than its window keeps its last step, and the report's ``window_s``
+    is the window applied, whole steps of dt. Convergence times
     are computed per wrench channel over its first applied pulse, from
     onset until the pulse leaves; channels never exercised report None.
     Improvement percentages appear only when both estimators ran.
@@ -653,6 +655,6 @@ def compute_metrics(run, window=1.0):
             improvement[ch] = (100.0 * (base - rmse["qukf"][ch]) / base
                                if base > 0.0 else None)
 
-    return MetricsReport(window_s=window, duration_s=float(run.t[-1]),
+    return MetricsReport(window_s=skip * run.dt, duration_s=float(run.t[-1]),
                          rmse=rmse, improvement_pct=improvement,
                          convergence_time_s=conv, mean_update_s=mean_update)

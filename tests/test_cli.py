@@ -62,6 +62,8 @@ class TestCompare:
         code = run_main(["compare", "--duration", "1.0", "--seed", "0"])
         assert code == 0
         out = capsys.readouterr().out
+        # 100 steps: the RMSE keeps the last, after a window of 99 steps.
+        assert out.splitlines()[0] == "seed 0, 1 s, window 0.99 s"
         assert "channel" in out and "qukf" in out and "ekf" in out
         assert "M_hz_Nm" in out
 
@@ -259,9 +261,10 @@ class TestExitCodes:
     def test_singular_innovation_is_4(self, tmp_path, capsys):
         # Zero process and measurement noise pass validation (the QUKF's
         # first step from hover works), but an exact measurement leaves
-        # the observed block of P at zero (to rounding), so the next
-        # update has a singular innovation covariance: one line on stderr
-        # naming the filter and the step, no traceback.
+        # the observed block of P at zero (to rounding), so a later
+        # update has a singular innovation covariance (at step 2: which
+        # step first fails to factor depends on the rounding): one line
+        # on stderr naming the filter and the step, no traceback.
         cfg = tmp_path / "zero.yaml"
         cfg.write_text("filter:\n  q_diag: [%s]\n  r_diag: [%s]\n"
                        "run:\n  estimators: [qukf]\n"
@@ -269,14 +272,15 @@ class TestExitCodes:
         assert run_main(["run", "--config", str(cfg), "--duration", "0.5",
                          "--out", str(tmp_path)]) == cli.EXIT_DIVERGENCE
         assert capsys.readouterr().err == (
-            "estimator failure: qukf failed at step 1: "
+            "estimator failure: qukf failed at step 2: "
             "innovation covariance is not positive definite\n")
 
     def test_overflowing_spread_is_4_without_warnings(self, tmp_path, capsys):
-        # sigma = 1e300 passes validation's first step, then overflows the
-        # sigma-point covariance. The divergence check names the filter,
-        # the step and the component; numpy's overflow and invalid-value
-        # warnings no longer precede that line.
+        # sigma = 1e300 passes validation's first step; at step 2 the
+        # sigma-point covariance, built from rows scaled by the roots of
+        # the weights, leaves an innovation covariance that is not
+        # positive definite. One line names the filter and the step, and
+        # numpy's overflow and invalid-value warnings do not precede it.
         cfg = tmp_path / "spread.yaml"
         cfg.write_text("filter:\n  sigma: 1.0e+300\n")
         with warnings.catch_warnings(record=True) as caught:
@@ -284,7 +288,8 @@ class TestExitCodes:
             assert run_main(["run", "--config", str(cfg), "--duration", "0.05",
                              "--out", str(tmp_path)]) == cli.EXIT_DIVERGENCE
         err = capsys.readouterr().err
-        assert err.startswith("divergence: qukf diverged at step 2: ")
+        assert err == ("estimator failure: qukf failed at step 2: "
+                       "innovation covariance is not positive definite\n")
         assert err.count("\n") == 1
         assert not caught, [str(w.message) for w in caught]
 

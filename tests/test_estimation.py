@@ -166,7 +166,7 @@ class TestSigmaGeometry:
         deltas = np.zeros((2 * f.n + 1, f.n))
         est._sigma_points(f.x, est.cov_sqrt(f.P[:est.PIN, :est.PIN]), f.scale,
                           deltas, np.empty((2 * f.n + 1, f.x.size)))
-        rec = est._sigma_cov(deltas, f.w_cov, np.zeros((f.n, f.n)))
+        rec = est._sigma_cov(deltas, f._w_root, f._neg, np.zeros((f.n, f.n)))
         assert np.allclose(rec, f.P, atol=1e-12)
         assert not rec[est.PIN].any() and not rec[:, est.PIN].any()
 
@@ -323,7 +323,12 @@ class TestUpdate:
                 rx = np.empty((pts.shape[0], f.n))
                 rx[:, 0:3] = ry[:, 0:3]
                 rx[:, 3:] = pts[:, 4:] - x[4:]
-                gain = np.linalg.solve(pyy, ((rx * wc).T @ ry).T).T
+                # The update reads these moments from P- less Q.
+                pxy = (rx * wc).T @ ry
+                d = np.sqrt(np.diagonal(p))
+                assert (np.abs(pxy - (p - f.q_disc)[:, f.OBS_IDX])
+                        <= 1e-12 * np.outer(d, d[f.OBS_IDX])).all()
+                gain = np.linalg.solve(pyy, pxy.T).T
                 dx = gain @ innov
                 post = x.copy()
                 post[0:4] = qt.oplus(x[0:4], dx[0:3])
@@ -917,12 +922,51 @@ class TestCovarianceKernels:
                                  moments=np.tile(u.moments, (runs, 1)))
         for ms in zip(*seqs):
             f.predict(u)
+            assert same_bits(f.P, f.P.swapaxes(-1, -2))
             for at in (np.ndindex(runs) if runs else [()]):
                 assert_cov_close(f.P[at], gram_reference(f._res_buf[at], f.w_cov,
                                                          f.q_disc))
             f.update(est.Measurement(*(np.stack([getattr(m, a) for m in ms])
                                        for a in ("q", "r", "omega")))
                      if runs else ms[0])
+
+    @pytest.mark.parametrize("gamma", [2.0, -1.0])
+    def test_sigma_cov_stack_matches_each_run_alone(self, rng, gamma):
+        # The centre's place (inside the Gram product, or subtracted when
+        # its weight is negative) is the filter's; each run of a stack
+        # gets a lone call's bits, exactly symmetric.
+        f = est.QuaternionUkf(gamma=gamma, pad_dims=5)
+        res = rng.normal(size=(3, 2 * est.E_DIM + 1, f.n))
+        stack = est._sigma_cov(res, f._w_root, f._neg, f.q_disc)
+        for i, r in enumerate(res):
+            lone = est._sigma_cov(r, f._w_root, f._neg, f.q_disc)
+            assert same_bits(stack[i], lone), i
+            assert same_bits(lone, lone.T)
+            assert_cov_close(lone, gram_reference(r, f.w_cov, f.q_disc))
+
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
+    def test_whiten_matches_direct_gain(self, rng, cond):
+        # Against K = Pxy Pyy^-1 by a general solve: K innov, K Pyy K^T and
+        # innov^T Pyy^-1 innov, on fuzzed Pyy of the given condition number
+        # with a consistent Pxy and innovation. Both forms lose about
+        # cond * eps; the bound is 16 cond * eps of each output's largest
+        # magnitude (200 draws per cond reached at most 3.2 at cond 1 and
+        # 0.16 above).
+        eps = np.finfo(float).eps
+        for _ in range(20):
+            basis = np.linalg.qr(rng.normal(size=(9, 9)))[0]
+            pyy = (basis * np.logspace(0.0, -np.log10(cond), 9)) @ basis.T
+            pyy = 0.5 * (pyy + pyy.T)
+            root = np.linalg.cholesky(pyy)
+            pxy = rng.normal(size=(19, 9)) @ root.T
+            innov = root @ rng.normal(size=9)
+            dx, drop, nis = est._whiten(pyy, pxy, innov)
+            gain = np.linalg.solve(pyy, pxy.T).T
+            for got, want in ((dx, gain @ innov), (drop, gain @ pyy @ gain.T),
+                              (nis, innov @ np.linalg.solve(pyy, innov))):
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= 16.0 * cond * eps * scale
+            assert same_bits(drop, drop.T)
 
     @pytest.mark.parametrize("make, runs", [
         (lambda: est.QuaternionUkf(), None),

@@ -696,6 +696,16 @@ class TestMetrics:
         m = sim.compute_metrics(run, window=1.0)
         assert m.rmse["qukf"]["y_m"] == 0.0
 
+    def test_window_reports_what_was_applied(self):
+        # A run shorter than its window keeps its last step, and says so:
+        # five steps of 0.01 s under a 1 s window apply 0.04 s.
+        run = _mk_run(n=5)
+        run.tracks["qukf"].states[:4, 5] = 50.0
+        m = sim.compute_metrics(run, window=1.0)
+        assert m.rmse["qukf"]["y_m"] == 0.0
+        assert m.window_s == 4 * 0.01
+        assert sim.compute_metrics(_mk_run(n=400), window=1.0).window_s == 1.0
+
     @pytest.mark.parametrize("window", [-1.0, np.nan, np.inf])
     def test_bad_window_rejected(self, window):
         # A negative skip would index from the end: the RMSE of the last
