@@ -11,15 +11,18 @@ State vector layouts used by this module and the estimators:
     EKF state (19,):        the augmented state less its trailing 1
     QUKF state (20 + d,):   the augmented state, then d pads
     QUKF error (19 + d,):   [dtheta(3), r, v, omega, upsilon, pin, pads]
+    transition input (31,): [r, v, omega, upsilon, 1, forcing(15)]
 
 q is a scalar-first unit quaternion, r and v are inertial position and
 velocity, omega is the body angular rate, and upsilon is the internal state
 of the momentum-style wrench observer. The trailing 1 carries the affine
 terms of the continuous-time generator so that one matrix exponential
-advances the whole augmented state. Inert components come last (the 1,
-its pinned error component, then the QUKF's cost-scaling pads), so a
-filter's first 20 components are the augmented state. A wrench is a
-6-vector [force (inertial), torque (body)].
+advances the whole augmented state, and one constant 15 x 31 map its
+linear block [r, v, omega, upsilon] from the transition input, the forcing
+being [bz(q) F_th, omega x J omega, U_tau, v, omega] (TransitionContext).
+Inert components come last (the 1, its pinned error component, then the
+QUKF's pads), so a filter's first 20 components are the augmented state.
+A wrench is a 6-vector [force (inertial), torque (body)].
 
 Control u = [F_th, U_tau] stacks total thrust (N) along body z and the body
 torque (N m) produced by the eight rotors.
@@ -549,52 +552,66 @@ def build_fc(x, u, p):
 
 
 # The pair products of propagate_batch, gathered by quat._mul_terms from
-# its workspace rows [q(4), r, v, omega, upsilon, dummy, J omega(3)]:
-# qx qz + qw qy, qy qz - qw qx and qx^2 + qy^2 twice (the rows of bz: 2
-# times the first two, 1 minus twice the third) and omega x (J omega).
-# Each output sums its two terms left to right in the order
-# _body_z_inertial and _gyroscopic write them, so the bits are theirs.
+# its workspace (see _Workspace): qx qz + qw qy, qy qz - qw qx and
+# qx^2 + qy^2 (bz is 2 times the first two, 1 minus twice the third) and
+# omega x (J omega). Each output sums its two terms left to right in the
+# order _body_z_inertial and _gyroscopic write them, so the bits are theirs.
 _PAIR_TERMS = _term_table(
-    [[1, 0], [2, 0], [1, 2]] * 2 + [[11, 12], [12, 10], [10, 11]],
-    [[3, 2], [3, 1], [1, 2]] * 2 + [[22, 21], [20, 22], [21, 20]],
-    [[1, 1], [1, -1], [1, 1]] * 2 + [[1, -1], [1, -1], [1, -1]])
+    [[1, 0], [2, 0], [1, 2], [11, 12], [12, 10], [10, 11]],
+    [[3, 2], [3, 1], [1, 2], [37, 36], [35, 37], [36, 35]],
+    [[1, 1], [1, -1], [1, 1], [1, -1], [1, -1], [1, -1]])
 
 
-# bz twice from the first six pair products, [2 p0, 2 p1, 1 - 2 s] per
-# copy, as one scaling and one shift: -0.0 is the exact additive identity,
-# signed zeros included, and 1 + (-2 s) is 1 - 2 s bit for bit.
-_BZ_SCALE = np.array([2.0, 2.0, -2.0] * 2)[:, None]
-_BZ_SHIFT = np.array([-0.0, -0.0, 1.0] * 2)[:, None]
+# bz from the first three pair products, [2 p0, 2 p1, 1 - 2 s], as one
+# scaling and one shift: -0.0 is the exact additive identity, signed zeros
+# included, and 1 + (-2 s) is 1 - 2 s bit for bit.
+_BZ_SCALE = np.array([2.0, 2.0, -2.0])[:, None]
+_BZ_SHIFT = np.array([-0.0, -0.0, 1.0])[:, None]
 
 
 class _Workspace:
-    """propagate_batch's arrays for k rows, component first, and the views
-    of them it works on."""
+    """propagate_batch's arrays for k rows, component first, and views.
+
+    ``w`` holds per row the state [q, r, v, omega, upsilon, s] (entries
+    0-19), the forcing s [bz F_th, omega x J omega, U_tau, v, omega] (20-34)
+    and J omega (35-37); entries 4-34 are the linear block's input ``y``,
+    and ``nxt`` takes the next state. BLAS must not make a row depend on its
+    batch: gemm rounds a C-ordered map's column tail by k, and numpy hands
+    one column to gemv. So the map is Fortran-ordered, and a lone row has
+    an inert zero column beside it that only the products see (``y``,
+    ``z``, ``om2``, ``jw2``); every other view holds the first k columns.
+    """
 
     def __init__(self, k):
         self.k = k
-        self.w = w = np.empty((23, k))      # the 20 state rows, then J omega
-        self.rows, self.jw = w[:20], w[20:23]
-        self.q, self.r, self.v, self.om = w[IQ], w[IR], w[IV], w[IW]
+        full, nxt = np.zeros((38, max(k, 2))), np.zeros((20, max(k, 2)))
+        self.y, self.z, self.om2, self.jw2 = full[4:35], nxt[4:19], full[IW], full[35:38]
+        self.w = w = full[:, :k]
+        self.nxt = nxt[:, :k]
+        self.rows, self.q, self.om, self.scale = w[:20], w[IQ], w[IW], w[IDUMMY]
         self.rates = w[IV.start:IW.stop]    # chi = [v; omega]
-        self.motion = w[IR.start:IW.stop]   # [r; v; omega]
-        self.ups, self.scale = w[IU], w[IDUMMY]
-        self.pair = (np.empty((2, 9, k)), np.empty((2, 9, k)))
+        self.force, self.pp, self.bz = w[20:35], w[20:26], w[20:23]
+        self.torque, self.chi = w[26:29], w[29:35]
+        self.pair = (np.empty((2, 6, k)), np.empty((2, 6, k)))
         self.quat = (np.empty((4, 4, k)), np.empty((4, 4, k)))
-        self.pp = pp = np.empty((9, k))     # _PAIR_TERMS' outputs
-        self.bz2, self.gyro = pp[0:6], pp[6:9]
-        # [a_v; a_v; a_omega], for the position and the rate rows
-        self.acc = np.empty((9, k))
-        self.gwu = np.empty((6, k))         # G + W u - Gamma
-        self.t9 = np.empty((9, k))
-        self.t6, self.t3 = self.t9[0:6], self.t9[0:3]
-        self.dq = np.empty((4, k))
+        self.t3, self.dq = np.empty((3, k)), np.empty((4, k))
         self.ang = np.empty((4, k))         # angle, half, factor, norm
 
 
 class TransitionContext:
     """Precomputed constants for the closed-form discrete transition, and
     propagate_batch's workspace.
+
+    ``lin`` is the linear block's constant map, 15 x 31 and Fortran-ordered
+    (see _Workspace), from [r, v, omega, upsilon, s, s bz F_th,
+    s (omega x J omega), s U_tau, s v, s omega] to [r', v', omega',
+    upsilon']. By output: r' = r + dt v + (dt^2 / 2m) s bz F_th - (g dt^2 /
+    2) s e_z and v' = v + (dt / m) s bz F_th - g dt s e_z, the position
+    chain; omega' = omega + J^-1 dt (s U_tau - s omega x J omega); upsilon'
+    = ``decay`` upsilon + forced s (G + W u - Gamma), with ``decay`` =
+    e^{-A T}, forced = I - e^{-A T} and the observer's forcing G + W u -
+    Gamma = [m g e_z - bz F_th - delta v; omega x J omega - U_tau - delta
+    omega].
 
     The workspace is sized at the first call for each row count and
     overwritten by every later call with as many rows, as the QUKF sizes
@@ -603,17 +620,20 @@ class TransitionContext:
     """
 
     def __init__(self, p, dt):
-        self.params = p
         self.dt = dt
         self.inertia = p.inertia.copy()
-        self.inertia_inv = np.linalg.inv(p.inertia)
-        a = p.observer_gain_matrix()
-        self.decay = expm(-a * dt)            # e^{-A T}
-        self.forced = np.eye(6) - self.decay  # (I - e^{-A T})
-        # a_v's and a_omega's step coefficients in [a_v; a_v; a_omega],
-        # and gravity in [a_v; a_v] (x - 0.0 is x, bit for bit).
-        self.acc_coef = np.array([0.5 * dt * dt] * 3 + [dt] * 6)[:, None]
-        self.gravity_col = np.array([0.0, 0.0, p.gravity] * 2)[:, None]
+        self.decay = expm(-p.observer_gain_matrix() * dt)  # e^{-A T}
+        forced = np.eye(6) - self.decay       # (I - e^{-A T})
+        eye, j_dt = np.eye(3), np.linalg.inv(p.inertia) * dt
+        f_v, f_w = forced[:, :3], forced[:, 3:]
+        lin = np.zeros((15, 31))
+        lin[0:9, 0:9], lin[0:3, 3:6], lin[9:15, 9:15] = np.eye(9), eye * dt, self.decay
+        lin[0:3, 16:19], lin[3:6, 16:19] = eye * (0.5 * dt * dt / p.mass), eye * (dt / p.mass)
+        lin[6:9, 19:22], lin[6:9, 22:25] = -j_dt, j_dt
+        lin[9:15, 16:31] = np.hstack([-f_v, f_w, -f_w, -p.delta * forced])
+        lin[[2, 5], 15] = -0.5 * dt * dt * p.gravity, -dt * p.gravity
+        lin[9:15, 15] = f_v[:, 2] * (p.mass * p.gravity)
+        self.lin = np.asfortranarray(lin)
         self._work = None
 
     def workspace(self, k):
@@ -629,30 +649,29 @@ def propagate_batch(xs, u, ctx, out=None):
     xs has shape (k, 20); u = [F_th, U_tau] is either one (4,) control
     shared by the batch or a (k, 4) array of per-row controls. The update
     is the exact matrix exponential of build_fc evaluated at each row,
-    computed blockwise: the quaternion block is a planar rotation, the
-    translational chain is nilpotent, and the observer block is a stable
-    first-order decay toward G + W u - Gamma. Affine terms scale with the
-    trailing dummy component so the map agrees with the dense exponential
-    for any input.
+    computed blockwise: the quaternion block is a planar rotation, and
+    z = [r, v, omega, upsilon] takes the zero-order-hold form Phi z + Gamma
+    f (Van Loan, IEEE TAC 23(3), 1978) with the frozen forcing f of (q,
+    omega, u). Affine terms scale with the trailing dummy component s so
+    the map agrees with the dense exponential for any input.
 
     The result goes into ``out``, a float (k, 20) array, or a new one, and
     is returned. Every read of xs and u happens before the first write to
     out, so out may be xs itself (a filter propagates its own rows in
     place) or overlap it.
 
-    The work runs in ctx's workspace (see TransitionContext): one
-    contiguous component-first copy (20, k) of the rows, so each
-    elementwise operation is one call on contiguous vectors, and the
-    matrix products are the constant matrices times (c, k) stacks. bz(q)
-    and omega x (J omega) come from one gathered pair product
-    (_PAIR_TERMS), with the same bits as _body_z_inertial and _gyroscopic.
-    Every row gets the same operations whatever else is in the batch, so a
-    row's result does not depend on the batch around it, nor on whether
-    its control is shared or per row, nor on out.
+    The work runs in ctx's workspace (see _Workspace): a contiguous
+    component-first copy of the rows, so each elementwise operation is one
+    call on contiguous vectors. One gathered pair product (_PAIR_TERMS)
+    writes bz(q) and omega x (J omega) into the forcing rows, with the bits
+    of _body_z_inertial and _gyroscopic; the forcing is scaled by s, and
+    one product with ctx.lin (see TransitionContext) gives Phi z + Gamma f.
+    Every row gets the same operations whatever else is in the batch, and
+    the BLAS order rule of _Workspace holds for the products, so a row's
+    result does not depend on the batch around it, nor on whether its
+    control is shared or per row, nor on out.
     """
     ws = ctx.workspace(np.shape(xs)[0])
-    p = ctx.params
-    dt = ctx.dt
     xs = np.asarray(xs, dtype=float)
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
@@ -660,34 +679,26 @@ def propagate_batch(xs, u, ctx, out=None):
     else:
         thrust, moments = u[:, 0], u[:, 1:4].T
     ws.rows[...] = xs.T
-    om, scale, acc, gwu, t3 = ws.om, ws.scale, ws.acc, ws.gwu, ws.t3
-    np.matmul(ctx.inertia, om, out=ws.jw)
+    np.matmul(ctx.inertia, ws.om2, out=ws.jw2)
 
-    bz2, gyro = ws.bz2, ws.gyro
+    # The forcing s [bz F_th, omega x J omega, U_tau, v, omega], then z'.
     _mul_terms(ws.w, ws.w, _PAIR_TERMS, out=ws.pp, work=ws.pair)
-    np.multiply(bz2, _BZ_SCALE, out=bz2)
-    bz2 += _BZ_SHIFT
-    np.multiply(bz2, thrust / p.mass, out=acc[0:6])
-    acc[0:6] -= ctx.gravity_col
-    np.subtract(moments, gyro, out=t3)
-    np.matmul(ctx.inertia_inv, t3, out=acc[6:9])
-
-    # G + W u - Gamma at each sigma point (frozen forcing of the observer).
-    np.negative(bz2[0:3], out=gwu[0:3])
-    np.multiply(gwu[0:3], thrust, out=gwu[0:3])
-    np.subtract(gyro, moments, out=gwu[3:6])
-    np.multiply(ws.rates, p.delta, out=ws.t6)
-    gwu -= ws.t6
-    gwu[2] += p.mass * p.gravity
+    np.multiply(ws.bz, _BZ_SCALE, out=ws.bz)
+    ws.bz += _BZ_SHIFT
+    ws.bz *= thrust
+    ws.torque[...] = moments
+    ws.chi[...] = ws.rates
+    ws.force *= ws.scale
+    np.matmul(ctx.lin, ws.y, out=ws.z)
 
     # q <- q * q(omega dt), then normalized: right multiplication
     # integrates body rates. The step is quat.py's rule, written out on the
     # workspace: quat_normalize(quat_mul(q, rotvec_to_quat(omega dt))), with
     # the same operations in the same order, so the bits are theirs.
     ang, half, factor, norm = ws.ang
-    dq = ws.dq
+    dq, t3, q = ws.dq, ws.t3, ws.nxt[IQ]
     rv = dq[1:]
-    np.multiply(om, dt, out=rv)
+    np.multiply(ws.om, ctx.dt, out=rv)
     np.multiply(rv, rv, out=t3)
     np.add(t3[0], t3[1], out=ang)
     ang += t3[2]
@@ -704,28 +715,17 @@ def propagate_batch(xs, u, ctx, out=None):
         factor /= ang
     np.cos(half, out=dq[0])
     rv *= factor
-    # The gathers read q before the sums overwrite it.
-    _mul_terms(ws.q, dq, _QUAT_MUL_TERMS, out=ws.q, work=ws.quat)
-
-    # r + dt v + (dt^2 / 2) a_v s, then [v; omega] + dt [a_v; a_omega] s.
-    np.multiply(ws.v, dt, out=t3)
-    ws.r += t3
-    np.multiply(acc, ctx.acc_coef, out=ws.t9)
-    ws.t9 *= scale
-    ws.motion += ws.t9
-    gwu *= scale
-    np.matmul(ctx.forced, gwu, out=ws.t6)
-    np.matmul(ctx.decay, ws.ups, out=gwu)
-    np.add(gwu, ws.t6, out=ws.ups)
-
-    np.multiply(ws.q, ws.q, out=dq)
+    _mul_terms(ws.q, dq, _QUAT_MUL_TERMS, out=q, work=ws.quat)
+    np.multiply(q, q, out=dq)
     np.add(dq[0], dq[1], out=norm)
     norm += dq[2]
     norm += dq[3]
-    ws.q /= np.sqrt(norm, out=norm)
+    q /= np.sqrt(norm, out=norm)
+
+    ws.nxt[IDUMMY] = ws.scale
     if out is None:
         out = np.empty_like(xs)
-    out[...] = ws.rows.T
+    out[...] = ws.nxt.T
     return out
 
 

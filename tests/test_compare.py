@@ -61,3 +61,23 @@ def test_timed_pair_alternates_turns():
     want = [(side, k) for start in range(0, n, compare.BLOCK) for side in order
             for k in range(start, min(start + compare.BLOCK, n))]
     assert log == want
+
+
+def test_transition_cases_step_propagate_batch_on_fixed_rows():
+    import aerowrench
+    import aerowrench.dynamics as dyn
+
+    cases = dict(compare.CASES)
+    assert list(cases)[:3] == ["qukf n=19", "qukf n=99", "ekf"]
+    u = dyn.ControlInput(thrust=30.0, moments=np.array([0.1, -0.2, 0.05]))
+    ctx = dyn.TransitionContext(dyn.SystemParams(), 0.01)
+    for k in (39, 780):
+        case = cases["transition %d" % k](aerowrench)
+        rows = case.rows.copy()
+        assert rows.shape == (k, 20) and (rows[:, 19] == 1.0).all()
+        assert np.allclose(np.linalg.norm(rows[:, 0:4], axis=1), 1.0)
+        for _ in range(2):
+            case.step(u, None)
+            assert case.rows.tobytes() == rows.tobytes()
+            want = dyn.propagate_batch(rows, u.as_vector(), ctx)
+            assert case.out.tobytes() == want.tobytes()

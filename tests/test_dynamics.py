@@ -627,6 +627,24 @@ class TestDiscreteTransition:
             batch = dyn.propagate_batch(xs, shared, ctx)
         assert np.isnan(batch[4]).any() and np.isfinite(np.delete(batch, 4, 0)).all()
 
+    def test_rows_do_not_depend_on_batch_size(self, rng):
+        # gemm rounds a column tail by k, and numpy hands one column to
+        # gemv: every row's bytes are its lone bytes at every batch size,
+        # under a shared control and per-row controls.
+        p = dyn.SystemParams()
+        ctx = dyn.TransitionContext(p, 0.01)
+        xs = self._fuzzed_rows(rng, 780)
+        shared = np.array([20.0, 0.1, 0.0, -0.2])
+        per_row = shared + rng.normal(size=(780, 4)) * np.array([5.0, 0.1, 0.1, 0.1])
+        with np.errstate(invalid="ignore"):
+            for u in (shared, per_row):
+                lone = np.stack([dyn.propagate_batch(xs[i:i + 1], u if u.ndim == 1
+                                                     else u[i:i + 1], ctx)[0]
+                                 for i in range(780)])
+                for k in list(range(1, 41)) + [100, 390, 780]:
+                    batch = dyn.propagate_batch(xs[:k], u if u.ndim == 1 else u[:k], ctx)
+                    assert batch.tobytes() == lone[:k].tobytes(), k
+
     def test_workspace_resizes_without_changing_bytes(self, rng):
         # One context stepped with 39, then 780, then 39 rows gives the
         # bytes of a fresh context at each size.
@@ -670,17 +688,17 @@ class TestDiscreteTransition:
     def test_pair_products_match_written_out_helpers(self, rng):
         # The gathered pair products give _body_z_inertial's and
         # _gyroscopic's bits, signed zeros included.
-        w = rng.normal(size=(23, 300)) * rng.uniform(0.1, 10.0, size=(1, 300))
+        w = rng.normal(size=(38, 300)) * rng.uniform(0.1, 10.0, size=(1, 300))
         w[rng.random(w.shape) < 0.1] = 0.0
         w[rng.random(w.shape) < 0.1] = -0.0
         pp = qt._mul_terms(w, w, dyn._PAIR_TERMS)
-        for i in (0, 3):
+        for i in (0,):
             bz = np.stack([2.0 * pp[i], 2.0 * pp[i + 1], 1.0 - 2.0 * pp[i + 2]])
             assert bz.tobytes() == dyn._body_z_inertial(w[0:4]).tobytes()
-        gyro = dyn._gyroscopic(w[10:13], w[20:23])
-        assert pp[6:9].tobytes() == gyro.tobytes()
-        work = (np.empty((2, 9, 300)), np.empty((2, 9, 300)))
-        out = np.empty((9, 300))
+        gyro = dyn._gyroscopic(w[10:13], w[35:38])
+        assert pp[3:6].tobytes() == gyro.tobytes()
+        work = (np.empty((2, 6, 300)), np.empty((2, 6, 300)))
+        out = np.empty((6, 300))
         assert qt._mul_terms(w, w, dyn._PAIR_TERMS, out=out, work=work) is out
         assert out.tobytes() == pp.tobytes()
 

@@ -48,13 +48,16 @@ at rounding level.
 
 timing: replays seed 0's first STEPS pairs, as the closed loop hands them
 to its filters, through the QUKF (n=19), the QUKF padded to n=99 and the
-EKF of each side. In each pair the two sides' fresh filters step in
-alternating 20-step turns (BLOCK), and the side that goes first swaps from
-pair to pair, so host drift falls on both sides alike. A pair's ratio is the
-median over its turns of the change's block median over the parent's.
-Prints per filter each side's quiet median (the median of the steps of its
-five fastest 50-step blocks, as perfbench's ``quiet``) over the pairs with
-quartiles, each pair's ratio, and the ratios' median and quartiles.
+EKF of each side, and through each side's transition alone: per step,
+``propagate_batch`` under the step's control on 39 fixed rows near hover
+(as many as a filter propagates) and on 780 (a 20-run stack's). In each
+pair the two sides' fresh cases step in alternating 20-step turns
+(BLOCK), and the side that goes first swaps from pair to pair, so host
+drift falls on both sides alike. A pair's ratio is the median over its
+turns of the change's block median over the parent's. Prints per case
+each side's quiet median (the median of the steps of its five fastest
+50-step blocks, as perfbench's ``quiet``) over the pairs with quartiles,
+each pair's ratio, and the ratios' median and quartiles.
 """
 
 import os
@@ -81,9 +84,32 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 BLOCK = 20  # steps a side takes per turn of a timing pair
 QUIET, QUIET_BLOCKS = 50, 5
-CASES = (("qukf n=19", "QuaternionUkf", {}),
-         ("qukf n=99", "QuaternionUkf", {"pad_dims": 80}),
-         ("ekf", "ExtendedKalman", {}))
+
+
+class Transition:
+    """propagate_batch stepped like a filter: each step advances the same
+    k fixed rows, near hover, under the step's control into one buffer."""
+
+    def __init__(self, pkg, k):
+        dyn = pkg.dynamics
+        self.ctx = dyn.TransitionContext(dyn.SystemParams(), 0.01)
+        self.propagate = dyn.propagate_batch
+        rng = np.random.default_rng(k)
+        self.rows = np.zeros((k, 20))
+        self.rows[:, [0, 19]] = 1.0
+        self.rows[:, :19] += 0.1 * rng.standard_normal((k, 19))
+        self.rows[:, 0:4] /= np.linalg.norm(self.rows[:, 0:4], axis=1, keepdims=True)
+        self.out = np.empty_like(self.rows)
+
+    def step(self, u, z):
+        self.propagate(self.rows, u.as_vector(), self.ctx, out=self.out)
+
+
+CASES = (("qukf n=19", lambda pkg: pkg.estimation.QuaternionUkf()),
+         ("qukf n=99", lambda pkg: pkg.estimation.QuaternionUkf(pad_dims=80)),
+         ("ekf", lambda pkg: pkg.estimation.ExtendedKalman()),
+         ("transition 39", lambda pkg: Transition(pkg, 39)),
+         ("transition 780", lambda pkg: Transition(pkg, 780)))
 
 
 def load_package(src, name):
@@ -310,10 +336,9 @@ def timing(trees, rev, pairs, steps):
     inputs = {side: replay_inputs(pkg, run, steps) for side, (_, pkg) in trees.items()}
     print("%s (parent) against the working tree: %d pairs of %d steps in %d-step"
           " turns, seed 0; us per step, quiet median" % (rev, pairs, steps, BLOCK))
-    for label, cls, kwargs in CASES:
+    for label, make in CASES:
         def fresh():
-            return {side: getattr(pkg.estimation, cls)(**kwargs)
-                    for side, (_, pkg) in trees.items()}
+            return {side: make(pkg) for side, (_, pkg) in trees.items()}
         # warm caches and lazy set-up on both sides
         timed_pair(fresh(), {s: inp[:QUIET] for s, inp in inputs.items()}, SIDES)
         med, ratios = {side: [] for side in SIDES}, []
@@ -324,11 +349,11 @@ def timing(trees, rev, pairs, steps):
             ratios.append(pair_ratio(times["parent"], times["change"]))
         for side in SIDES:
             q1, q2, q3 = np.percentile(med[side], [25, 50, 75])
-            print("  %-10s %-6s median %8.1f  quartiles %8.1f %8.1f"
+            print("  %-14s %-6s median %8.1f  quartiles %8.1f %8.1f"
                   % (label, side, q2, q1, q3))
-        print("  %-10s ratios %s" % (label, " ".join("%.3f" % r for r in ratios)))
+        print("  %-14s ratios %s" % (label, " ".join("%.3f" % r for r in ratios)))
         q1, q2, q3 = np.percentile(ratios, [25, 50, 75])
-        print("  %-10s median ratio %.3f, quartiles %.3f %.3f, change faster in"
+        print("  %-14s median ratio %.3f, quartiles %.3f %.3f, change faster in"
               " %d of %d pairs" % (label, q2, q1, q3, sum(r < 1.0 for r in ratios), pairs))
     return 0
 
@@ -339,7 +364,7 @@ def main(argv=None):
     modes = ap.add_subparsers(dest="mode", required=True)
     det = modes.add_parser("determinism", help="compare outputs")
     det.add_argument("seeds", nargs="*", type=int, default=[0, 1, 2])
-    tim = modes.add_parser("timing", help="time filter steps in paired turns")
+    tim = modes.add_parser("timing", help="time filter and transition steps in paired turns")
     tim.add_argument("--pairs", type=int, default=12)
     tim.add_argument("--steps", type=int, default=400)
     args = ap.parse_args(argv)
